@@ -8,7 +8,6 @@ the quotient certificate records one named boolean per verification step.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 from typing import Iterable, Sequence
@@ -27,7 +26,7 @@ from cig.groups import (
     automorphic_image_search,
 )
 from cig.iso import automorphism_group_of, find_isomorphism
-from cig.limits import AUT_ORDER_CAP, SEARCH_VERTEX_CAP, CapExceeded
+from cig.limits import DEFAULT_LIMITS, CapExceeded, Limits
 from cig.perms import Perm, PermGroup, PointPartition
 
 MODES = ("digraph", "graph")
@@ -70,7 +69,7 @@ def ci_pair(
     set1: Iterable[int],
     set2: Iterable[int],
     mode: str = "digraph",
-    aut_cap: int = AUT_ORDER_CAP,
+    limits: Limits = DEFAULT_LIMITS,
 ) -> CIPairResult:
     """Classify a pair of connection sets.
 
@@ -88,10 +87,10 @@ def ci_pair(
                 raise ValueError(
                     f"graph mode requires inverse-closed sets, got {sorted(s)}"
                 )
-    iso = find_isomorphism(cayley(group, s1), cayley(group, s2))
+    iso = find_isomorphism(cayley(group, s1), cayley(group, s2), limits)
     if iso is None:
         return CIPairResult("not_isomorphic", None, None)
-    alpha = automorphic_image_search(group, s1, s2, cap=aut_cap)
+    alpha = automorphic_image_search(group, s1, s2, limits)
     if alpha is None:
         return CIPairResult("non_ci_witness", None, iso)
     return CIPairResult("ci_equivalent", alpha, iso)
@@ -160,7 +159,7 @@ class CIGroupVerdict:
 
 def _reverify_witness(
     group: FiniteGroup, s1: frozenset[int], s2: frozenset[int], iso: Perm,
-    aut_cap: int,
+    limits: Limits = DEFAULT_LIMITS,
 ) -> None:
     """Independent re-check of a non-CI witness; raises on any failure."""
     d1, d2 = cayley(group, s1), cayley(group, s2)
@@ -168,7 +167,7 @@ def _reverify_witness(
         for v in range(group.order):
             if d1.has_arc(u, v) != d2.has_arc(iso(u), iso(v)):
                 raise AssertionError("witness isomorphism does not preserve arcs")
-    for alpha in group.automorphisms(cap=aut_cap):
+    for alpha in group.automorphisms(limits):
         if alpha.image_of_set(s1) == s2:
             raise AssertionError("witness has an automorphic image after all")
 
@@ -177,17 +176,18 @@ def is_ci_group(
     group: FiniteGroup,
     mode: str = "digraph",
     budget: int | None = None,
-    threads: int = 1,
-    aut_cap: int = AUT_ORDER_CAP,
+    limits: Limits = DEFAULT_LIMITS,
 ) -> CIGroupVerdict:
     """Exhaustive CI sweep over automorphism-orbit representatives.
 
     Two sets in the same automorphism orbit are CI-equivalent by
     construction, so only representatives of equal cardinality are paired.
     Scanning stops at the first re-verified witness.  `exhaustive` is
-    cleared only when the pair budget ran out mid-scan.
+    cleared only when the pair budget (at least 1) ran out mid-scan.
     """
-    auts = group.automorphisms(cap=aut_cap)
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be a positive number of pairs, got {budget}")
+    auts = group.automorphisms(limits)
     subsets = enumerate_connection_sets(group, mode)
     reps: list[frozenset[int]] = []
     seen: set[frozenset[int]] = set()
@@ -209,31 +209,17 @@ def is_ci_group(
     pairs_checked = 0
     witness = None
     exhaustive = True
-
-    def evaluate(pair: tuple[frozenset[int], frozenset[int]]) -> CIPairResult:
-        return ci_pair(group, pair[0], pair[1], mode, aut_cap=aut_cap)
-
-    index = 0
-    batch = max(1, threads) * 16
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        while index < len(pairs) and witness is None:
-            if budget is not None and pairs_checked >= budget:
-                exhaustive = False
-                break
-            chunk = pairs[index : index + batch]
-            if budget is not None:
-                chunk = chunk[: budget - pairs_checked]
-            results = list(pool.map(evaluate, chunk)) if threads > 1 else [
-                evaluate(p) for p in chunk
-            ]
-            for pair, res in zip(chunk, results):
-                pairs_checked += 1
-                if res.verdict == "non_ci_witness":
-                    assert res.iso is not None
-                    _reverify_witness(group, pair[0], pair[1], res.iso, aut_cap)
-                    witness = (pair[0], pair[1], res.iso)
-                    break
-            index += len(chunk)
+    for s1, s2 in pairs:
+        if budget is not None and pairs_checked >= budget:
+            exhaustive = False
+            break
+        pairs_checked += 1
+        res = ci_pair(group, s1, s2, mode, limits)
+        if res.verdict == "non_ci_witness":
+            assert res.iso is not None
+            _reverify_witness(group, s1, s2, res.iso, limits)
+            witness = (s1, s2, res.iso)
+            break
     return CIGroupVerdict(
         group=group,
         mode=mode,
@@ -403,7 +389,7 @@ def verify_lift_structure(
     group: FiniteGroup,
     subgroup: Iterable[int],
     s_quotient: Iterable[int],
-    search_cap: int = SEARCH_VERTEX_CAP,
+    limits: Limits = DEFAULT_LIMITS,
 ) -> LiftStructureReport:
     """Check that the lifted Cayley digraph is exactly the expected wreath
     product and that its automorphism group is the expected wreath group.
@@ -427,8 +413,8 @@ def verify_lift_structure(
     relabeled = lifted.relabel(_coset_sorted_images(lift))
     arc_identity = relabeled == expected
 
-    aut_lifted = automorphism_group_of(lifted, cap=search_cap)
-    aut_q = automorphism_group_of(dq, cap=search_cap)
+    aut_lifted = automorphism_group_of(lifted, limits)
+    aut_q = automorphism_group_of(dq, limits)
     expected_order = aut_q.order * factorial(size) ** qmap.target.order
 
     order_equal = aut_lifted.order == expected_order
@@ -516,8 +502,7 @@ def quotient_ci_certificate(
     set1: Iterable[int],
     set2: Iterable[int],
     mode: str = "digraph",
-    aut_cap: int = AUT_ORDER_CAP,
-    search_cap: int = SEARCH_VERTEX_CAP,
+    limits: Limits = DEFAULT_LIMITS,
 ) -> QuotientCICertificate:
     """Run the whole lift-and-descend verification on one instance.
 
@@ -552,7 +537,7 @@ def quotient_ci_certificate(
 
     dq1 = cayley(qmap.target, s1)
     dq2 = cayley(qmap.target, s2)
-    iso_q = find_isomorphism(dq1, dq2)
+    iso_q = find_isomorphism(dq1, dq2, limits)
     checks["quotient_isomorphic"] = iso_q is not None
     if iso_q is None:
         return certificate("quotient_not_isomorphic", False)
@@ -560,7 +545,7 @@ def quotient_ci_certificate(
     if size in (1, group.order):
         # Degenerate kernel: the quotient is the group itself (or trivial);
         # verify the conclusion directly at quotient level.
-        beta = automorphic_image_search(qmap.target, s1, s2, cap=aut_cap)
+        beta = automorphic_image_search(qmap.target, s1, s2, limits)
         checks["alpha_bar_found"] = beta is not None
         checks["alpha_bar_maps_sets"] = (
             beta is not None and beta.image_of_set(s1) == s2
@@ -569,8 +554,8 @@ def quotient_ci_certificate(
         status = "accepted" if accepted else "hypothesis_not_ci"
         return certificate(status, accepted, degenerate=True, alpha_bar=beta)
 
-    report1 = verify_lift_structure(group, h, s1, search_cap=search_cap)
-    report2 = verify_lift_structure(group, h, s2, search_cap=search_cap)
+    report1 = verify_lift_structure(group, h, s1, limits)
+    report2 = verify_lift_structure(group, h, s2, limits)
     lift1, lift2 = report1.lift, report2.lift
     checks["lift_cases_agree"] = lift1.case == lift2.case
     checks["lift_arc_identity_side1"] = report1.checks["arc_identity"]
@@ -592,9 +577,7 @@ def quotient_ci_certificate(
         report2.aut_group, size, lift2.coset_partition
     )
 
-    alpha = automorphic_image_search(
-        group, lift1.connection, lift2.connection, cap=aut_cap
-    )
+    alpha = automorphic_image_search(group, lift1.connection, lift2.connection, limits)
     checks["alpha_found"] = alpha is not None
     if alpha is None:
         return certificate("hypothesis_not_ci", False, lift1=lift1, lift2=lift2)
@@ -677,18 +660,18 @@ class WreathAutReport:
         }
 
 
-def _iso_pieces(d: Digraph, components: list[list[int]]) -> Digraph | None:
+def _iso_pieces(d: Digraph, components: list[list[int]], limits: Limits) -> Digraph | None:
     """Induced subgraph of the first component if all are isomorphic."""
     pieces = [d.induced(c) for c in components]
     first = pieces[0]
     for other in pieces[1:]:
-        if find_isomorphism(first, other) is None:
+        if find_isomorphism(first, other, limits) is None:
             return None
     return first
 
 
 def verify_wreath_aut_dichotomy(
-    d1: Digraph, d2: Digraph, search_cap: int = SEARCH_VERTEX_CAP
+    d1: Digraph, d2: Digraph, limits: Limits = DEFAULT_LIMITS
 ) -> WreathAutReport:
     """Compare Aut(d1 wreath d2) with Aut(d1) wreath Aut(d2).
 
@@ -697,12 +680,12 @@ def verify_wreath_aut_dichotomy(
     be a join (or disjoint union) of s isomorphic pieces, and the composite
     wreath formula must reproduce the computed order exactly.
     """
-    a1 = automorphism_group_of(d1, cap=search_cap)
-    a2 = automorphism_group_of(d2, cap=search_cap)
+    a1 = automorphism_group_of(d1, limits)
+    a2 = automorphism_group_of(d2, limits)
     if not a1.is_transitive() or not a2.is_transitive():
         raise ValueError("both factors must be vertex-transitive")
     product = wreath_product(d1, d2)
-    aut_product = automorphism_group_of(product, cap=search_cap)
+    aut_product = automorphism_group_of(product, limits)
     wreath_order = a1.order * a2.order**d1.order
     equal = aut_product.order == wreath_order
 
@@ -717,12 +700,12 @@ def verify_wreath_aut_dichotomy(
                 comps = d2.weak_components()
             if dec is None or len(comps) < 2:
                 continue
-            piece = _iso_pieces(d2, comps)
+            piece = _iso_pieces(d2, comps, limits)
             if piece is None:
                 continue
             r, s = dec.inner_size, len(comps)
-            inner_aut = automorphism_group_of(piece, cap=search_cap)
-            outer_aut = automorphism_group_of(dec.quotient, cap=search_cap)
+            inner_aut = automorphism_group_of(piece, limits)
+            outer_aut = automorphism_group_of(dec.quotient, limits)
             predicted = (
                 outer_aut.order
                 * (factorial(r * s) * inner_aut.order ** (r * s)) ** dec.quotient.order

@@ -25,13 +25,10 @@ from cig.ci import (
 from cig.digraphs import cayley
 from cig.groups import FiniteGroup, GroupSpecError, catalog_specs, parse_group_spec
 from cig.iso import find_isomorphism
-from cig.limits import AUT_ORDER_CAP, CLOSURE_CAP, SEARCH_VERTEX_CAP, CapExceeded
+from cig.limits import CapExceeded, Limits
 
-_ENV_CAPS = {
-    "closure_cap": ("CIG_CLOSURE_CAP", CLOSURE_CAP),
-    "search_cap": ("CIG_SEARCH_CAP", SEARCH_VERTEX_CAP),
-    "aut_cap": ("CIG_AUT_CAP", AUT_ORDER_CAP),
-}
+# `Limits` field -> environment variable; the flag is --<field>-cap.
+_ENV_CAPS = {"search": "CIG_SEARCH_CAP", "aut": "CIG_AUT_CAP"}
 
 
 @dataclass
@@ -40,33 +37,44 @@ class RunConfig:
 
     command: str
     format: str
-    threads: int
-    closure_cap: int
-    search_cap: int
-    aut_cap: int
+    limits: Limits
     options: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
             "command": self.command,
             "format": self.format,
-            "threads": self.threads,
-            "closure_cap": self.closure_cap,
-            "search_cap": self.search_cap,
-            "aut_cap": self.aut_cap,
+            "search_cap": self.limits.search,
+            "aut_cap": self.limits.aut,
             "options": dict(self.options),
         }
 
 
-def _env_default(key: str) -> int:
-    env_name, fallback = _ENV_CAPS[key]
-    raw = os.environ.get(env_name)
-    if raw is None:
-        return fallback
+def _positive_int(text: str) -> int:
+    """Parse a count given on the command line or in the environment."""
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{env_name} must be an integer, got {raw!r}") from exc
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _resolve_limits(args: argparse.Namespace) -> Limits:
+    """The flag beats the environment variable, which beats the default."""
+    values = {}
+    for name, env_name in _ENV_CAPS.items():
+        value = getattr(args, f"{name}_cap")
+        raw = os.environ.get(env_name)
+        if value is None and raw is not None:
+            try:
+                value = _positive_int(raw)
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"{env_name}: {exc}") from None
+        if value is not None:
+            values[name] = value
+    return Limits(**values)
 
 
 def _parse_indices(text: str, group: FiniteGroup, what: str) -> frozenset[int]:
@@ -104,16 +112,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"cig {__version__}")
     parser.add_argument("--format", choices=("human", "json"), default="human")
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--closure-cap", type=int, default=None)
-    parser.add_argument("--search-cap", type=int, default=None)
-    parser.add_argument("--aut-cap", type=int, default=None)
+    parser.add_argument("--search-cap", type=_positive_int, default=None)
+    parser.add_argument("--aut-cap", type=_positive_int, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     catalog = sub.add_parser("catalog", help="catalog queries")
     catalog_sub = catalog.add_subparsers(dest="subcommand", required=True)
     catalog_list = catalog_sub.add_parser("list", help="list catalog groups")
-    catalog_list.add_argument("--max-order", type=int, default=12)
+    catalog_list.add_argument("--max-order", type=_positive_int, default=12)
 
     cay = sub.add_parser("cayley", help="build a Cayley digraph")
     cay.add_argument("--group", required=True)
@@ -217,9 +223,7 @@ def _run(args: argparse.Namespace, config: RunConfig) -> int:
         s1 = _parse_indices(args.set1, group, "--set1")
         s2 = _parse_indices(args.set2, group, "--set2")
         config.options.update(group=args.group, set1=sorted(s1), set2=sorted(s2))
-        mapping = find_isomorphism(
-            cayley(group, s1), cayley(group, s2), cap=config.search_cap
-        )
+        mapping = find_isomorphism(cayley(group, s1), cayley(group, s2), config.limits)
         result = {
             "isomorphic": mapping is not None,
             "bijection": list(mapping.images) if mapping else None,
@@ -239,7 +243,7 @@ def _run(args: argparse.Namespace, config: RunConfig) -> int:
         config.options.update(
             group=args.group, set1=sorted(s1), set2=sorted(s2), mode=args.mode
         )
-        res = ci_pair(group, s1, s2, mode=args.mode, aut_cap=config.aut_cap)
+        res = ci_pair(group, s1, s2, mode=args.mode, limits=config.limits)
         lines = [f"verdict: {res.verdict}"]
         if res.alpha:
             lines.append(f"automorphism: {list(res.alpha.images)}")
@@ -252,11 +256,7 @@ def _run(args: argparse.Namespace, config: RunConfig) -> int:
         group = parse_group_spec(args.group)
         config.options.update(group=args.group, mode=args.mode, budget=args.budget)
         verdict = is_ci_group(
-            group,
-            mode=args.mode,
-            budget=args.budget,
-            threads=config.threads,
-            aut_cap=config.aut_cap,
+            group, mode=args.mode, budget=args.budget, limits=config.limits
         )
         lines = [
             f"group: {group.name} (order {group.order})",
@@ -292,8 +292,7 @@ def _run(args: argparse.Namespace, config: RunConfig) -> int:
             mode=args.mode,
         )
         cert = quotient_ci_certificate(
-            group, kernel, s1, s2, mode=args.mode, aut_cap=config.aut_cap,
-            search_cap=config.search_cap,
+            group, kernel, s1, s2, mode=args.mode, limits=config.limits
         )
         lines = [
             f"group: {group.name} (order {group.order})",
@@ -317,9 +316,7 @@ def _run(args: argparse.Namespace, config: RunConfig) -> int:
             g1_group=args.g1_group, g1_set=sorted(s1),
             g2_group=args.g2_group, g2_set=sorted(s2),
         )
-        report = verify_wreath_aut_dichotomy(
-            cayley(g1, s1), cayley(g2, s2), search_cap=config.search_cap
-        )
+        report = verify_wreath_aut_dichotomy(cayley(g1, s1), cayley(g2, s2), config.limits)
         lines = [
             f"aut orders: factor1={report.aut_order_1} factor2={report.aut_order_2}",
             f"product aut order: {report.product_aut_order}",
@@ -348,14 +345,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if getattr(args, "subcommand", None):
         command = f"{args.command}.{args.subcommand}"
     try:
-        config = RunConfig(
-            command=command,
-            format=args.format,
-            threads=args.threads,
-            closure_cap=args.closure_cap or _env_default("closure_cap"),
-            search_cap=args.search_cap or _env_default("search_cap"),
-            aut_cap=args.aut_cap or _env_default("aut_cap"),
-        )
+        config = RunConfig(command=command, format=args.format, limits=_resolve_limits(args))
         return _run(args, config)
     except (ValueError, CapExceeded, GroupSpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

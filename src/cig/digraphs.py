@@ -235,7 +235,7 @@ def inverse_closed(group: FiniteGroup, connection: Iterable[int]) -> bool:
     return group.is_inverse_closed(connection)
 
 
-def wreath_product(outer: Digraph, inner: Digraph, cap: int = WREATH_VERTEX_CAP) -> Digraph:
+def wreath_product(outer: Digraph, inner: Digraph) -> Digraph:
     """Wreath (lexicographic) product: inner copies joined along outer arcs.
 
     Vertex (u, v) is indexed u*|inner| + v.  An outer loop contributes all
@@ -243,8 +243,8 @@ def wreath_product(outer: Digraph, inner: Digraph, cap: int = WREATH_VERTEX_CAP)
     """
     n1, n2 = outer.order, inner.order
     n = n1 * n2
-    if n > cap:
-        raise CapExceeded(f"wreath product on {n} vertices exceeds cap {cap}")
+    if n > WREATH_VERTEX_CAP:
+        raise CapExceeded(f"wreath product on {n} vertices exceeds cap {WREATH_VERTEX_CAP}")
     masks = [0] * n
     fiber_full = (1 << n2) - 1
     for u in range(n1):
@@ -272,13 +272,7 @@ class WreathDecomposition:
 
 
 def _twin_partition(d: Digraph, kind: str) -> PointPartition:
-    n = d.order
-    if n <= 64:
-        labels = _kernels.twin_labels(n, list(d.out_masks), kind == "complete")
-    else:
-        from cig import _core_py
-
-        labels = _core_py.twin_labels(n, list(d.out_masks), kind == "complete")
+    labels = _kernels.twin_labels(d.order, list(d.out_masks), kind == "complete")
     return PointPartition.from_labels(labels)
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from cig.limits import AUT_ORDER_CAP, GROUP_ORDER_CAP, CapExceeded
+from cig.limits import DEFAULT_LIMITS, GROUP_ORDER_CAP, CapExceeded, Limits
 from cig.perms import Perm, PermGroup, PointPartition
 
 
@@ -150,10 +150,10 @@ class FiniteGroup:
             raise ValueError("not a subgroup")
         return all(self.conjugate(g, x) in h for g in range(self.order) for x in h)
 
-    def subgroups(self, cap: int = AUT_ORDER_CAP) -> list[frozenset[int]]:
+    def subgroups(self, limits: Limits = DEFAULT_LIMITS) -> list[frozenset[int]]:
         """Every subgroup, grown by adjoining single elements."""
-        if self.order > cap:
-            raise CapExceeded(f"order {self.order} exceeds subgroup-search cap {cap}")
+        if self.order > limits.aut:
+            raise CapExceeded(f"order {self.order} exceeds subgroup-search cap {limits.aut}")
         trivial = frozenset({0})
         found = {trivial}
         frontier = [trivial]
@@ -170,8 +170,8 @@ class FiniteGroup:
             frontier = fresh
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
-    def normal_subgroups(self, cap: int = AUT_ORDER_CAP) -> list[frozenset[int]]:
-        return [h for h in self.subgroups(cap=cap) if self.is_normal(h)]
+    def normal_subgroups(self, limits: Limits = DEFAULT_LIMITS) -> list[frozenset[int]]:
+        return [h for h in self.subgroups(limits) if self.is_normal(h)]
 
     # -- cosets and quotients ----------------------------------------------
 
@@ -235,7 +235,7 @@ class FiniteGroup:
                     break
         return tuple(gens)
 
-    def automorphisms(self, cap: int = AUT_ORDER_CAP) -> tuple[GroupAutomorphism, ...]:
+    def automorphisms(self, limits: Limits = DEFAULT_LIMITS) -> tuple[GroupAutomorphism, ...]:
         """All automorphisms, by backtracking over generator images.
 
         The cap only gates whether the enumeration is attempted; the result
@@ -243,8 +243,8 @@ class FiniteGroup:
         """
         if self._automorphisms is not None:
             return self._automorphisms
-        if self.order > cap:
-            raise CapExceeded(f"order {self.order} exceeds automorphism cap {cap}")
+        if self.order > limits.aut:
+            raise CapExceeded(f"order {self.order} exceeds automorphism cap {limits.aut}")
         found = _morphism_search(self, self, find_all=True)
         self._automorphisms = tuple(
             GroupAutomorphism(self, images) for images in found
@@ -616,14 +616,14 @@ def automorphic_image_search(
     group: FiniteGroup,
     subset: Iterable[int],
     target_subset: Iterable[int],
-    cap: int = AUT_ORDER_CAP,
+    limits: Limits = DEFAULT_LIMITS,
 ) -> GroupAutomorphism | None:
     """First automorphism carrying one subset onto the other, if any."""
     s = frozenset(subset)
     t = frozenset(target_subset)
     if len(s) != len(t):
         return None
-    for alpha in group.automorphisms(cap=cap):
+    for alpha in group.automorphisms(limits):
         if alpha.image_of_set(s) == t:
             return alpha
     return None

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from cig import _kernels
 from cig.digraphs import Digraph
-from cig.limits import SEARCH_VERTEX_CAP, CapExceeded
+from cig.limits import DEFAULT_LIMITS, CapExceeded, Limits
 from cig.perms import Perm, PermGroup
 
 
@@ -109,14 +109,14 @@ def _check_cap(n: int, cap: int) -> None:
 
 
 def find_isomorphism(
-    a: Digraph, b: Digraph, cap: int = SEARCH_VERTEX_CAP
+    a: Digraph, b: Digraph, limits: Limits = DEFAULT_LIMITS
 ) -> Perm | None:
     """An arc-preserving bijection a -> b, or None after exhaustive search.
 
     The two graphs are refined jointly (over their disjoint union) so color
     identities are comparable across sides.
     """
-    _check_cap(max(a.order, b.order), cap)
+    _check_cap(max(a.order, b.order), limits.search)
     if a.order != b.order:
         return None
     n = a.order
@@ -140,17 +140,17 @@ def find_isomorphism(
     return mapping
 
 
-def are_isomorphic(a: Digraph, b: Digraph, cap: int = SEARCH_VERTEX_CAP) -> bool:
-    return find_isomorphism(a, b, cap=cap) is not None
+def are_isomorphic(a: Digraph, b: Digraph, limits: Limits = DEFAULT_LIMITS) -> bool:
+    return find_isomorphism(a, b, limits) is not None
 
 
-def automorphism_group_of(d: Digraph, cap: int = SEARCH_VERTEX_CAP) -> PermGroup:
+def automorphism_group_of(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> PermGroup:
     """The full automorphism group, enumerated by the same backtracking.
 
     Every leaf of the search is a fully consistency-checked bijection, so
     the returned element set is exactly Aut(d).
     """
-    _check_cap(d.order, cap)
+    _check_cap(d.order, limits.search)
     n = d.order
     if n == 0:
         return PermGroup.from_elements(0, [()])

@@ -1,13 +1,9 @@
-"""Default size caps. Operations fail loudly past a cap instead of degrading."""
+"""Size caps. Operations fail loudly past a cap instead of degrading."""
+
+from dataclasses import dataclass
 
 CLOSURE_CAP = 200_000
 """Maximum number of elements enumerated when closing a permutation group."""
-
-SEARCH_VERTEX_CAP = 40
-"""Maximum digraph order accepted by the isomorphism/automorphism search."""
-
-AUT_ORDER_CAP = 24
-"""Maximum group order for automorphism and subgroup enumeration."""
 
 GROUP_ORDER_CAP = 200
 """Maximum order for multiplication-table construction."""
@@ -17,6 +13,28 @@ BLOCK_DEGREE_CAP = 24
 
 WREATH_VERTEX_CAP = 1024
 """Maximum vertex count of a digraph wreath product."""
+
+
+@dataclass(frozen=True)
+class Limits:
+    """The user-settable caps, passed as one value to every search.
+
+    search: maximum digraph order accepted by the isomorphism/automorphism
+    search.  aut: maximum group order for automorphism and subgroup
+    enumeration.
+    """
+
+    search: int = 40
+    aut: int = 24
+
+    def __post_init__(self) -> None:
+        for name in ("search", "aut"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"Limits.{name} must be a positive int, got {value!r}")
+
+
+DEFAULT_LIMITS = Limits()
 
 
 class CapExceeded(RuntimeError):

@@ -354,16 +354,16 @@ def cyclic_group(n: int) -> PermGroup:
     return PermGroup([Perm.from_cycles(n, range(n))])
 
 
-def symmetric_group(n: int, cap: int = CLOSURE_CAP) -> PermGroup:
+def symmetric_group(n: int) -> PermGroup:
     if n <= 1:
         return trivial_group(max(n, 1))
     gens = [Perm.from_cycles(n, (0, 1))]
     if n > 2:
         gens.append(Perm.from_cycles(n, range(n)))
-    return PermGroup(gens, cap=cap)
+    return PermGroup(gens)
 
 
-def wreath_product(g: PermGroup, h: PermGroup, cap: int = CLOSURE_CAP) -> PermGroup:
+def wreath_product(g: PermGroup, h: PermGroup) -> PermGroup:
     """Wreath product acting on pairs, with (x, y) indexed as x*|Y| + y.
 
     Generated by g moving the first coordinate and an independent copy of
@@ -382,7 +382,7 @@ def wreath_product(g: PermGroup, h: PermGroup, cap: int = CLOSURE_CAP) -> PermGr
             for y in range(ny):
                 images[x * ny + y] = x * ny + eta_raw[y]
             gens.append(Perm(images))
-    return PermGroup(gens, degree=degree, cap=cap)
+    return PermGroup(gens, degree=degree)
 
 
 def fiber_partition(nx: int, ny: int) -> PointPartition:

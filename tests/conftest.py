@@ -18,7 +18,7 @@ _CIG_ROOT = str(Path(cig.__file__).resolve().parents[1])
 def _default_caps(monkeypatch):
     """Hide the caller's ``CIG_*`` cap variables so every test sees the
     documented defaults."""
-    for name in ("CIG_SEARCH_CAP", "CIG_CLOSURE_CAP", "CIG_AUT_CAP"):
+    for name in ("CIG_SEARCH_CAP", "CIG_AUT_CAP"):
         monkeypatch.delenv(name, raising=False)
 
 

@@ -17,6 +17,7 @@ from cig.ci import (
 from cig.digraphs import Digraph, cayley
 from cig.groups import FiniteGroup, parse_group_spec
 from cig.iso import automorphism_group_of, find_isomorphism
+from cig.limits import CapExceeded, Limits
 from cig.perms import PointPartition, symmetric_group
 
 
@@ -130,10 +131,43 @@ class TestIsCIGroup:
         assert v.pairs_checked == 5
         assert not v.exhaustive
 
-    def test_threads_agree_with_sequential(self):
-        a = is_ci_group(FiniteGroup.cyclic(6), "digraph")
-        b = is_ci_group(FiniteGroup.cyclic(6), "digraph", threads=4)
-        assert a.is_ci == b.is_ci and a.witness == b.witness
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_must_be_positive(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            is_ci_group(FiniteGroup.cyclic(6), "digraph", budget=budget)
+
+
+class TestLimits:
+    @pytest.mark.parametrize(
+        "fields",
+        [{"search": 0}, {"aut": -1}, {"search": "40"}, {"aut": True}, {"search": 1.5}],
+    )
+    def test_rejects_non_positive_ints(self, fields):
+        with pytest.raises(ValueError, match="positive int"):
+            Limits(**fields)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda limits: ci_pair(FiniteGroup.cyclic(6), {1}, {5}, limits=limits),
+            lambda limits: is_ci_group(FiniteGroup.cyclic(6), limits=limits),
+            # Z8/<4> = Z4: the quotient digraphs are not isomorphic, so only
+            # the quotient-level search runs.
+            lambda limits: quotient_ci_certificate(
+                FiniteGroup.cyclic(8), {0, 4}, {1}, {2}, limits=limits
+            ),
+            lambda limits: verify_wreath_aut_dichotomy(
+                directed_cycle(2), directed_cycle(2), limits=limits
+            ),
+        ],
+    )
+    def test_search_cap_takes_effect(self, run):
+        with pytest.raises(CapExceeded, match="search cap 3"):
+            run(Limits(search=3))
+
+    def test_aut_cap_takes_effect(self):
+        with pytest.raises(CapExceeded, match="automorphism cap 5"):
+            ci_pair(FiniteGroup.cyclic(6), {1}, {5}, limits=Limits(aut=5))
 
 
 class TestLift:

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from cig import __version__
 from cig.cli import main
 
@@ -73,6 +75,60 @@ class TestExitCodes:
         assert main(["ci"]) == 2
         assert main(["--format", "yaml", "iso"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("--search-cap 3 ci pair --group Z6 --set1 1 --set2 5", "exceeds search cap 3"),
+            ("--search-cap 3 ci group --group Z6", "exceeds search cap 3"),
+            ("--search-cap 3 quotient verify --group Z6 --normal 3 --set1 1 --set2 2",
+             "exceeds search cap 3"),
+            # Z8/<4>: non-isomorphic quotients, so only the quotient search runs.
+            ("--search-cap 3 quotient verify --group Z8 --normal 4 --set1 1 --set2 2",
+             "exceeds search cap 3"),
+            ("--aut-cap 5 ci pair --group Z6 --set1 1 --set2 5",
+             "exceeds automorphism cap 5"),
+        ],
+    )
+    def test_cap_takes_effect(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, *argv.split())
+        assert code == 2
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("--search-cap 0 iso --group Z6 --set1 1 --set2 5", "--search-cap"),
+            ("--aut-cap -1 ci pair --group Z6 --set1 1 --set2 5", "--aut-cap"),
+            ("--threads 2 ci group --group Z8", "usage:"),
+            ("--closure-cap 5 ci group --group Z8", "usage:"),
+            ("catalog list --max-order -4", "--max-order"),
+            ("catalog list --max-order 0", "--max-order"),
+            ("ci group --group Z8 --budget 0", "budget"),
+            ("ci group --group Z8 --budget -1", "budget"),
+        ],
+    )
+    def test_invalid_knob_exits_two(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 2
+        assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "env,message",
+        [
+            ({"CIG_AUT_CAP": "0"}, "CIG_AUT_CAP"),
+            ({"CIG_SEARCH_CAP": "abc"}, "CIG_SEARCH_CAP"),
+            ({"CIG_SEARCH_CAP": "-2"}, "CIG_SEARCH_CAP"),
+        ],
+    )
+    def test_invalid_env_cap_exits_two(self, capsys, monkeypatch, env, message):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code, out, err = run_cli(capsys, "catalog", "list")
+        assert code == 2
+        assert message in err
+        assert out == ""
+
     def test_graph_mode_violation_exits_two(self, capsys):
         code, _, err = run_cli(
             capsys, "ci", "pair", "--group", "Z4",
@@ -110,6 +166,26 @@ class TestStructuredOutput:
         assert blob["config"]["command"] == "iso"
         assert blob["config"]["options"]["set1"] == [1]
         assert blob["result"]["isomorphic"] is True
+
+    @pytest.mark.parametrize(
+        "env,argv,expected",
+        [
+            ({}, [], {"search_cap": 40, "aut_cap": 24}),
+            ({}, ["--search-cap", "12"], {"search_cap": 12, "aut_cap": 24}),
+            ({"CIG_AUT_CAP": "10"}, [], {"search_cap": 40, "aut_cap": 10}),
+            ({"CIG_AUT_CAP": "10"}, ["--aut-cap", "11"], {"search_cap": 40, "aut_cap": 11}),
+        ],
+    )
+    def test_config_echoes_limits_in_effect(self, capsys, monkeypatch, env, argv, expected):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        code, out, _ = run_cli(
+            capsys, "--format", "json", *argv, "catalog", "list", "--max-order", "2"
+        )
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert {key: config[key] for key in expected} == expected
+        assert "threads" not in config and "closure_cap" not in config
 
     def test_byte_identical_reruns(self, capsys):
         argv = [

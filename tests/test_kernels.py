@@ -90,14 +90,26 @@ class TestPureFallback:
         import subprocess
         import sys
 
-        proc = subprocess.run(
-            [sys.executable, "-c", "import cig; print(cig.BACKEND)"],
-            capture_output=True,
-            text=True,
-            env=child_env(CIG_PURE_PYTHON="1"),
+        # A stand-in compiled extension, so the switch is what picks the
+        # backend whether or not the real ``cig._core`` is built.
+        script = (
+            "import sys, types\n"
+            "stub = types.ModuleType('cig._core')\n"
+            "stub.BACKEND = 'compiled'\n"
+            "stub.perm_closure = stub.iso_backtrack = stub.twin_labels = print\n"
+            "sys.modules['cig._core'] = stub\n"
+            "import cig\n"
+            "print(cig.BACKEND)\n"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "python", proc.stderr
+        for env, expected in (({"CIG_PURE_PYTHON": "1"}, "python"), ({}, "compiled")):
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=child_env(**env),
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == expected, (env, proc.stderr)
 
     def test_default_import_reports_backend(self):
         import cig
