@@ -1,7 +1,9 @@
 """cig: Cayley digraphs, CI-group testing, and wreath-product verification.
 
 Desk-scale computational group theory with exhaustive, oracle-checkable
-search kernels (compiled extension with a pure-Python fallback).
+search kernels.  The kernels are pure Python; the isomorphism search and
+twin detection use a compiled extension instead when it is built
+(``BACKEND`` says which).
 """
 
 __version__ = "0.1.0"

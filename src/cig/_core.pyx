@@ -1,51 +1,14 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
-"""Compiled kernels: the exact twin of cig._core_py.
+"""Compiled twins of two of cig._core_py's kernels.
 
-Same functions, same deterministic search order, same results; only faster.
-Inputs past the fixed-width limits (degree > 255 for closures, more than 64
-vertices for the bitmask kernels) delegate to the pure-Python twin.
+``iso_backtrack`` and ``twin_labels`` have the same deterministic search
+order and results as their pure-Python twins; only faster.  They hold
+adjacency in 64-bit words, so inputs with more than 64 vertices delegate
+to the pure-Python twin.  ``perm_closure`` has no compiled twin: measured
+end to end it saved nothing.
 """
 
-from cpython.bytes cimport PyBytes_FromStringAndSize
-
-from cig.limits import CapExceeded
-
 BACKEND = "compiled"
-
-
-def perm_closure(int degree, generators, Py_ssize_t cap):
-    """All products of the generators, as a sorted list of image tuples."""
-    if degree > 255:
-        from cig import _core_py
-        return _core_py.perm_closure(degree, generators, cap)
-    cdef list gens = [bytes(bytearray(gen)) for gen in generators]
-    cdef bytes identity = bytes(bytearray(range(degree)))
-    cdef set seen = {identity}
-    cdef list frontier = [identity]
-    cdef list fresh
-    cdef bytes p, g, q
-    cdef const unsigned char* pp
-    cdef const unsigned char* gg
-    cdef unsigned char tmp[256]
-    cdef int i
-    while frontier:
-        fresh = []
-        for p in frontier:
-            pp = <const unsigned char*> p
-            for g in gens:
-                gg = <const unsigned char*> g
-                for i in range(degree):
-                    tmp[i] = pp[gg[i]]
-                q = PyBytes_FromStringAndSize(<char*> tmp, degree)
-                if q not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(
-                            f"closure exceeds cap of {cap} elements"
-                        )
-                    seen.add(q)
-                    fresh.append(q)
-        frontier = fresh
-    return [tuple(b) for b in sorted(seen)]
 
 
 def iso_backtrack(int n, out_a, out_b, order, cand, bint find_all):

@@ -1,17 +1,18 @@
 """Pure-Python kernels.
 
-This module is the fallback twin of the compiled extension ``cig._core``:
-same functions, same deterministic search order, same results.  The selector
-in ``cig._kernels`` picks whichever is available (or forced via the
-``CIG_PURE_PYTHON`` environment variable).
+Every kernel lives here.  ``iso_backtrack`` and ``twin_labels`` also have a
+compiled twin in ``cig._core`` with the same deterministic search order and
+the same results; ``cig._kernels`` uses it when it is built.
+``perm_closure`` has no compiled twin.
 
 Conventions shared by both backends:
 
 * a permutation is a tuple ``p`` with ``p[x]`` the image of point ``x``;
   composition ``p . q`` means "apply q, then p";
 * adjacency is one integer bitmask per vertex (``out[u] >> v & 1`` is the
-  arc u -> v), which limits the search kernels to 64 vertices -- far above
-  the package's 40-vertex search cap.
+  arc u -> v).  Python integers have no fixed width, so these kernels take
+  any number of vertices; the compiled twins stop at 64 and hand larger
+  inputs to this module.
 """
 
 from cig.limits import CapExceeded

@@ -1,22 +1,20 @@
 """Kernel backend selection.
 
-Imports the compiled extension when present, the pure-Python twin otherwise.
-Set ``CIG_PURE_PYTHON=1`` to force the fallback (useful for benchmarking and
-for testing backend equivalence).
+``iso_backtrack`` and ``twin_labels`` come from the compiled extension
+``cig._core`` when it is built and from the pure-Python twin ``cig._core_py``
+otherwise; ``BACKEND`` names the one in use.  ``perm_closure`` always comes
+from ``cig._core_py``.
 """
 
-import os
+from cig import _core_py
 
-if os.environ.get("CIG_PURE_PYTHON"):
-    from cig import _core_py as _backend
-else:
-    try:
-        from cig import _core as _backend  # type: ignore[no-redef]
-    except ImportError:
-        from cig import _core_py as _backend
+try:
+    from cig import _core as _backend
+except ImportError:
+    _backend = _core_py
 
 BACKEND: str = _backend.BACKEND
 
-perm_closure = _backend.perm_closure
+perm_closure = _core_py.perm_closure
 iso_backtrack = _backend.iso_backtrack
 twin_labels = _backend.twin_labels

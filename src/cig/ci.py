@@ -320,15 +320,7 @@ def _wreath_member(
         induced.append(targets.pop())
     if sorted(induced) != list(range(len(induced))):
         return False
-    return _preserves_arcs_induced(quotient, induced)
-
-
-def _preserves_arcs_induced(q: Digraph, induced: Sequence[int]) -> bool:
-    return all(
-        q.has_arc(i, j) == q.has_arc(induced[i], induced[j])
-        for i in range(q.order)
-        for j in range(q.order)
-    )
+    return _preserves_arcs(quotient, induced)
 
 
 def _wreath_generators(

@@ -238,13 +238,13 @@ class FiniteGroup:
     def automorphisms(self, limits: Limits = DEFAULT_LIMITS) -> tuple[GroupAutomorphism, ...]:
         """All automorphisms, by backtracking over generator images.
 
-        The cap only gates whether the enumeration is attempted; the result
-        is cached on the instance once computed.
+        Raises CapExceeded when the group order exceeds ``limits.aut``, on
+        every call; the result is cached on the instance once computed.
         """
-        if self._automorphisms is not None:
-            return self._automorphisms
         if self.order > limits.aut:
             raise CapExceeded(f"order {self.order} exceeds automorphism cap {limits.aut}")
+        if self._automorphisms is not None:
+            return self._automorphisms
         found = _morphism_search(self, self, find_all=True)
         self._automorphisms = tuple(
             GroupAutomorphism(self, images) for images in found

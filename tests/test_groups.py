@@ -14,7 +14,7 @@ from cig.groups import (
     parse_group_spec,
     tables_isomorphic,
 )
-from cig.limits import CapExceeded
+from cig.limits import CapExceeded, Limits
 
 
 class TestConstruction:
@@ -242,6 +242,16 @@ class TestAutomorphisms:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             FiniteGroup.symmetric(5).automorphisms()
+
+    def test_cap_holds_after_caching(self):
+        # A cached enumeration must not let a later, smaller cap through.
+        g = FiniteGroup.cyclic(6)
+        assert len(g.automorphisms()) == 2
+        small = Limits(aut=5)
+        with pytest.raises(CapExceeded):
+            g.automorphisms(small)
+        with pytest.raises(CapExceeded):
+            automorphic_image_search(g, {1}, {5}, limits=small)
 
     def test_automorphic_image_search_identity(self):
         g = FiniteGroup.cyclic(6)

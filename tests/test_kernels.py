@@ -1,15 +1,15 @@
-"""Backend equivalence: the compiled kernels and the pure-Python twins must
-produce identical results in identical order."""
+"""Backend equivalence: the compiled kernels and their pure-Python twins must
+produce identical results in identical order; and the backend selector."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
 import oracles
 from cig import _core_py
 from cig.iso import _candidates, _refine_colors, _search_order
-from cig.limits import CapExceeded
-from cig.perms import symmetric_group
 
 try:
     from cig import _core
@@ -21,24 +21,6 @@ needs_compiled = pytest.mark.skipif(_core is None, reason="compiled kernel missi
 
 @needs_compiled
 class TestBackendEquivalence:
-    def test_closure_small_groups(self):
-        cases = [
-            (3, [(1, 2, 0)]),
-            (4, [(1, 0, 2, 3), (1, 2, 3, 0)]),
-            (1, []),
-            (6, [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)]),
-        ]
-        for degree, gens in cases:
-            assert _core.perm_closure(degree, gens, 10**6) == _core_py.perm_closure(
-                degree, gens, 10**6
-            )
-
-    def test_closure_cap_behaviour_matches(self):
-        gens = [g.images for g in symmetric_group(6).generators]
-        for backend in (_core, _core_py):
-            with pytest.raises(CapExceeded):
-                backend.perm_closure(6, gens, 100)
-
     def test_iso_backtrack_random_corpus(self):
         rng = random.Random(67)
         for _ in range(150):
@@ -85,31 +67,41 @@ class TestBackendEquivalence:
             assert compiled == pure  # same elements in the same DFS order
 
 
-class TestPureFallback:
-    def test_env_flag_selects_python(self, child_env):
-        import subprocess
-        import sys
+# Run in a child so that the stand-in ``cig._core`` is in place before
+# ``cig._kernels`` picks its backend, whether or not the real one is built.
+_SELECTOR_SCRIPT = """
+import sys, types
+if sys.argv[1] == "compiled":
+    stub = types.ModuleType("cig._core")
+    stub.BACKEND = "compiled"
+    stub.iso_backtrack = lambda *args: None
+    stub.twin_labels = lambda *args: None
+    sys.modules["cig._core"] = stub
+else:
+    sys.modules["cig._core"] = None  # makes ``from cig import _core`` fail
+import cig
+from cig import _core_py, _kernels
+source = stub if sys.argv[1] == "compiled" else _core_py
+print(
+    cig.BACKEND,
+    _kernels.iso_backtrack is source.iso_backtrack,
+    _kernels.twin_labels is source.twin_labels,
+    _kernels.perm_closure is _core_py.perm_closure,
+)
+"""
 
-        # A stand-in compiled extension, so the switch is what picks the
-        # backend whether or not the real ``cig._core`` is built.
-        script = (
-            "import sys, types\n"
-            "stub = types.ModuleType('cig._core')\n"
-            "stub.BACKEND = 'compiled'\n"
-            "stub.perm_closure = stub.iso_backtrack = stub.twin_labels = print\n"
-            "sys.modules['cig._core'] = stub\n"
-            "import cig\n"
-            "print(cig.BACKEND)\n"
+
+class TestPureFallback:
+    @pytest.mark.parametrize("backend", ["compiled", "python"])
+    def test_selector_takes_search_kernels_from_backend(self, child_env, backend):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SELECTOR_SCRIPT, backend],
+            capture_output=True,
+            text=True,
+            env=child_env(),
         )
-        for env, expected in (({"CIG_PURE_PYTHON": "1"}, "python"), ({}, "compiled")):
-            proc = subprocess.run(
-                [sys.executable, "-c", script],
-                capture_output=True,
-                text=True,
-                env=child_env(**env),
-            )
-            assert proc.returncode == 0, proc.stderr
-            assert proc.stdout.strip() == expected, (env, proc.stderr)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [backend, "True", "True", "True"], proc.stderr
 
     def test_default_import_reports_backend(self):
         import cig
