@@ -2,8 +2,9 @@
 machine verification of the quotient construction on concrete instances.
 
 Everything here is exhaustive at desk scale: isomorphism verdicts come from
-full backtracking search, automorphism verdicts from full enumeration, and
-the quotient certificate records one named boolean per verification step.
+full backtracking search, automorphism verdicts from strong generating sets
+(exact group orders, membership checked on generators), and the quotient
+certificate records one named boolean per verification step.
 """
 
 from __future__ import annotations
@@ -330,10 +331,10 @@ def _wreath_generators(
     n = partition.degree
     gens: list[tuple[int, ...]] = []
     classes = partition.classes
-    for sigma in quotient_auts.raw_elements:
+    for sigma in quotient_auts.generators:
         images = [0] * n
         for i, cls in enumerate(classes):
-            target = classes[sigma[i]]
+            target = classes[sigma(i)]
             for pos, x in enumerate(cls):
                 images[x] = target[pos]
         gens.append(tuple(images))
@@ -386,9 +387,13 @@ def verify_lift_structure(
     """Check that the lifted Cayley digraph is exactly the expected wreath
     product and that its automorphism group is the expected wreath group.
 
-    Group equality is order equality plus two-way generator membership:
-    wreath generators must preserve the lifted digraph's arcs, and every
-    lifted-digraph automorphism must be class-structured over the cosets.
+    Group equality is order equality plus two-way generator membership.
+    Both groups are subgroups of Sym(n), so each lies inside the other
+    exactly when its generators do: the wreath group's generators (built
+    from Aut(quotient)'s generators plus transpositions and cycles inside
+    the cosets) must preserve the lifted digraph's arcs, and the generators
+    of Aut(lifted) found by the search must be class-structured over the
+    cosets.  The orders are exact products of basic-orbit lengths.
     """
     qmap = group.quotient(frozenset(subgroup))
     lift = _lift(group, qmap, frozenset(s_quotient))
@@ -415,8 +420,8 @@ def verify_lift_structure(
         for g in _wreath_generators(lift.coset_partition, aut_q)
     )
     aut_in_wreath = all(
-        _wreath_member(raw, lift.coset_partition, dq)
-        for raw in aut_lifted.raw_elements
+        _wreath_member(g.images, lift.coset_partition, dq)
+        for g in aut_lifted.generators
     )
     checks = {
         "arc_identity": arc_identity,

@@ -3,7 +3,9 @@
 Backtracking over color-compatible vertex images after iterated degree
 refinement.  Deterministic: sources are placed smallest color class first,
 candidate targets ascend, so identical inputs always produce identical
-bijections.  No canonical forms; pairwise search only.
+bijections.  Automorphism groups come back as a strong generating set with
+their order, found by one first-hit search per basic-orbit point; the
+elements are never listed.  No canonical forms; pairwise search only.
 """
 
 from __future__ import annotations
@@ -144,23 +146,60 @@ def are_isomorphic(a: Digraph, b: Digraph, limits: Limits = DEFAULT_LIMITS) -> b
     return find_isomorphism(a, b, limits) is not None
 
 
-def automorphism_group_of(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> PermGroup:
-    """The full automorphism group, enumerated by the same backtracking.
+def _orbit(point: int, generators: Sequence[Perm]) -> set[int]:
+    orbit, frontier = {point}, [point]
+    while frontier:
+        frontier = [g(x) for x in frontier for g in generators if g(x) not in orbit]
+        orbit.update(frontier)
+    return orbit
 
-    Every leaf of the search is a fully consistency-checked bijection, so
-    the returned element set is exactly Aut(d).
+
+def automorphism_group_of(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> PermGroup:
+    """The full automorphism group, as a strong generating set and its order.
+
+    The base b_1..b_m follows the first path of individualisation and
+    refinement: individualise the first vertex of the smallest non-singleton
+    cell until the colouring is discrete.  Levels are filled deepest first.
+    At level k every v in b_k's cell of the colouring with b_1..b_{k-1}
+    individualised that is not yet in the orbit of b_k under the generators
+    found so far (all of which fix b_1..b_{k-1}) gets one first-hit search
+    for an automorphism mapping b_k to v, every other vertex staying in its
+    cell of that colouring.  Afterwards the generators act on b_k with
+    exactly its basic orbit, so Aut(d) has order equal to the product of
+    the basic-orbit lengths (McKay, "Practical graph isomorphism", 1981).
     """
     _check_cap(d.order, limits.search)
     n = d.order
-    if n == 0:
-        return PermGroup.from_elements(0, [()])
-    colors = _refine_colors(d, [0] * n)
-    order = _search_order(colors)
-    cand = _candidates(order, colors, colors)
-    found = _kernels.iso_backtrack(
-        n, list(d.out_masks), list(d.out_masks), order, cand, True
-    )
-    return PermGroup.from_elements(n, found)
+    masks = list(d.out_masks)
+    path = [_refine_colors(d, [0] * n)]
+    base = []
+    while len(set(path[-1])) < n:
+        colors = list(path[-1])
+        sizes = Counter(colors)
+        b = next(v for v in _search_order(colors) if sizes[colors[v]] > 1)
+        base.append(b)
+        colors[b] = -1  # a colour of its own
+        path.append(_refine_colors(d, colors))
+
+    generators: list[Perm] = []
+    order = 1
+    for k in reversed(range(len(base))):
+        b, above, below = base[k], path[k], path[k + 1]
+        orbit = _orbit(b, generators)
+        search_order = _search_order(below)
+        cand = _candidates(search_order, above, above)
+        slot = search_order.index(b)
+        cell = cand[slot]
+        for v in cell:
+            if v in orbit:
+                continue
+            cand[slot] = [v]
+            hits = _kernels.iso_backtrack(n, masks, masks, search_order, cand, False)
+            if hits:
+                generators.append(Perm(hits[0]))
+                orbit = _orbit(b, generators)
+        order *= len(orbit)
+    return PermGroup(generators, degree=n, order=order)
 
 
 def _assert_preserves_arcs(a: Digraph, b: Digraph, images: Sequence[int]) -> None:

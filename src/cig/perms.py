@@ -1,14 +1,15 @@
 """Permutations, permutation groups, block systems, and wreath products.
 
-Points are integers ``0..degree-1``.  Groups are given by generators and
-store their full element closure (computed lazily, capped); blockness and
-partition stabilizers are tested against the full closure, not just the
-generators.
+Points are integers ``0..degree-1``.  Groups are given by generators,
+optionally with their order when a search already knows it.  Orbits,
+blockness and block systems are computed from the generators alone; the
+element closure (computed lazily, capped) is built only for the order of a
+group without a known order, membership, group equality and partition
+stabilizers.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from cig import _kernels
@@ -167,6 +168,8 @@ class PointPartition:
 class PermGroup:
     """Permutation group given by generators, with a capped full closure.
 
+    ``order`` is the group order when the caller already knows it (the
+    automorphism search does); otherwise it comes from the closure.
     Elements are kept internally as raw image tuples; ``elements`` wraps
     them in Perm objects on first use.
     """
@@ -176,6 +179,7 @@ class PermGroup:
         generators: Iterable[Perm] = (),
         degree: int | None = None,
         cap: int = CLOSURE_CAP,
+        order: int | None = None,
     ):
         gens = tuple(generators)
         if degree is None:
@@ -187,6 +191,7 @@ class PermGroup:
                 raise ValueError("generator degree mismatch")
         self.degree = degree
         self.cap = cap
+        self._order = order
         self._gen_raw: tuple[tuple[int, ...], ...] = tuple(g.images for g in gens)
         self._generators: tuple[Perm, ...] | None = gens
         self._raw: tuple[tuple[int, ...], ...] | None = None
@@ -230,7 +235,9 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        return len(self.raw_elements)
+        if self._order is None:
+            self._order = len(self.raw_elements)
+        return self._order
 
     def __contains__(self, p: Perm) -> bool:
         if p.degree != self.degree:
@@ -269,26 +276,64 @@ class PermGroup:
     def is_regular(self) -> bool:
         return self.is_transitive() and self.order == self.degree
 
+    def _minimal_partition(self, points: Iterable[int]) -> list[int]:
+        """Class label per point of the finest invariant partition that puts
+        the given points in one class (Atkinson's union-find, 1975).
+
+        Every merged pair's images under every generator are merged too, so
+        the partition is invariant under the whole group.
+        """
+        parent = list(range(self.degree))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def union(x: int, y: int) -> bool:
+            x, y = find(x), find(y)
+            if x == y:
+                return False
+            parent[max(x, y)] = min(x, y)
+            return True
+
+        points = list(points)
+        merged = [(points[0], y) for y in points[1:] if union(points[0], y)]
+        while merged:
+            x, y = merged.pop()
+            for g in self._gen_raw:
+                if union(g[x], g[y]):
+                    merged.append((g[x], g[y]))
+        return [find(x) for x in range(self.degree)]
+
+    def _block_of(self, points: frozenset[int] | tuple[int, ...]) -> frozenset[int]:
+        """The smallest block containing the given points."""
+        labels = self._minimal_partition(points)
+        label = labels[min(points)]
+        return frozenset(x for x, lab in enumerate(labels) if lab == label)
+
     def is_block(self, points: Iterable[int]) -> bool:
-        """True iff every element maps the set onto itself or clear of it."""
+        """True iff every element maps the set onto itself or clear of it.
+
+        Exactly when the set is its own smallest enclosing block.
+        """
         block = frozenset(points)
         if not block:
             raise ValueError("a block must be nonempty")
         if not all(0 <= x < self.degree for x in block):
             raise ValueError("points out of range")
-        size = len(block)
-        for raw in self.raw_elements:
-            hits = sum(1 for x in block if raw[x] in block)
-            if 0 < hits < size:
-                return False
-        return True
+        return self._block_of(block) == block
 
     def block_systems(self, size: int) -> list[PointPartition]:
-        """All invariant partitions with classes of the given size.
+        """All invariant partitions with classes of the given size, sorted by
+        the class through 0.
 
-        Only size-``size`` candidate sets containing point 0 are tested:
-        every class of an invariant partition of a transitive group is
-        conjugate to the class through 0.
+        For a transitive group an invariant partition is the set of images of
+        its class through 0, and every block through 0 other than {0} is the
+        join of the minimal blocks of the pairs {0, x} it contains.  So the
+        blocks through 0 are {0} plus the join closure of those minimal
+        blocks, all computed from the generators.
         """
         n = self.degree
         if not self.is_transitive():
@@ -297,16 +342,19 @@ class PermGroup:
             raise ValueError(f"class size {size} does not divide degree {n}")
         if n > BLOCK_DEGREE_CAP:
             raise CapExceeded(f"degree {n} exceeds block-search cap {BLOCK_DEGREE_CAP}")
-        systems = []
-        for rest in combinations(range(1, n), size - 1):
-            block = frozenset((0, *rest))
-            if not self.is_block(block):
-                continue
-            classes = {
-                tuple(sorted(raw[x] for x in block)) for raw in self.raw_elements
-            }
-            systems.append(PointPartition(n, classes))
-        return systems
+        blocks = {frozenset({0})} | {self._block_of((0, x)) for x in range(1, n)}
+        todo = list(blocks)
+        while todo:
+            a = todo.pop()
+            for b in list(blocks):
+                join = self._block_of(a | b)
+                if join not in blocks:
+                    blocks.add(join)
+                    todo.append(join)
+        return [
+            PointPartition.from_labels(self._minimal_partition(block))
+            for block in sorted(tuple(sorted(b)) for b in blocks if len(b) == size)
+        ]
 
     def is_primitive(self) -> bool:
         """True iff only trivial invariant partitions exist."""

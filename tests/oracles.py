@@ -1,14 +1,19 @@
 """Brute-force oracles, independent of the library's search paths.
 
-Everything here enumerates: all bijections for isomorphism questions, all
-uniform set partitions for wreath-structure questions.  They stay dumb on
+Everything here enumerates: all bijections for isomorphism questions, every
+leaf of the find-all backtracking for automorphism groups (the element
+listing the library itself no longer builds), every group element for
+blocks, all uniform set partitions for wreath-structure questions.  They stay dumb on
 purpose -- the package is tested against them, never the other way around.
 """
 
 from itertools import combinations, permutations
 from random import Random
 
+from cig import _kernels
 from cig.digraphs import Digraph
+from cig.iso import _candidates, _refine_colors, _search_order
+from cig.perms import PermGroup, PointPartition
 
 
 def brute_isomorphism(a: Digraph, b: Digraph):
@@ -37,6 +42,39 @@ def brute_automorphism_count(d: Digraph) -> int:
             for v in range(n)
         )
     )
+
+
+def enumerated_automorphisms(d: Digraph) -> list[tuple[int, ...]]:
+    """Every automorphism as a sorted list of image tuples: one find-all
+    backtracking search over the refined colour classes, one leaf each."""
+    n = d.order
+    colors = _refine_colors(d, [0] * n)
+    order = _search_order(colors)
+    cand = _candidates(order, colors, colors)
+    masks = list(d.out_masks)
+    return sorted(_kernels.iso_backtrack(n, masks, masks, order, cand, True))
+
+
+def brute_is_block(group: PermGroup, points) -> bool:
+    """Every element maps the set onto itself or clear of it."""
+    block = frozenset(points)
+    return all(
+        sum(1 for x in block if raw[x] in block) in (0, len(block))
+        for raw in group.raw_elements
+    )
+
+
+def brute_block_systems(group: PermGroup, size: int) -> list[PointPartition]:
+    """Every size-``size`` set through 0 that is a block, in combinations
+    order, with its images under every element as the partition."""
+    n = group.degree
+    systems = []
+    for rest in combinations(range(1, n), size - 1):
+        block = (0, *rest)
+        if brute_is_block(group, block):
+            classes = {tuple(sorted(raw[x] for x in block)) for raw in group.raw_elements}
+            systems.append(PointPartition(n, classes))
+    return systems
 
 
 def uniform_partitions(points: tuple[int, ...], size: int):

@@ -1,6 +1,7 @@
 """Isomorphism engine: refinement, search, automorphism groups."""
 
 import random
+from math import factorial
 
 import pytest
 
@@ -15,6 +16,7 @@ from cig.iso import (
     refine,
 )
 from cig.limits import CapExceeded
+from cig.perms import PermGroup
 
 
 def directed_path(n):
@@ -165,3 +167,35 @@ class TestAutomorphismGroup:
             raws = set(aut.raw_elements)
             for row in g.table:
                 assert tuple(row) in raws
+
+
+def _assert_matches_enumeration(d):
+    aut = automorphism_group_of(d)
+    enumerated = oracles.enumerated_automorphisms(d)
+    assert aut.order == len(enumerated)
+    for g in aut.generators:
+        assert all(
+            d.has_arc(u, v) == d.has_arc(g(u), g(v))
+            for u in range(d.order)
+            for v in range(d.order)
+        )
+    closure = PermGroup(aut.generators, degree=d.order).raw_elements
+    assert list(closure) == enumerated
+
+
+class TestAutomorphismGroupAgainstEnumeration:
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(6)])
+    def test_every_cayley_digraph_of_small_catalog_groups(self, spec):
+        g = parse_group_spec(spec)
+        for mask in range(1 << g.order):
+            _assert_matches_enumeration(
+                cayley(g, {x for x in range(g.order) if mask >> x & 1})
+            )
+
+    def test_random_digraphs(self):
+        rng = random.Random(59)
+        for _ in range(40):
+            _assert_matches_enumeration(oracles.random_digraph(rng, rng.randrange(1, 8)))
+
+    def test_complete_graph_order_without_enumeration(self):
+        assert automorphism_group_of(Digraph.complete(12)).order == factorial(12)

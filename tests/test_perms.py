@@ -1,9 +1,14 @@
 """Permutation, partition, block-system, and group-wreath behavior."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from cig.ci import verify_lift_structure
+from cig.groups import FiniteGroup
 from cig.limits import CapExceeded
 from cig.perms import (
     Perm,
@@ -192,6 +197,39 @@ class TestBlocks:
     def test_block_search_degree_cap(self):
         with pytest.raises(CapExceeded):
             cyclic_group(30).block_systems(2)
+
+
+def _z6_snapshot_lift_aut():
+    return verify_lift_structure(FiniteGroup.cyclic(6), {0, 3}, {1}).aut_group
+
+
+class TestBlocksAgainstElementScan:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: cyclic_group(8), id="C8"),
+            pytest.param(lambda: cyclic_group(12), id="C12"),
+            pytest.param(lambda: symmetric_group(5), id="S5"),
+            pytest.param(lambda: wreath_product(cyclic_group(2), symmetric_group(3)), id="C2wrS3"),
+            pytest.param(lambda: wreath_product(symmetric_group(3), cyclic_group(2)), id="S3wrC2"),
+            pytest.param(lambda: wreath_product(cyclic_group(3), cyclic_group(4)), id="C3wrC4"),
+            pytest.param(lambda: wreath_product(cyclic_group(4), symmetric_group(3)), id="C4wrS3"),
+            pytest.param(lambda: wreath_product(symmetric_group(3), cyclic_group(4)), id="S3wrC4"),
+            pytest.param(lambda: wreath_product(cyclic_group(2), cyclic_group(6)), id="C2wrC6"),
+            pytest.param(_z6_snapshot_lift_aut, id="z6_snapshot_lift"),
+        ],
+    )
+    def test_block_systems_match_oracle_in_order(self, make):
+        g = make()
+        for size in range(1, g.degree + 1):
+            if g.degree % size == 0:
+                assert g.block_systems(size) == oracles.brute_block_systems(g, size)
+
+    def test_is_block_matches_oracle_on_small_subsets(self):
+        g = wreath_product(cyclic_group(3), cyclic_group(3))
+        for size in (2, 3):
+            for points in combinations(range(9), size):
+                assert g.is_block(points) == oracles.brute_is_block(g, points)
 
 
 class TestPartitionStabilizer:
