@@ -2,7 +2,8 @@
 machine verification of the quotient construction on concrete instances.
 
 Everything here is exhaustive at desk scale: isomorphism verdicts come from
-full backtracking search, automorphism verdicts from strong generating sets
+full backtracking search (CI sweeps first rule out every pair whose rooted
+refinement keys differ), automorphism verdicts from strong generating sets
 (exact group orders, membership checked on generators), and the quotient
 certificate records one named boolean per verification step.
 """
@@ -10,8 +11,9 @@ certificate records one named boolean per verification step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from cig.digraphs import (
     Digraph,
@@ -26,7 +28,7 @@ from cig.groups import (
     QuotientMap,
     automorphic_image_search,
 )
-from cig.iso import automorphism_group_of, find_isomorphism
+from cig.iso import automorphism_group_of, find_isomorphism, rooted_key
 from cig.limits import DEFAULT_LIMITS, CapExceeded, Limits
 from cig.perms import Perm, PermGroup, PointPartition
 
@@ -173,6 +175,42 @@ def _reverify_witness(
             raise AssertionError("witness has an automorphic image after all")
 
 
+def orbit_representatives(
+    group: FiniteGroup, mode: str, limits: Limits = DEFAULT_LIMITS
+) -> list[frozenset[int]]:
+    """The first connection set of every Aut(G)-orbit, in enumeration order."""
+    auts = group.automorphisms(limits)
+    reps: list[frozenset[int]] = []
+    seen: set[frozenset[int]] = set()
+    for s in enumerate_connection_sets(group, mode):
+        if s in seen:
+            continue
+        seen.update(alpha.image_of_set(s) for alpha in auts)
+        reps.append(s)
+    return reps
+
+
+def _same_key_pairs(
+    group: FiniteGroup, classes: list[list[frozenset[int]]], limits: Limits
+) -> Iterator[tuple[int, frozenset[int], frozenset[int]]]:
+    """(position, s1, s2) for each same-size pair with equal rooted keys, in
+    scan order; `position` is its 1-based index among all same-size pairs.
+    Keys are computed one size at a time, as the scan gets there."""
+    offset = 0
+    for same_size in classes:
+        m = len(same_size)
+        if m < 2:
+            continue
+        by_key: dict[tuple, list[int]] = {}
+        for i, r in enumerate(same_size):
+            by_key.setdefault(rooted_key(cayley(group, r), limits), []).append(i)
+        pairs = sorted(p for ids in by_key.values() for p in combinations(ids, 2))
+        for i, j in pairs:
+            position = offset + i * m - i * (i + 1) // 2 + j - i
+            yield position, same_size[i], same_size[j]
+        offset += m * (m - 1) // 2
+
+
 def is_ci_group(
     group: FiniteGroup,
     mode: str = "digraph",
@@ -181,52 +219,43 @@ def is_ci_group(
 ) -> CIGroupVerdict:
     """Exhaustive CI sweep over automorphism-orbit representatives.
 
-    Two sets in the same automorphism orbit are CI-equivalent by
-    construction, so only representatives of equal cardinality are paired.
-    Scanning stops at the first re-verified witness.  `exhaustive` is
-    cleared only when the pair budget (at least 1) ran out mid-scan.
+    Distinct representatives lie in distinct Aut(G)-orbits, so G is CI
+    exactly when no two of equal size have isomorphic Cayley digraphs.
+    Each gets one `rooted_key` (refinement with the identity individualised,
+    canonical when discrete); pairs with different keys are not isomorphic,
+    so `ci_pair` runs only on same-key pairs, in scan order (by size, then
+    index i < j), up to the first re-verified witness.
+
+    `pairs_checked` counts the pairs decided in that scan order: the
+    witness's 1-based position, or all same-size pairs when there is none,
+    capped at `budget` (at least 1).  `exhaustive` is cleared only when the
+    budget ran out before the scan was decided.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be a positive number of pairs, got {budget}")
-    auts = group.automorphisms(limits)
-    subsets = enumerate_connection_sets(group, mode)
-    reps: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    for s in subsets:
-        if s in seen:
-            continue
-        seen.update(alpha.image_of_set(s) for alpha in auts)
-        reps.append(s)
     by_size: dict[int, list[frozenset[int]]] = {}
-    for r in reps:
+    for r in orbit_representatives(group, mode, limits):
         by_size.setdefault(len(r), []).append(r)
-    pairs = [
-        (group_reps[i], group_reps[j])
-        for _, group_reps in sorted(by_size.items())
-        for i in range(len(group_reps))
-        for j in range(i + 1, len(group_reps))
-    ]
+    classes = [same_size for _, same_size in sorted(by_size.items())]
 
-    pairs_checked = 0
     witness = None
-    exhaustive = True
-    for s1, s2 in pairs:
-        if budget is not None and pairs_checked >= budget:
-            exhaustive = False
+    decided = sum(len(c) * (len(c) - 1) // 2 for c in classes)
+    for position, s1, s2 in _same_key_pairs(group, classes, limits):
+        if budget is not None and position > budget:
             break
-        pairs_checked += 1
         res = ci_pair(group, s1, s2, mode, limits)
         if res.verdict == "non_ci_witness":
             assert res.iso is not None
             _reverify_witness(group, s1, s2, res.iso, limits)
-            witness = (s1, s2, res.iso)
+            witness, decided = (s1, s2, res.iso), position
             break
+    exhaustive = budget is None or decided <= budget
     return CIGroupVerdict(
         group=group,
         mode=mode,
         is_ci=witness is None,
         witness=witness,
-        pairs_checked=pairs_checked,
+        pairs_checked=decided if exhaustive else budget,
         exhaustive=exhaustive,
     )
 

@@ -256,9 +256,11 @@ class FiniteGroup:
             raise CapExceeded(f"order {self.order} exceeds automorphism cap {limits.aut}")
         if self._automorphisms is not None:
             return self._automorphisms
+        # _morphism_search returns only maps it has checked against the
+        # whole multiplication table, so they are not validated again.
         found = _morphism_search(self, self, find_all=True)
         self._automorphisms = tuple(
-            GroupAutomorphism(self, images) for images in found
+            GroupAutomorphism(self, images, validate=False) for images in found
         )
         return self._automorphisms
 

@@ -5,7 +5,11 @@ refinement.  Deterministic: sources are placed smallest color class first,
 candidate targets ascend, so identical inputs always produce identical
 bijections.  Automorphism groups come back as a strong generating set with
 their order, found by one first-hit search per basic-orbit point; the
-elements are never listed.  No canonical forms; pairwise search only.
+elements are never listed.  `rooted_key` gives vertex-transitive digraphs
+an isomorphism invariant from one refinement rooted at vertex 0: a
+canonical form when that colouring is discrete, a signature multiset
+otherwise.  There is no full canonical labelling: digraphs whose keys agree
+but are not discrete still need a pairwise search.
 """
 
 from __future__ import annotations
@@ -49,28 +53,32 @@ def _normalize(colors: Sequence[int]) -> list[int]:
     return [ranking[c] for c in colors]
 
 
+def _signatures(d: Digraph, colors: Sequence[int]) -> list[tuple]:
+    """Per vertex: (color, loop flag, out-degree per color, in-degree per color)."""
+    k = max(colors, default=-1) + 1
+    signatures = []
+    for v in range(d.order):
+        out_by = [0] * k
+        row = d.out_masks[v]
+        while row:
+            w = (row & -row).bit_length() - 1
+            out_by[colors[w]] += 1
+            row &= row - 1
+        in_by = [0] * k
+        col = d.in_masks[v]
+        while col:
+            w = (col & -col).bit_length() - 1
+            in_by[colors[w]] += 1
+            col &= col - 1
+        signatures.append((colors[v], d.has_loop(v), tuple(out_by), tuple(in_by)))
+    return signatures
+
+
 def _refine_colors(d: Digraph, colors: Sequence[int]) -> list[int]:
-    n = d.order
     colors = _normalize(colors)
     while True:
         k = max(colors, default=-1) + 1
-        signatures = []
-        for v in range(n):
-            out_by = [0] * k
-            row = d.out_masks[v]
-            while row:
-                w = (row & -row).bit_length() - 1
-                out_by[colors[w]] += 1
-                row &= row - 1
-            in_by = [0] * k
-            col = d.in_masks[v]
-            while col:
-                w = (col & -col).bit_length() - 1
-                in_by[colors[w]] += 1
-                col &= col - 1
-            signatures.append(
-                (colors[v], d.has_loop(v), tuple(out_by), tuple(in_by))
-            )
+        signatures = _signatures(d, colors)
         ranking = {s: i for i, s in enumerate(sorted(set(signatures)))}
         new_colors = [ranking[s] for s in signatures]
         if max(new_colors, default=-1) + 1 == k:
@@ -90,6 +98,23 @@ def refine(d: Digraph, initial: VertexColoring | Sequence[int] | None = None) ->
     if len(colors) != d.order:
         raise ValueError("coloring length does not match order")
     return VertexColoring(_refine_colors(d, colors))
+
+
+def rooted_key(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> tuple:
+    """An isomorphism invariant of a vertex-transitive digraph: refinement
+    with vertex 0 in a colour of its own.
+
+    Any isomorphism composed with an automorphism fixes 0, and colours are
+    numbered from signatures alone, so isomorphic digraphs get equal keys.
+    A discrete colouring gives the digraph relabelled by colour, a canonical
+    form (McKay, "Practical graph isomorphism", 1981); otherwise the key is
+    the sorted stable signatures, which can only rule isomorphism out.
+    """
+    _check_cap(d.order, limits.search)
+    colors = _refine_colors(d, [min(v, 1) for v in range(d.order)])
+    if len(set(colors)) == d.order:
+        return (True, d.relabel(colors).out_masks)
+    return (False, tuple(sorted(_signatures(d, colors))))
 
 
 def _search_order(colors: Sequence[int]) -> list[int]:

@@ -1,18 +1,29 @@
 """Brute-force oracles, independent of the library's search paths.
 
-Everything here enumerates: all bijections for isomorphism questions, every
-leaf of the find-all backtracking for automorphism groups (the element
-listing the library itself no longer builds), every group element for
-blocks, all uniform set partitions for wreath-structure questions.  They stay dumb on
-purpose -- the package is tested against them, never the other way around.
+Everything here enumerates: all bijections for isomorphism questions and
+for group automorphisms, every leaf of the find-all backtracking for
+automorphism groups (the element listing the library itself no longer
+builds), one isomorphism search per pair of connection sets for the CI
+sweep (the pair loop the library replaced by refinement keys), every group
+element for blocks, all uniform set partitions for wreath-structure
+questions.  They stay dumb on purpose -- the package is tested against them,
+never the other way around.
 """
 
+from functools import cache
 from itertools import combinations, permutations
 from random import Random
 
 from cig import _kernels
+from cig.ci import (
+    CIGroupVerdict,
+    _reverify_witness,
+    ci_pair,
+    enumerate_connection_sets,
+)
 from cig.digraphs import Digraph
 from cig.iso import _candidates, _refine_colors, _search_order
+from cig.limits import DEFAULT_LIMITS
 from cig.perms import PermGroup, PointPartition
 
 
@@ -29,6 +40,74 @@ def brute_isomorphism(a: Digraph, b: Digraph):
         ):
             return images
     return None
+
+
+def brute_group_automorphisms(table) -> list[tuple[int, ...]]:
+    """Every automorphism of a multiplication table (identity 0), sorted:
+    all bijections fixing 0, kept when they respect every product."""
+    n = len(table)
+    found = []
+    for rest in permutations(range(1, n)):
+        f = (0, *rest)
+        if all(f[table[a][b]] == table[f[a]][f[b]] for a in range(n) for b in range(n)):
+            found.append(f)
+    return found
+
+
+@cache
+def _pair_verdict(group, s1, s2, mode, limits):
+    """`ci_pair`, searched once however many budgets sweep one group."""
+    return ci_pair(group, s1, s2, mode, limits)
+
+
+def pairwise_ci_sweep(group, mode="digraph", budget=None, limits=DEFAULT_LIMITS):
+    """The CI sweep with one `ci_pair` search per same-size pair of
+    Aut(G)-orbit representatives, in scan order (by size, then i < j),
+    stopping at the first re-verified witness or when `budget` pairs ran."""
+    auts = group.automorphisms(limits)
+    reps = []
+    seen = set()
+    for s in enumerate_connection_sets(group, mode):
+        if s in seen:
+            continue
+        seen.update(alpha.image_of_set(s) for alpha in auts)
+        reps.append(s)
+    by_size = {}
+    for r in reps:
+        by_size.setdefault(len(r), []).append(r)
+    pairs = [
+        (same_size[i], same_size[j])
+        for _, same_size in sorted(by_size.items())
+        for i in range(len(same_size))
+        for j in range(i + 1, len(same_size))
+    ]
+    pairs_checked = 0
+    witness = None
+    exhaustive = True
+    for s1, s2 in pairs:
+        if budget is not None and pairs_checked >= budget:
+            exhaustive = False
+            break
+        pairs_checked += 1
+        res = _pair_verdict(group, s1, s2, mode, limits)
+        if res.verdict == "non_ci_witness":
+            _reverify_witness(group, s1, s2, res.iso, limits)
+            witness = (s1, s2, res.iso)
+            break
+    return CIGroupVerdict(group, mode, witness is None, witness, pairs_checked, exhaustive)
+
+
+def muzychuk_is_ci(n: int, mode: str) -> bool:
+    """Muzychuk's classification of cyclic CI groups.
+
+    Z_n is DCI iff n is k, 2k or 4k with k odd and square-free; it is CI for
+    graphs iff it is DCI or n is 8, 9 or 18.
+    """
+    dci = any(
+        n % m == 0 and (n // m) % 2 == 1 and all((n // m) % (p * p) for p in range(2, n))
+        for m in (1, 2, 4)
+    )
+    return dci or (mode == "graph" and n in (8, 9, 18))
 
 
 def brute_automorphism_count(d: Digraph) -> int:

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import cig.ci
+import oracles
 from cig.ci import (
     ci_pair,
     enumerate_connection_sets,
@@ -15,7 +17,7 @@ from cig.ci import (
     verify_wreath_aut_dichotomy,
 )
 from cig.digraphs import Digraph, cayley
-from cig.groups import FiniteGroup, parse_group_spec
+from cig.groups import FiniteGroup, catalog_specs, parse_group_spec
 from cig.iso import automorphism_group_of, find_isomorphism
 from cig.limits import CapExceeded, Limits
 from cig.perms import PointPartition, symmetric_group
@@ -135,6 +137,67 @@ class TestIsCIGroup:
     def test_budget_must_be_positive(self, budget):
         with pytest.raises(ValueError, match="budget"):
             is_ci_group(FiniteGroup.cyclic(6), "digraph", budget=budget)
+
+
+class TestSweepAgainstPairLoop:
+    """`is_ci_group` against the loop with one search per pair, which pins
+    `pairs_checked` and `exhaustive` for budgets around every boundary."""
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(11)])
+    @pytest.mark.parametrize("mode", ["digraph", "graph"])
+    def test_every_budget(self, spec, mode):
+        g = parse_group_spec(spec)
+        full = oracles.pairwise_ci_sweep(g, mode)
+        assert is_ci_group(g, mode).to_json() == full.to_json()
+        p = full.pairs_checked
+        for budget in sorted({1, 2, 3, p // 2, p - 1, p, p + 1}):
+            if budget < 1:
+                continue
+            assert (
+                is_ci_group(g, mode, budget).to_json()
+                == oracles.pairwise_ci_sweep(g, mode, budget).to_json()
+            ), budget
+
+    @pytest.mark.parametrize("spec", ["Z12", "A4"])
+    def test_distinct_keys_leave_no_search(self, spec, monkeypatch):
+        # Every representative of these groups has its own rooted key, so
+        # the sweep decides all pairs without one isomorphism search.
+        calls = []
+        monkeypatch.setattr(cig.ci, "ci_pair", lambda *args: calls.append(args))
+        v = is_ci_group(parse_group_spec(spec), "digraph")
+        assert v.is_ci and v.exhaustive and calls == []
+
+
+class TestSweepAgainstTheory:
+    @pytest.mark.parametrize("n", range(1, 17))
+    @pytest.mark.parametrize("mode", ["digraph", "graph"])
+    def test_cyclic_groups_follow_muzychuk(self, n, mode):
+        v = is_ci_group(FiniteGroup.cyclic(n), mode)
+        assert v.exhaustive
+        assert v.is_ci == oracles.muzychuk_is_ci(n, mode)
+
+    def test_elementary_abelian_rank_four_is_ci(self):
+        # Hirasaka & Muzychuk, "An elementary abelian group of rank 4 is a
+        # CI-group", JCTA 2001.
+        v = is_ci_group(parse_group_spec("Z2xZ2xZ2xZ2"), "digraph")
+        assert v.is_ci and v.exhaustive
+
+    @pytest.mark.parametrize("spec", ["Z16", "Z2xZ8", "Z4xZ4", "D8"])
+    def test_order_sixteen_digraph_witnesses(self, spec):
+        # 16! bijections are past brute force: re-verify the witness with
+        # the returned map, a fresh search and a scan of all of Aut(G).
+        g = parse_group_spec(spec)
+        v = is_ci_group(g, "digraph")
+        assert not v.is_ci and v.exhaustive
+        s1, s2, iso = v.witness
+        d1, d2 = cayley(g, s1), cayley(g, s2)
+        assert all(
+            d1.has_arc(x, y) == d2.has_arc(iso(x), iso(y))
+            for x in range(16)
+            for y in range(16)
+        )
+        assert find_isomorphism(d1, d2) is not None
+        assert all(alpha.image_of_set(s1) != s2 for alpha in g.automorphisms())
 
 
 class TestLimits:

@@ -51,6 +51,17 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "ci", "group", "--group", "Z8")
         assert code == 1
 
+    def test_order_sixteen_witness_json(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "--format", "json", "ci", "group", "--group", "Z2xZ8"
+        )
+        assert code == 1
+        result = json.loads(out)["result"]
+        assert result["is_ci"] is False and result["exhaustive"] is True
+        s1, s2, iso = result["witness"]
+        assert len(s1) == len(s2) and s1 != s2
+        assert sorted(iso) == list(range(16))
+
     def test_rejected_certificate_exits_one(self, capsys):
         code, out, _ = run_cli(
             capsys, "quotient", "verify", "--group", "Z4",

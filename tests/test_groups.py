@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import oracles
 from cig.groups import (
     FiniteGroup,
     GroupAutomorphism,
@@ -238,6 +239,20 @@ class TestAutomorphisms:
         for alpha in g.automorphisms():
             for x in range(g.order):
                 assert g.element_order(alpha(x)) == g.element_order(x)
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(8)])
+    def test_equal_brute_force_enumeration(self, spec):
+        g = parse_group_spec(spec)
+        found = sorted(alpha.images for alpha in g.automorphisms())
+        assert found == oracles.brute_group_automorphisms(g.table)
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_every_map_passes_validation(self, spec):
+        # automorphisms() skips the constructor's check; the search must
+        # return only maps that pass it.
+        g = parse_group_spec(spec)
+        for alpha in g.automorphisms():
+            GroupAutomorphism(g, alpha.images, validate=True)
 
     def test_cap(self):
         with pytest.raises(CapExceeded):

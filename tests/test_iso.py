@@ -1,11 +1,13 @@
 """Isomorphism engine: refinement, search, automorphism groups."""
 
 import random
+from itertools import combinations
 from math import factorial
 
 import pytest
 
 import oracles
+from cig.ci import orbit_representatives
 from cig.digraphs import Digraph, cayley
 from cig.groups import FiniteGroup, catalog_specs, parse_group_spec
 from cig.iso import (
@@ -14,6 +16,7 @@ from cig.iso import (
     automorphism_group_of,
     find_isomorphism,
     refine,
+    rooted_key,
 )
 from cig.limits import CapExceeded
 from cig.perms import PermGroup
@@ -199,3 +202,56 @@ class TestAutomorphismGroupAgainstEnumeration:
 
     def test_complete_graph_order_without_enumeration(self):
         assert automorphism_group_of(Digraph.complete(12)).order == factorial(12)
+
+
+def _all_connection_sets(group):
+    return [
+        frozenset(x for x in range(group.order) if m >> x & 1)
+        for m in range(1 << group.order)
+    ]
+
+
+class TestRootedKey:
+    """Isomorphic Cayley digraphs get equal keys, and equal discrete keys
+    mean isomorphic.  Only same-size connection sets are paired, as in the
+    CI sweep."""
+
+    @staticmethod
+    def assert_sound(group, sets, isomorphic):
+        digraphs = [cayley(group, s) for s in sets]
+        keys = [rooted_key(d) for d in digraphs]
+        for i, j in combinations(range(len(sets)), 2):
+            if len(sets[i]) != len(sets[j]):
+                continue
+            iso = isomorphic(digraphs[i], digraphs[j]) is not None
+            if iso:
+                assert keys[i] == keys[j], (sets[i], sets[j])
+            elif keys[i] == keys[j]:
+                assert not keys[i][0], (sets[i], sets[j])
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(6)])
+    def test_all_connection_sets_against_search(self, spec):
+        g = parse_group_spec(spec)
+        self.assert_sound(g, _all_connection_sets(g), find_isomorphism)
+
+    @pytest.mark.parametrize("spec", [s for s, n in catalog_specs(8) if n == 8])
+    @pytest.mark.parametrize("mode", ["digraph", "graph"])
+    def test_order_eight_representatives_against_search(self, spec, mode):
+        g = parse_group_spec(spec)
+        self.assert_sound(g, orbit_representatives(g, mode), find_isomorphism)
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(6)])
+    def test_all_connection_sets_against_brute_force(self, spec):
+        g = parse_group_spec(spec)
+        self.assert_sound(g, _all_connection_sets(g), oracles.brute_isomorphism)
+
+    def test_discrete_key_is_the_relabelled_digraph(self):
+        # Z5 with {1, 2}: the out-neighbours of 0 are told apart at once.
+        d = cayley(FiniteGroup.cyclic(5), {1, 2})
+        discrete, masks = rooted_key(d)
+        assert discrete
+        assert masks == d.relabel(refine(d, [0, 1, 1, 1, 1]).colors).out_masks
+
+    def test_order_cap(self):
+        with pytest.raises(CapExceeded):
+            rooted_key(Digraph.empty(41))
