@@ -1,9 +1,8 @@
 """cig: Cayley digraphs, CI-group testing, and wreath-product verification.
 
 Desk-scale computational group theory with exhaustive, oracle-checkable
-search kernels.  The kernels are pure Python; the isomorphism search and
-twin detection use a compiled extension instead when it is built
-(``BACKEND`` says which).
+search kernels.  The kernels are pure Python, in ``cig._kernels``;
+``BACKEND`` is ``"python"``.
 """
 
 __version__ = "0.1.0"

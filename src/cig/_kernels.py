@@ -1,20 +1,139 @@
-"""Kernel backend selection.
+"""Search kernels: permutation closure, isomorphism backtracking, twin classes.
 
-``iso_backtrack`` and ``twin_labels`` come from the compiled extension
-``cig._core`` when it is built and from the pure-Python twin ``cig._core_py``
-otherwise; ``BACKEND`` names the one in use.  ``perm_closure`` always comes
-from ``cig._core_py``.
+All pure Python; ``BACKEND`` is always ``"python"``.
+
+Conventions:
+
+* a permutation is a tuple ``p`` with ``p[x]`` the image of point ``x``;
+  composition ``p . q`` means "apply q, then p";
+* adjacency is one integer bitmask per vertex (``out[u] >> v & 1`` is the
+  arc u -> v).  Python integers have no fixed width, so these kernels take
+  any number of vertices.
 """
 
-from cig import _core_py
+from cig.limits import CapExceeded
 
-try:
-    from cig import _core as _backend
-except ImportError:
-    _backend = _core_py
+BACKEND = "python"
 
-BACKEND: str = _backend.BACKEND
 
-perm_closure = _core_py.perm_closure
-iso_backtrack = _backend.iso_backtrack
-twin_labels = _backend.twin_labels
+def perm_closure(degree, generators, cap):
+    """All products of the generators, as a sorted list of image tuples.
+
+    Breadth-first closure from the identity; raises CapExceeded as soon as
+    the element count would pass ``cap``.
+    """
+    identity = tuple(range(degree))
+    seen = {identity}
+    frontier = [identity]
+    gens = [tuple(g) for g in generators]
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(p[x] for x in g)
+                if q not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceeded(
+                            f"closure exceeds cap of {cap} elements"
+                        )
+                    seen.add(q)
+                    fresh.append(q)
+        frontier = fresh
+    return sorted(seen)
+
+
+def iso_backtrack(n, out_a, out_b, order, cand, find_all):
+    """Backtracking search for arc-preserving vertex bijections a -> b.
+
+    ``order``   -- source vertices in placement order,
+    ``cand[k]`` -- ascending candidate targets for ``order[k]``.
+
+    Candidates are tried ascending; consistency with every placed pair is
+    checked in both arc directions, plus the loop bit at placement.  Returns
+    image tuples (``images[u]`` = target of source u): all of them when
+    ``find_all``, else at most one (the first found).
+    """
+    if n == 0:
+        return [()]
+    results = []
+    tgt = [0] * n
+    cur = [0] * n
+    used = 0
+    k = 0
+    while k >= 0:
+        u = order[k]
+        row = cand[k]
+        i = cur[k]
+        placed = False
+        while i < len(row):
+            v = row[i]
+            i += 1
+            if used >> v & 1:
+                continue
+            if (out_a[u] >> u & 1) != (out_b[v] >> v & 1):
+                continue
+            ok = True
+            for j in range(k):
+                u2 = order[j]
+                v2 = tgt[j]
+                if (out_a[u] >> u2 & 1) != (out_b[v] >> v2 & 1) or (
+                    out_a[u2] >> u & 1
+                ) != (out_b[v2] >> v & 1):
+                    ok = False
+                    break
+            if ok:
+                cur[k] = i
+                tgt[k] = v
+                used |= 1 << v
+                placed = True
+                break
+        if not placed:
+            cur[k] = 0
+            k -= 1
+            if k >= 0:
+                used &= ~(1 << tgt[k])
+            continue
+        if k == n - 1:
+            images = [0] * n
+            for j in range(n):
+                images[order[j]] = tgt[j]
+            results.append(tuple(images))
+            if not find_all:
+                return results
+            used &= ~(1 << tgt[k])
+        else:
+            k += 1
+    return results
+
+
+def twin_labels(n, out, complete_kind):
+    """Twin-class label per vertex (labels numbered by first occurrence).
+
+    Two vertices are twins when they have identical in- and out-
+    neighbourhoods outside the pair and, for ``complete_kind``, are mutually
+    adjacent with equal loop flags; otherwise (empty kind) either share no
+    arcs and no loops, or are mutually adjacent and both looped (the fully
+    looped clique case, which an inner empty factor also realizes through a
+    quotient loop).
+
+    That relation is equality of one key per vertex: ``(out[u], in[u])`` for
+    the empty kind, and ``(out[u] | 1<<u, in[u] | 1<<u, loop bit)`` for the
+    complete kind.
+    """
+    in_masks = [0] * n
+    for u in range(n):
+        m = out[u]
+        while m:
+            v = (m & -m).bit_length() - 1
+            in_masks[v] |= 1 << u
+            m &= m - 1
+    seen = {}
+    labels = [0] * n
+    for u in range(n):
+        if complete_kind:
+            bit = 1 << u
+            key = (out[u] | bit, in_masks[u] | bit, out[u] >> u & 1)
+        else:
+            key = (out[u], in_masks[u])
+        labels[u] = seen.setdefault(key, len(seen))
+    return labels

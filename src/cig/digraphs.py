@@ -6,6 +6,7 @@ graphs are exactly the arc-symmetric digraphs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from typing import TYPE_CHECKING, Iterable
@@ -44,14 +45,6 @@ class Digraph:
                 raise ValueError(f"arc ({u},{v}) out of range")
             masks[u] |= 1 << v
         return cls(order, masks)
-
-    @classmethod
-    def from_matrix(cls, rows: Iterable[Iterable[int]]) -> Digraph:
-        rows = [list(r) for r in rows]
-        return cls(
-            len(rows),
-            (sum(1 << v for v, bit in enumerate(row) if bit) for row in rows),
-        )
 
     @classmethod
     def complete(cls, n: int) -> Digraph:
@@ -271,24 +264,16 @@ class WreathDecomposition:
     inner_kind: str  # "complete" | "empty"
 
 
-def _twin_partition(d: Digraph, kind: str) -> PointPartition:
-    labels = _kernels.twin_labels(d.order, list(d.out_masks), kind == "complete")
-    return PointPartition.from_labels(labels)
-
-
 def _decompose(d: Digraph, kind: str) -> WreathDecomposition | None:
-    twins = _twin_partition(d, kind)
-    sizes = twins.class_sizes()
-    r = 0
-    for s in sizes:
-        r = gcd(r, s)
+    labels = _kernels.twin_labels(d.order, list(d.out_masks), kind == "complete")
+    r = gcd(*Counter(labels).values())
     if r < 2:
         return None
+    twins: dict[int, list[int]] = {}
+    for x, lab in enumerate(labels):
+        twins.setdefault(lab, []).append(x)
     # Split each twin class into consecutive runs of r (ascending indices).
-    parts = []
-    for cls in twins.classes:
-        for i in range(0, len(cls), r):
-            parts.append(cls[i : i + r])
+    parts = [cls[i : i + r] for cls in twins.values() for i in range(0, len(cls), r)]
     partition = PointPartition(d.order, parts)
     q = len(partition)
     reps = [c[0] for c in partition.classes]

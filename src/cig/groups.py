@@ -125,9 +125,6 @@ class FiniteGroup:
         s = frozenset(subset)
         return all(self.inv(x) in s for x in s)
 
-    def label_set(self, subset: Iterable[int]) -> str:
-        return "{" + ", ".join(self.labels[x] for x in sorted(subset)) + "}"
-
     # -- subgroups ---------------------------------------------------------
 
     def subgroup_generated(self, gens: Iterable[int]) -> frozenset[int]:
@@ -256,8 +253,9 @@ class FiniteGroup:
             raise CapExceeded(f"order {self.order} exceeds automorphism cap {limits.aut}")
         if self._automorphisms is not None:
             return self._automorphisms
-        # _morphism_search returns only maps it has checked against the
-        # whole multiplication table, so they are not validated again.
+        # _morphism_search returns only bijections it has checked against
+        # every (element, generator) product, which makes them
+        # automorphisms, so they are not validated again.
         found = _morphism_search(self, self, find_all=True)
         self._automorphisms = tuple(
             GroupAutomorphism(self, images, validate=False) for images in found
@@ -601,12 +599,10 @@ def _morphism_search(
             images = consistent_map()
             if images is None or -1 in images:
                 return False
-            full = tuple(images)
-            for a in range(n):
-                for b in range(n):
-                    if full[source.mul(a, b)] != target.mul(full[a], full[b]):
-                        return False
-            results.append(full)
+            # A total, injective map with f(x*g) = f(x)*f(g) for every x and
+            # every generator g is a homomorphism, by induction on word
+            # length: no whole-table check is needed.
+            results.append(tuple(images))
             return not find_all
         for t in candidates[depth]:
             chosen.append(t)

@@ -4,9 +4,10 @@ Everything here enumerates: all bijections for isomorphism questions and
 for group automorphisms, every leaf of the find-all backtracking for
 automorphism groups (the element listing the library itself no longer
 builds), one isomorphism search per pair of connection sets for the CI
-sweep (the pair loop the library replaced by refinement keys), every group
-element for blocks, all uniform set partitions for wreath-structure
-questions.  They stay dumb on purpose -- the package is tested against them,
+sweep (the pair loop the library replaced by refinement keys), every vertex
+pair for twin classes (the test the library replaced by one key per
+vertex), every group element for blocks, all uniform set partitions for
+wreath-structure questions.  They stay dumb on purpose -- the package is tested against them,
 never the other way around.
 """
 
@@ -132,6 +133,47 @@ def enumerated_automorphisms(d: Digraph) -> list[tuple[int, ...]]:
     cand = _candidates(order, colors, colors)
     masks = list(d.out_masks)
     return sorted(_kernels.iso_backtrack(n, masks, masks, order, cand, True))
+
+
+def union_find_twin_labels(n: int, out, complete_kind: bool) -> list[int]:
+    """Twin-class labels (numbered by first occurrence) by testing every
+    vertex pair against the twin relation and merging with union-find."""
+    in_masks = [0] * n
+    for u in range(n):
+        for v in range(n):
+            if out[u] >> v & 1:
+                in_masks[v] |= 1 << u
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    full = (1 << n) - 1
+    for u in range(n):
+        lu = out[u] >> u & 1
+        for v in range(u + 1, n):
+            mask = full ^ (1 << u) ^ (1 << v)
+            if (out[u] & mask) != (out[v] & mask):
+                continue
+            if (in_masks[u] & mask) != (in_masks[v] & mask):
+                continue
+            a = out[u] >> v & 1
+            b = out[v] >> u & 1
+            lv = out[v] >> v & 1
+            if complete_kind:
+                ok = a and b and lu == lv
+            else:
+                ok = (not a and not b and not lu and not lv) or (a and b and lu and lv)
+            if ok:
+                ru, rv = find(u), find(v)
+                parent[max(ru, rv)] = min(ru, rv)
+    labels = [0] * n
+    seen = {}
+    for x in range(n):
+        labels[x] = seen.setdefault(find(x), len(seen))
+    return labels
 
 
 def brute_is_block(group: PermGroup, points) -> bool:
