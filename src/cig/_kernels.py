@@ -1,4 +1,4 @@
-"""Search kernels: permutation closure, isomorphism backtracking, twin classes.
+"""Search kernels: isomorphism backtracking and twin classes.
 
 All pure Python; ``BACKEND`` is always ``"python"``.
 
@@ -11,35 +11,7 @@ Conventions:
   any number of vertices.
 """
 
-from cig.limits import CapExceeded
-
 BACKEND = "python"
-
-
-def perm_closure(degree, generators, cap):
-    """All products of the generators, as a sorted list of image tuples.
-
-    Breadth-first closure from the identity; raises CapExceeded as soon as
-    the element count would pass ``cap``.
-    """
-    identity = tuple(range(degree))
-    seen = {identity}
-    frontier = [identity]
-    gens = [tuple(g) for g in generators]
-    while frontier:
-        fresh = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(p[x] for x in g)
-                if q not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(
-                            f"closure exceeds cap of {cap} elements"
-                        )
-                    seen.add(q)
-                    fresh.append(q)
-        frontier = fresh
-    return sorted(seen)
 
 
 def iso_backtrack(n, out_a, out_b, order, cand, find_all):

@@ -220,14 +220,6 @@ def cayley(group: FiniteGroup, connection: Iterable[int]) -> Digraph:
     return Digraph(group.order, masks)
 
 
-def inverse_closed(group: FiniteGroup, connection: Iterable[int]) -> bool:
-    """True iff the connection set is closed under inverses.
-
-    Equivalent to cayley(group, connection) being undirected.
-    """
-    return group.is_inverse_closed(connection)
-
-
 def wreath_product(outer: Digraph, inner: Digraph) -> Digraph:
     """Wreath (lexicographic) product: inner copies joined along outer arcs.
 

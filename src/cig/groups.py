@@ -2,8 +2,7 @@
 
 Covers the constructor catalog (cyclic, direct products, dihedral,
 quaternion, symmetric, alternating, table files), subgroup and coset
-machinery, quotients, automorphism enumeration, and the left regular
-representation.
+machinery, quotients, and automorphism enumeration.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from cig.limits import DEFAULT_LIMITS, GROUP_ORDER_CAP, CapExceeded, Limits
-from cig.perms import Perm, PermGroup, PointPartition
+from cig.perms import Perm, PointPartition
 
 
 class GroupSpecError(ValueError):
@@ -66,7 +65,7 @@ class FiniteGroup:
         for row in table:
             if len(row) != n:
                 raise ValueError(f"table must be square, got shape ({n}, {len(row)})")
-        if any(not 0 <= x < n for row in table for x in row):
+        if any(type(x) is not int or not 0 <= x < n for row in table for x in row):
             raise ValueError("table entries must be element indices")
         identity = list(range(n))
         if list(table[0]) != identity or [row[0] for row in table] != identity:
@@ -262,18 +261,7 @@ class FiniteGroup:
         )
         return self._automorphisms
 
-    def left_regular_representation(self) -> PermGroup:
-        """Left translations x -> g*x as a regular permutation group."""
-        return PermGroup.from_elements(self.order, self.table)
-
     # -- construction catalog ------------------------------------------------
-
-    @classmethod
-    def from_table(
-        cls, table: Sequence[Sequence[int]], labels: Sequence[str] | None = None,
-        name: str | None = None,
-    ) -> FiniteGroup:
-        return cls(table, labels=labels, name=name)
 
     @classmethod
     def cyclic(cls, n: int) -> FiniteGroup:
@@ -383,18 +371,18 @@ class FiniteGroup:
     # -- spec strings and files ---------------------------------------------
 
     @classmethod
-    def from_spec(cls, text: str) -> FiniteGroup:
-        return parse_group_spec(text)
-
-    @classmethod
     def from_json(cls, obj: dict, name: str | None = None) -> FiniteGroup:
         if not isinstance(obj, dict) or "order" not in obj or "table" not in obj:
             raise ValueError('group file needs fields "order" and "table"')
-        order = obj["order"]
-        table = obj["table"]
-        if len(table) != order:
-            raise ValueError(f"table has {len(table)} rows, order says {order}")
-        labels = obj.get("labels")
+        order, table, labels = obj["order"], obj["table"], obj.get("labels")
+        if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+            raise ValueError('"table" must be a list of lists of element indices')
+        if labels is not None and not (
+            isinstance(labels, list) and all(isinstance(x, str) for x in labels)
+        ):
+            raise ValueError('"labels" must be a list of strings')
+        if type(order) is not int or len(table) != order:
+            raise ValueError(f"table has {len(table)} rows, order says {order!r}")
         return cls(table, labels=labels, name=name or "file-group")
 
     @classmethod
@@ -473,9 +461,6 @@ class GroupAutomorphism:
     def is_identity(self) -> bool:
         return all(i == x for i, x in enumerate(self.images))
 
-    def as_perm(self) -> Perm:
-        return Perm(self.images)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, GroupAutomorphism)
@@ -513,9 +498,6 @@ class QuotientMap:
     target: FiniteGroup
     projection: tuple[int, ...]
     decomposition: CosetDecomposition
-
-    def coset_elements(self, i: int) -> frozenset[int]:
-        return self.decomposition.cosets[i]
 
     def project_set(self, subset: Iterable[int]) -> frozenset[int]:
         return frozenset(self.projection[x] for x in subset)
@@ -614,11 +596,6 @@ def _morphism_search(
 
     descend()
     return results
-
-
-def tables_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
-    """Brute-force isomorphism test between two multiplication tables."""
-    return bool(_morphism_search(a, b, find_all=False))
 
 
 def automorphic_image_search(

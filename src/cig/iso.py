@@ -32,12 +32,6 @@ class VertexColoring:
         self.colors = tuple(colors)
         self.order = len(self.colors)
 
-    def color_count(self) -> int:
-        return len(set(self.colors))
-
-    def multiset(self) -> Counter:
-        return Counter(self.colors)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, VertexColoring) and self.colors == other.colors
 

@@ -2,9 +2,6 @@
 
 from dataclasses import dataclass
 
-CLOSURE_CAP = 200_000
-"""Maximum number of elements enumerated when closing a permutation group."""
-
 GROUP_ORDER_CAP = 200
 """Maximum order for multiplication-table construction."""
 

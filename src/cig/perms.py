@@ -1,19 +1,16 @@
 """Permutations, permutation groups, block systems, and wreath products.
 
-Points are integers ``0..degree-1``.  Groups are given by generators,
-optionally with their order when a search already knows it.  Orbits,
-blockness and block systems are computed from the generators alone; the
-element closure (computed lazily, capped) is built only for the order of a
-group without a known order, membership, group equality and partition
-stabilizers.
+Points are integers ``0..degree-1``.  A group is its generators and its
+order, which whoever builds it supplies.  Orbits, blockness and block
+systems are computed from the generators alone; no element is ever listed.
 """
 
 from __future__ import annotations
 
+from math import factorial
 from typing import Iterable, Sequence
 
-from cig import _kernels
-from cig.limits import BLOCK_DEGREE_CAP, CLOSURE_CAP, CapExceeded
+from cig.limits import BLOCK_DEGREE_CAP, CapExceeded
 
 
 class Perm:
@@ -135,9 +132,6 @@ class PointPartition:
     def class_index(self, x: int) -> int:
         return self._class_index[x]
 
-    def class_sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
-
     def refines(self, other: PointPartition) -> bool:
         """True iff every class of self lies inside a class of other."""
         if self.degree != other.degree:
@@ -166,20 +160,15 @@ class PointPartition:
 
 
 class PermGroup:
-    """Permutation group given by generators, with a capped full closure.
+    """Permutation group given by generators and its order.
 
-    ``order`` is the group order when the caller already knows it (the
-    automorphism search does); otherwise it comes from the closure.
-    Elements are kept internally as raw image tuples; ``elements`` wraps
-    them in Perm objects on first use.
+    Nothing here lists the elements.  The order is the caller's: the
+    automorphism search gives the product of its basic-orbit lengths, and
+    the constructors below give their closed formulas.
     """
 
     def __init__(
-        self,
-        generators: Iterable[Perm] = (),
-        degree: int | None = None,
-        cap: int = CLOSURE_CAP,
-        order: int | None = None,
+        self, generators: Iterable[Perm], *, order: int, degree: int | None = None
     ):
         gens = tuple(generators)
         if degree is None:
@@ -190,67 +179,12 @@ class PermGroup:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
         self.degree = degree
-        self.cap = cap
-        self._order = order
-        self._gen_raw: tuple[tuple[int, ...], ...] = tuple(g.images for g in gens)
-        self._generators: tuple[Perm, ...] | None = gens
-        self._raw: tuple[tuple[int, ...], ...] | None = None
-        self._raw_set: frozenset[tuple[int, ...]] | None = None
-        self._elements: tuple[Perm, ...] | None = None
-
-    @classmethod
-    def from_elements(
-        cls, degree: int, raw_elements: Iterable[tuple[int, ...]]
-    ) -> PermGroup:
-        """Wrap an already-closed element set (sorted and deduplicated here).
-
-        The caller asserts closedness; nothing is recomputed.
-        """
-        group = cls((), degree=degree)
-        raw = tuple(sorted(set(raw_elements)))
-        group._gen_raw = raw
-        group._generators = None
-        group._raw = raw
-        return group
-
-    @property
-    def generators(self) -> tuple[Perm, ...]:
-        if self._generators is None:
-            self._generators = tuple(Perm(r) for r in self._gen_raw)
-        return self._generators
-
-    @property
-    def raw_elements(self) -> tuple[tuple[int, ...], ...]:
-        if self._raw is None:
-            self._raw = tuple(
-                _kernels.perm_closure(self.degree, self._gen_raw, self.cap)
-            )
-        return self._raw
-
-    @property
-    def elements(self) -> tuple[Perm, ...]:
-        if self._elements is None:
-            self._elements = tuple(Perm(r) for r in self.raw_elements)
-        return self._elements
-
-    @property
-    def order(self) -> int:
-        if self._order is None:
-            self._order = len(self.raw_elements)
-        return self._order
-
-    def __contains__(self, p: Perm) -> bool:
-        if p.degree != self.degree:
-            return False
-        if self._raw_set is None:
-            self._raw_set = frozenset(self.raw_elements)
-        return p.images in self._raw_set
-
-    def same_group(self, other: PermGroup) -> bool:
-        return self.degree == other.degree and self.raw_elements == other.raw_elements
+        self.order = order
+        self.generators = gens
 
     def orbits(self) -> PointPartition:
         """Orbit partition of the point set (generators suffice)."""
+        gens = [g.images for g in self.generators]
         seen = [False] * self.degree
         classes = []
         for start in range(self.degree):
@@ -261,7 +195,7 @@ class PermGroup:
             queue = [start]
             while queue:
                 x = queue.pop()
-                for g in self._gen_raw:
+                for g in gens:
                     y = g[x]
                     if not seen[y]:
                         seen[y] = True
@@ -273,9 +207,6 @@ class PermGroup:
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1
 
-    def is_regular(self) -> bool:
-        return self.is_transitive() and self.order == self.degree
-
     def _minimal_partition(self, points: Iterable[int]) -> list[int]:
         """Class label per point of the finest invariant partition that puts
         the given points in one class (Atkinson's union-find, 1975).
@@ -283,6 +214,7 @@ class PermGroup:
         Every merged pair's images under every generator are merged too, so
         the partition is invariant under the whole group.
         """
+        gens = [g.images for g in self.generators]
         parent = list(range(self.degree))
 
         def find(x: int) -> int:
@@ -302,7 +234,7 @@ class PermGroup:
         merged = [(points[0], y) for y in points[1:] if union(points[0], y)]
         while merged:
             x, y = merged.pop()
-            for g in self._gen_raw:
+            for g in gens:
                 if union(g[x], g[y]):
                     merged.append((g[x], g[y]))
         return [find(x) for x in range(self.degree)]
@@ -356,50 +288,19 @@ class PermGroup:
             for block in sorted(tuple(sorted(b)) for b in blocks if len(b) == size)
         ]
 
-    def is_primitive(self) -> bool:
-        """True iff only trivial invariant partitions exist."""
-        if not self.is_transitive():
-            raise ValueError("primitivity is defined for transitive groups")
-        n = self.degree
-        for size in range(2, n):
-            if n % size == 0 and self.block_systems(size):
-                return False
-        return True
-
-    def invariant_partitions(self) -> list[PointPartition]:
-        """Every invariant partition, trivial ones included."""
-        return [
-            partition
-            for size in range(1, self.degree + 1)
-            if self.degree % size == 0
-            for partition in self.block_systems(size)
-        ]
-
-    def partition_stabilizer(self, partition: PointPartition) -> PermGroup:
-        """Subgroup fixing every class of the partition set-wise."""
-        if partition.degree != self.degree:
-            raise ValueError("degree mismatch")
-        class_sets = [set(c) for c in partition.classes]
-        kept = [
-            raw
-            for raw in self.raw_elements
-            if all({raw[x] for x in c} == c for c in class_sets)
-        ]
-        return PermGroup.from_elements(self.degree, kept)
-
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
 def trivial_group(degree: int) -> PermGroup:
-    return PermGroup((), degree=degree)
+    return PermGroup((), order=1, degree=degree)
 
 
 def cyclic_group(n: int) -> PermGroup:
     """The n-cycle group on n points."""
     if n == 1:
         return trivial_group(1)
-    return PermGroup([Perm.from_cycles(n, range(n))])
+    return PermGroup([Perm.from_cycles(n, range(n))], order=n)
 
 
 def symmetric_group(n: int) -> PermGroup:
@@ -408,29 +309,27 @@ def symmetric_group(n: int) -> PermGroup:
     gens = [Perm.from_cycles(n, (0, 1))]
     if n > 2:
         gens.append(Perm.from_cycles(n, range(n)))
-    return PermGroup(gens)
+    return PermGroup(gens, order=factorial(n))
 
 
 def wreath_product(g: PermGroup, h: PermGroup) -> PermGroup:
     """Wreath product acting on pairs, with (x, y) indexed as x*|Y| + y.
 
     Generated by g moving the first coordinate and an independent copy of
-    h's generators on each fiber; the closure has order |g| * |h|^deg(g).
+    h's generators on each fiber, of order |g| * |h|^deg(g).
     """
     nx, ny = g.degree, h.degree
     degree = nx * ny
     gens = []
-    for gamma_raw in g._gen_raw:
-        gens.append(
-            Perm(gamma_raw[x] * ny + y for x in range(nx) for y in range(ny))
-        )
+    for gamma in g.generators:
+        gens.append(Perm(gamma(x) * ny + y for x in range(nx) for y in range(ny)))
     for x in range(nx):
-        for eta_raw in h._gen_raw:
+        for eta in h.generators:
             images = list(range(degree))
             for y in range(ny):
-                images[x * ny + y] = x * ny + eta_raw[y]
+                images[x * ny + y] = x * ny + eta(y)
             gens.append(Perm(images))
-    return PermGroup(gens, degree=degree)
+    return PermGroup(gens, order=g.order * h.order**nx, degree=degree)
 
 
 def fiber_partition(nx: int, ny: int) -> PointPartition:

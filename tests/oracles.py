@@ -6,9 +6,11 @@ automorphism groups (the element listing the library itself no longer
 builds), one isomorphism search per pair of connection sets for the CI
 sweep (the pair loop the library replaced by refinement keys), every vertex
 pair for twin classes (the test the library replaced by one key per
-vertex), every group element for blocks, all uniform set partitions for
-wreath-structure questions.  They stay dumb on purpose -- the package is tested against them,
-never the other way around.
+vertex), the breadth-first element closure of a permutation group (which
+the library, holding only generators and an order, never builds) for
+group orders, blocks and invariant partitions, all uniform set partitions
+for wreath-structure questions.  They stay dumb on purpose -- the package
+is tested against them, never the other way around.
 """
 
 from functools import cache
@@ -25,7 +27,7 @@ from cig.ci import (
 from cig.digraphs import Digraph
 from cig.iso import _candidates, _refine_colors, _search_order
 from cig.limits import DEFAULT_LIMITS
-from cig.perms import PermGroup, PointPartition
+from cig.perms import Perm, PermGroup, PointPartition
 
 
 def brute_isomorphism(a: Digraph, b: Digraph):
@@ -176,26 +178,74 @@ def union_find_twin_labels(n: int, out, complete_kind: bool) -> list[int]:
     return labels
 
 
+def closure(group: PermGroup) -> list[tuple[int, ...]]:
+    """Every element of the group as a sorted list of image tuples: the
+    breadth-first closure of the generators from the identity, uncapped."""
+    identity = tuple(range(group.degree))
+    gens = [g.images for g in group.generators]
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(p[x] for x in g)
+                if q not in seen:
+                    seen.add(q)
+                    fresh.append(q)
+        frontier = fresh
+    return sorted(seen)
+
+
+def regular_representation(group) -> PermGroup:
+    """The left translations x -> g*x of a multiplication table, generated
+    by every row; a regular group has one element per point."""
+    return PermGroup([Perm(row) for row in group.table], order=group.order)
+
+
+def tables_isomorphic(a, b) -> bool:
+    """Some bijection fixing the identity 0 respects every product."""
+    n = len(a.table)
+    return n == len(b.table) and any(
+        all(f[a.table[x][y]] == b.table[f[x]][f[y]] for x in range(n) for y in range(n))
+        for f in ((0, *rest) for rest in permutations(range(1, n)))
+    )
+
+
+def _maps_onto_or_off(elements, block) -> bool:
+    return all(
+        sum(1 for x in block if raw[x] in block) in (0, len(block)) for raw in elements
+    )
+
+
 def brute_is_block(group: PermGroup, points) -> bool:
     """Every element maps the set onto itself or clear of it."""
-    block = frozenset(points)
-    return all(
-        sum(1 for x in block if raw[x] in block) in (0, len(block))
-        for raw in group.raw_elements
-    )
+    return _maps_onto_or_off(closure(group), frozenset(points))
 
 
 def brute_block_systems(group: PermGroup, size: int) -> list[PointPartition]:
     """Every size-``size`` set through 0 that is a block, in combinations
     order, with its images under every element as the partition."""
     n = group.degree
+    elements = closure(group)
     systems = []
     for rest in combinations(range(1, n), size - 1):
-        block = (0, *rest)
-        if brute_is_block(group, block):
-            classes = {tuple(sorted(raw[x] for x in block)) for raw in group.raw_elements}
+        block = frozenset((0, *rest))
+        if _maps_onto_or_off(elements, block):
+            classes = {tuple(sorted(raw[x] for x in block)) for raw in elements}
             systems.append(PointPartition(n, classes))
     return systems
+
+
+def invariant_partitions(group: PermGroup) -> list[PointPartition]:
+    """Every invariant partition, trivial ones included, by class size."""
+    n = group.degree
+    return [
+        partition
+        for size in range(1, n + 1)
+        if n % size == 0
+        for partition in brute_block_systems(group, size)
+    ]
 
 
 def uniform_partitions(points: tuple[int, ...], size: int):

@@ -161,7 +161,7 @@ class TestCriterion3WreathBlockSystems:
             for h in inners.values():
                 w = wreath_perm_group(g, h)
                 fibers = fiber_partition(g.degree, h.degree)
-                for partition in w.invariant_partitions():
+                for partition in oracles.invariant_partitions(w):
                     assert partition.refines(fibers) or fibers.refines(partition)
                 assert w.block_systems(h.degree) == [fibers]
                 cases += 1

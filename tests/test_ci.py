@@ -329,7 +329,7 @@ class TestUniqueBlockPartition:
     def test_multiple_systems_fail(self):
         # The regular Klein four-group has one size-2 system per order-2
         # subgroup, so uniqueness fails even though the expected one exists.
-        klein = parse_group_spec("Z2xZ2").left_regular_representation()
+        klein = oracles.regular_representation(parse_group_spec("Z2xZ2"))
         assert len(klein.block_systems(2)) == 3
         assert not verify_unique_block_partition(
             klein, 2, PointPartition(4, [[0, 1], [2, 3]])

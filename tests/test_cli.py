@@ -163,6 +163,24 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            pytest.param({"order": 2, "table": [["0", "1"], ["1", "0"]]}, id="string_entries"),
+            pytest.param({"order": 2, "table": [[0, 1], [1, 0]], "labels": 5}, id="int_labels"),
+            pytest.param({"order": 2, "table": 7}, id="int_table"),
+            pytest.param({"order": 2, "table": [[0, 1], [1, 0.0]]}, id="float_entry"),
+            pytest.param({"order": 2, "table": [[False, 1], [1, 0]]}, id="bool_entry"),
+        ],
+    )
+    def test_malformed_group_file_exits_two(self, capsys, tmp_path, obj):
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "cayley", "--group", f"file:{path}", "--set", "")
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
 
 class TestStructuredOutput:
     def test_envelope_has_version_and_config(self, capsys):

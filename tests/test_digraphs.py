@@ -12,7 +12,6 @@ from cig.digraphs import (
     cayley,
     decompose_over_complete,
     decompose_over_empty,
-    inverse_closed,
     wreath_product,
 )
 from cig.groups import FiniteGroup
@@ -56,7 +55,7 @@ class TestCayley:
         rng = random.Random(3)
         for _ in range(40):
             s = frozenset(x for x in range(8) if rng.random() < 0.4)
-            assert inverse_closed(g, s) == cayley(g, s).is_undirected
+            assert g.is_inverse_closed(s) == cayley(g, s).is_undirected
 
     def test_left_translations_are_automorphisms(self):
         g = FiniteGroup.symmetric(3)

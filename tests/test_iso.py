@@ -19,7 +19,6 @@ from cig.iso import (
     rooted_key,
 )
 from cig.limits import CapExceeded
-from cig.perms import PermGroup
 
 
 def directed_path(n):
@@ -32,15 +31,14 @@ def directed_cycle(n):
 
 class TestRefine:
     def test_complete_graph_stays_uniform(self):
-        coloring = refine(Digraph.complete(5))
-        assert coloring.color_count() == 1
+        assert len(set(refine(Digraph.complete(5)).colors)) == 1
 
     def test_four_cycle_stays_uniform(self):
         c4 = cayley(FiniteGroup.cyclic(4), {1, 3})
-        assert refine(c4).color_count() == 1
+        assert len(set(refine(c4).colors)) == 1
 
     def test_directed_path_fully_splits(self):
-        assert refine(directed_path(3)).color_count() == 3
+        assert len(set(refine(directed_path(3)).colors)) == 3
 
     def test_initial_colors_never_merge(self):
         d = Digraph.complete(4)
@@ -51,7 +49,7 @@ class TestRefine:
 
     def test_loops_split_colors(self):
         d = Digraph.from_arcs(2, [(0, 0)])
-        assert refine(d).color_count() == 2
+        assert len(set(refine(d).colors)) == 2
 
     def test_color_multiset_is_isomorphism_invariant(self):
         rng = random.Random(31)
@@ -61,7 +59,7 @@ class TestRefine:
             relabeling = list(range(n))
             rng.shuffle(relabeling)
             other = d.relabel(relabeling)
-            assert refine(d).multiset() == refine(other).multiset()
+            assert sorted(refine(d).colors) == sorted(refine(other).colors)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -147,7 +145,7 @@ class TestAutomorphismGroup:
         for _ in range(40):
             d = oracles.random_digraph(rng, rng.randrange(1, 6))
             group = automorphism_group_of(d)
-            for raw in group.raw_elements:
+            for raw in oracles.closure(group):
                 assert all(
                     d.has_arc(u, v) == d.has_arc(raw[u], raw[v])
                     for u in range(d.order)
@@ -167,7 +165,7 @@ class TestAutomorphismGroup:
             g = parse_group_spec(rng.choice(specs))
             s = frozenset(x for x in range(g.order) if rng.random() < 0.45)
             aut = automorphism_group_of(cayley(g, s))
-            raws = set(aut.raw_elements)
+            raws = set(oracles.closure(aut))
             for row in g.table:
                 assert tuple(row) in raws
 
@@ -182,8 +180,7 @@ def _assert_matches_enumeration(d):
             for u in range(d.order)
             for v in range(d.order)
         )
-    closure = PermGroup(aut.generators, degree=d.order).raw_elements
-    assert list(closure) == enumerated
+    assert oracles.closure(aut) == enumerated
 
 
 class TestAutomorphismGroupAgainstEnumeration:

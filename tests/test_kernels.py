@@ -1,7 +1,10 @@
 """The kernel module: hashed twin labels against the pairwise union-find
-oracle, and the backend name."""
+oracle, the backend name, and an import that needs only the standard library."""
 
+import json
 import random
+import subprocess
+import sys
 
 import oracles
 from cig import _kernels
@@ -45,3 +48,19 @@ class TestPureFallback:
         import cig
 
         assert cig.BACKEND == "python"
+
+    def test_import_loads_only_the_standard_library(self, child_env):
+        # The package declares `dependencies = []`.  Only what `import cig`
+        # adds counts: site hooks may import third-party modules of their own.
+        code = (
+            "import json, sys; before = set(sys.modules); import cig; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = {name.partition(".")[0] for name in json.loads(proc.stdout)}
+        assert "cig" in loaded
+        foreign = sorted(loaded - set(sys.stdlib_module_names) - {"cig"})
+        assert not foreign, foreign
