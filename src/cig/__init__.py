@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from cig._kernels import BACKEND
 from cig.digraphs import Digraph, cayley
-from cig.groups import FiniteGroup, GroupAutomorphism, parse_group_spec
+from cig.groups import FiniteGroup, parse_group_spec
 from cig.limits import CapExceeded
 from cig.perms import Perm, PermGroup, PointPartition
 
@@ -18,7 +18,6 @@ __all__ = [
     "CapExceeded",
     "Digraph",
     "FiniteGroup",
-    "GroupAutomorphism",
     "Perm",
     "PermGroup",
     "PointPartition",

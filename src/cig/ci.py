@@ -15,6 +15,7 @@ from itertools import combinations
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
+from cig import perms
 from cig.digraphs import (
     Digraph,
     cayley,
@@ -22,12 +23,7 @@ from cig.digraphs import (
     decompose_over_empty,
     wreath_product,
 )
-from cig.groups import (
-    FiniteGroup,
-    GroupAutomorphism,
-    QuotientMap,
-    automorphic_image_search,
-)
+from cig.groups import FiniteGroup, QuotientMap, automorphic_image_search
 from cig.iso import automorphism_group_of, find_isomorphism, rooted_key
 from cig.limits import DEFAULT_LIMITS, CapExceeded, Limits
 from cig.perms import Perm, PermGroup, PointPartition
@@ -56,7 +52,7 @@ class CIPairResult:
     """Outcome of comparing two connection sets of one group."""
 
     verdict: str  # "not_isomorphic" | "ci_equivalent" | "non_ci_witness"
-    alpha: GroupAutomorphism | None
+    alpha: Perm | None
     iso: Perm | None
 
     def to_json(self) -> dict:
@@ -165,11 +161,8 @@ def _reverify_witness(
     limits: Limits = DEFAULT_LIMITS,
 ) -> None:
     """Independent re-check of a non-CI witness; raises on any failure."""
-    d1, d2 = cayley(group, s1), cayley(group, s2)
-    for u in range(group.order):
-        for v in range(group.order):
-            if d1.has_arc(u, v) != d2.has_arc(iso(u), iso(v)):
-                raise AssertionError("witness isomorphism does not preserve arcs")
+    if cayley(group, s1).relabel(iso.images) != cayley(group, s2):
+        raise AssertionError("witness isomorphism does not preserve arcs")
     for alpha in group.automorphisms(limits):
         if alpha.image_of_set(s1) == s2:
             raise AssertionError("witness has an automorphic image after all")
@@ -278,7 +271,6 @@ class LiftResult:
     connection: frozenset[int]
     block_size: int
     coset_partition: PointPartition
-    quotient_map: QuotientMap
 
     def to_json(self) -> dict:
         return {
@@ -289,7 +281,7 @@ class LiftResult:
         }
 
 
-def _lift(group: FiniteGroup, qmap: QuotientMap, s_quotient: frozenset[int]) -> LiftResult:
+def _lift(qmap: QuotientMap, s_quotient: frozenset[int]) -> LiftResult:
     _check_subset(qmap.target, s_quotient, "quotient connection set")
     dq = cayley(qmap.target, s_quotient)
     union = qmap.lift_set(s_quotient)
@@ -304,7 +296,6 @@ def _lift(group: FiniteGroup, qmap: QuotientMap, s_quotient: frozenset[int]) -> 
         connection=frozenset(connection),
         block_size=len(qmap.kernel),
         coset_partition=qmap.decomposition.partition(),
-        quotient_map=qmap,
     )
 
 
@@ -313,25 +304,7 @@ def lift_connection_set(
 ) -> LiftResult:
     """Lift a quotient connection set, choosing the case by decomposability."""
     qmap = group.quotient(frozenset(subgroup))
-    return _lift(group, qmap, frozenset(s_quotient))
-
-
-def _coset_sorted_images(lift: LiftResult) -> list[int]:
-    """Vertex relabeling x -> (coset index)*block_size + rank inside coset."""
-    images = [0] * lift.quotient_map.source.order
-    size = lift.block_size
-    for i, cls in enumerate(lift.coset_partition.classes):
-        for pos, x in enumerate(cls):
-            images[x] = i * size + pos
-    return images
-
-
-def _preserves_arcs(d: Digraph, images: Sequence[int]) -> bool:
-    return all(
-        d.has_arc(u, v) == d.has_arc(images[u], images[v])
-        for u in range(d.order)
-        for v in range(d.order)
-    )
+    return _lift(qmap, frozenset(s_quotient))
 
 
 def _wreath_member(
@@ -342,43 +315,11 @@ def _wreath_member(
     The permutation must map classes onto classes and induce an
     arc-preserving map of the quotient digraph; inside classes anything goes.
     """
-    induced = []
-    for cls in partition.classes:
-        targets = {partition.class_index(images[x]) for x in cls}
-        if len(targets) != 1:
-            return False
-        induced.append(targets.pop())
-    if sorted(induced) != list(range(len(induced))):
-        return False
-    return _preserves_arcs(quotient, induced)
-
-
-def _wreath_generators(
-    partition: PointPartition, quotient_auts: PermGroup
-) -> list[tuple[int, ...]]:
-    """Generators of Aut(quotient) wreath S_block, in original point labels."""
-    n = partition.degree
-    gens: list[tuple[int, ...]] = []
     classes = partition.classes
-    for sigma in quotient_auts.generators:
-        images = [0] * n
-        for i, cls in enumerate(classes):
-            target = classes[sigma(i)]
-            for pos, x in enumerate(cls):
-                images[x] = target[pos]
-        gens.append(tuple(images))
-    for cls in classes:
-        size = len(cls)
-        if size >= 2:
-            swap = list(range(n))
-            swap[cls[0]], swap[cls[1]] = cls[1], cls[0]
-            gens.append(tuple(swap))
-        if size >= 3:
-            cyc = list(range(n))
-            for pos in range(size):
-                cyc[cls[pos]] = cls[(pos + 1) % size]
-            gens.append(tuple(cyc))
-    return gens
+    induced = [partition.class_index(images[c[0]]) for c in classes]
+    if any({images[x] for x in c} != set(classes[i]) for c, i in zip(classes, induced)):
+        return False
+    return quotient.relabel(induced) == quotient
 
 
 @dataclass(frozen=True)
@@ -418,14 +359,15 @@ def verify_lift_structure(
 
     Group equality is order equality plus two-way generator membership.
     Both groups are subgroups of Sym(n), so each lies inside the other
-    exactly when its generators do: the wreath group's generators (built
-    from Aut(quotient)'s generators plus transpositions and cycles inside
-    the cosets) must preserve the lifted digraph's arcs, and the generators
-    of Aut(lifted) found by the search must be class-structured over the
-    cosets.  The orders are exact products of basic-orbit lengths.
+    exactly when its generators do: the generators of Aut(quotient) wr
+    S_block, acting on the lifted digraph relabelled so that the cosets are
+    its fibers, must preserve that digraph's arcs, and the generators of
+    Aut(lifted) found by the search must be class-structured over the
+    cosets.  The orders are exact: products of basic-orbit lengths, and
+    |Aut(quotient)| * (block size)!^|quotient| for the wreath group.
     """
     qmap = group.quotient(frozenset(subgroup))
-    lift = _lift(group, qmap, frozenset(s_quotient))
+    lift = _lift(qmap, frozenset(s_quotient))
     size = lift.block_size
     dq = cayley(qmap.target, frozenset(s_quotient))
     lifted = cayley(group, lift.connection)
@@ -436,17 +378,16 @@ def verify_lift_structure(
         else Digraph.empty(size)
     )
     expected = wreath_product(dq, inner)
-    relabeled = lifted.relabel(_coset_sorted_images(lift))
+    relabeled = lifted.relabel(lift.coset_partition.fiber_images())
     arc_identity = relabeled == expected
 
     aut_lifted = automorphism_group_of(lifted, limits)
     aut_q = automorphism_group_of(dq, limits)
-    expected_order = aut_q.order * factorial(size) ** qmap.target.order
+    wreath = perms.wreath_product(aut_q, perms.symmetric_group(size))
 
-    order_equal = aut_lifted.order == expected_order
+    order_equal = aut_lifted.order == wreath.order
     gens_in_aut = all(
-        _preserves_arcs(lifted, g)
-        for g in _wreath_generators(lift.coset_partition, aut_q)
+        relabeled.relabel(g.images) == relabeled for g in wreath.generators
     )
     aut_in_wreath = all(
         _wreath_member(g.images, lift.coset_partition, dq)
@@ -464,7 +405,7 @@ def verify_lift_structure(
         lifted_digraph=lifted,
         aut_group=aut_lifted,
         quotient_aut_group=aut_q,
-        expected_aut_order=expected_order,
+        expected_aut_order=wreath.order,
         checks=checks,
     )
 
@@ -497,8 +438,8 @@ class QuotientCICertificate:
     checks: dict[str, bool]
     lift1: LiftResult | None
     lift2: LiftResult | None
-    alpha: GroupAutomorphism | None
-    alpha_bar: GroupAutomorphism | None
+    alpha: Perm | None
+    alpha_bar: Perm | None
 
     def failing_checks(self) -> list[str]:
         return [name for name, ok in self.checks.items() if not ok]

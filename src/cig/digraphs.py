@@ -279,11 +279,7 @@ def _decompose(d: Digraph, kind: str) -> WreathDecomposition | None:
     quotient = Digraph(q, q_masks)
     inner = Digraph.complete(r) if kind == "complete" else Digraph.empty(r)
     rebuilt = wreath_product(quotient, inner)
-    images = [0] * d.order
-    for i, cls in enumerate(partition.classes):
-        for pos, x in enumerate(cls):
-            images[x] = i * r + pos
-    if d.relabel(images) != rebuilt:
+    if d.relabel(partition.fiber_images()) != rebuilt:
         raise RuntimeError("twin decomposition failed to reassemble")  # unreachable
     return WreathDecomposition(quotient, r, partition, kind)
 

@@ -2,7 +2,8 @@
 
 Covers the constructor catalog (cyclic, direct products, dihedral,
 quaternion, symmetric, alternating, table files), subgroup and coset
-machinery, quotients, and automorphism enumeration.
+machinery, quotients, and automorphism enumeration.  An automorphism is a
+`Perm` of the element indices; `group_automorphism` checks that a map is one.
 """
 
 from __future__ import annotations
@@ -34,16 +35,13 @@ class FiniteGroup:
         table: Sequence[Sequence[int]],
         labels: Sequence[str] | None = None,
         name: str | None = None,
-        validate: bool = True,
     ):
         self.table: tuple[tuple[int, ...], ...] = tuple(tuple(row) for row in table)
         self.order = len(self.table)
         if self.order == 0:
             raise ValueError("a group has at least the identity")
-        if self.order > GROUP_ORDER_CAP:
-            raise CapExceeded(f"group order {self.order} exceeds cap {GROUP_ORDER_CAP}")
-        if validate:
-            self._validate_table()
+        _check_order(self.order)
+        self._validate_table()
         if labels is None:
             labels = [str(i) for i in range(self.order)]
         if len(labels) != self.order:
@@ -51,7 +49,7 @@ class FiniteGroup:
         self.labels = tuple(str(x) for x in labels)
         self.name = name or f"group{self.order}"
         self._inverse = tuple(self.table[a].index(0) for a in range(self.order))
-        self._automorphisms: tuple[GroupAutomorphism, ...] | None = None
+        self._automorphisms: tuple[Perm, ...] | None = None
 
     def _validate_table(self) -> None:
         """Group axioms of the table, identity at index 0.
@@ -242,7 +240,7 @@ class FiniteGroup:
                     break
         return tuple(gens)
 
-    def automorphisms(self, limits: Limits = DEFAULT_LIMITS) -> tuple[GroupAutomorphism, ...]:
+    def automorphisms(self, limits: Limits = DEFAULT_LIMITS) -> tuple[Perm, ...]:
         """All automorphisms, by backtracking over generator images.
 
         Raises CapExceeded when the group order exceeds ``limits.aut``, on
@@ -250,15 +248,8 @@ class FiniteGroup:
         """
         if self.order > limits.aut:
             raise CapExceeded(f"order {self.order} exceeds automorphism cap {limits.aut}")
-        if self._automorphisms is not None:
-            return self._automorphisms
-        # _morphism_search returns only bijections it has checked against
-        # every (element, generator) product, which makes them
-        # automorphisms, so they are not validated again.
-        found = _morphism_search(self, self, find_all=True)
-        self._automorphisms = tuple(
-            GroupAutomorphism(self, images, validate=False) for images in found
-        )
+        if self._automorphisms is None:
+            self._automorphisms = tuple(map(Perm, _automorphism_images(self)))
         return self._automorphisms
 
     # -- construction catalog ------------------------------------------------
@@ -267,14 +258,14 @@ class FiniteGroup:
     def cyclic(cls, n: int) -> FiniteGroup:
         if n < 1:
             raise ValueError("order must be positive")
+        _check_order(n)
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
         return cls(table, labels=[str(i) for i in range(n)], name=f"Z{n}")
 
     @classmethod
     def direct_product(cls, a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
         n = a.order * b.order
-        if n > GROUP_ORDER_CAP:
-            raise CapExceeded(f"product order {n} exceeds cap {GROUP_ORDER_CAP}")
+        _check_order(n)
 
         def encode(i: int, j: int) -> int:
             return i * b.order + j
@@ -299,6 +290,7 @@ class FiniteGroup:
         """Dihedral group of order 2n: pairs (k, f) meaning r^k s^f."""
         if n < 1:
             raise ValueError("order parameter must be positive")
+        _check_order(2 * n)
 
         def encode(k: int, f: int) -> int:
             return f * n + k
@@ -349,18 +341,17 @@ class FiniteGroup:
     @classmethod
     def symmetric(cls, n: int) -> FiniteGroup:
         """Symmetric group on n points, elements in lexicographic order."""
+        _check_factorial_order(n, 1, f"S{n}")
         return cls._from_perm_list(list(permutations(range(max(n, 1)))), name=f"S{n}")
 
     @classmethod
     def alternating(cls, n: int) -> FiniteGroup:
+        _check_factorial_order(n, 2 if n >= 2 else 1, f"A{n}")
         perms = [p for p in permutations(range(max(n, 1))) if _parity(p) == 0]
         return cls._from_perm_list(perms, name=f"A{n}")
 
     @classmethod
     def _from_perm_list(cls, perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
-        order = len(perms)
-        if order > GROUP_ORDER_CAP:
-            raise CapExceeded(f"group order {order} exceeds cap {GROUP_ORDER_CAP}")
         index = {p: i for i, p in enumerate(perms)}
         table = [
             [index[tuple(p[q[x]] for x in range(len(p)))] for q in perms] for p in perms
@@ -403,6 +394,23 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
+def _check_order(order: int) -> None:
+    """Refuse an order past the cap; catalog constructors call this before
+    they build a table."""
+    if order > GROUP_ORDER_CAP:
+        raise CapExceeded(f"group order {order} exceeds cap {GROUP_ORDER_CAP}")
+
+
+def _check_factorial_order(n: int, divisor: int, name: str) -> None:
+    """`_check_order(n! // divisor)`, without computing n! for a large n: the
+    partial products only grow, so the first one past the cap decides."""
+    order = 1
+    for k in range(2, n + 1):
+        order *= k
+        if order // divisor > GROUP_ORDER_CAP:
+            raise CapExceeded(f"group order of {name} exceeds cap {GROUP_ORDER_CAP}")
+
+
 def _parity(p: Sequence[int]) -> int:
     seen = [False] * len(p)
     parity = 0
@@ -419,60 +427,17 @@ def _parity(p: Sequence[int]) -> int:
     return parity
 
 
-class GroupAutomorphism:
-    """An automorphism of a finite group, stored as element images."""
-
-    __slots__ = ("group", "images")
-
-    def __init__(self, group: FiniteGroup, images: Iterable[int], validate: bool = True):
-        self.group = group
-        self.images = tuple(images)
-        if validate:
-            n = group.order
-            if sorted(self.images) != list(range(n)):
-                raise ValueError("images are not a bijection")
-            if self.images[0] != 0:
-                raise ValueError("an automorphism fixes the identity")
-            for a in range(n):
-                for b in range(n):
-                    if self.images[group.mul(a, b)] != group.mul(
-                        self.images[a], self.images[b]
-                    ):
-                        raise ValueError(f"not multiplicative at ({a},{b})")
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def image_of_set(self, subset: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.images[x] for x in subset)
-
-    def __mul__(self, other: GroupAutomorphism) -> GroupAutomorphism:
-        """Composition: (self * other)(x) == self(other(x))."""
-        return GroupAutomorphism(
-            self.group, (self.images[y] for y in other.images), validate=False
-        )
-
-    def inverse(self) -> GroupAutomorphism:
-        inv = [0] * len(self.images)
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return GroupAutomorphism(self.group, inv, validate=False)
-
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GroupAutomorphism)
-            and self.group is other.group
-            and self.images == other.images
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __repr__(self) -> str:
-        return f"GroupAutomorphism({self.images})"
+def group_automorphism(group: FiniteGroup, images: Iterable[int]) -> Perm:
+    """The automorphism with these element images; ValueError unless the map
+    is a bijection that respects every product (and so fixes the identity)."""
+    alpha = Perm(images)
+    if alpha.degree != group.order:
+        raise ValueError(f"{alpha.degree} images for a group of order {group.order}")
+    for a in range(group.order):
+        for b in range(group.order):
+            if alpha(group.mul(a, b)) != group.mul(alpha(a), alpha(b)):
+                raise ValueError(f"not multiplicative at ({a},{b})")
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -508,13 +473,14 @@ class QuotientMap:
             out |= self.decomposition.cosets[i]
         return frozenset(out)
 
-    def induce(self, alpha: GroupAutomorphism) -> GroupAutomorphism:
+    def induce(self, alpha: Perm) -> Perm:
         """The induced quotient automorphism: coset of g maps to coset of alpha(g).
 
-        Defined exactly when alpha preserves the kernel.
+        Defined exactly when alpha, an automorphism of the source, preserves
+        the kernel.
         """
-        if alpha.group is not self.source and alpha.group.table != self.source.table:
-            raise ValueError("automorphism belongs to a different group")
+        if alpha.degree != self.source.order:
+            raise ValueError("automorphism belongs to a group of a different order")
         if alpha.image_of_set(self.kernel) != self.kernel:
             raise ValueError(
                 "automorphism does not preserve the kernel; no induced map exists"
@@ -525,29 +491,20 @@ class QuotientMap:
         for x in range(self.source.order):
             if self.projection[alpha(x)] != images[self.projection[x]]:
                 raise RuntimeError("induced map is not well-defined")
-        return GroupAutomorphism(self.target, images)
+        return group_automorphism(self.target, images)
 
 
-def _morphism_search(
-    source: FiniteGroup, target: FiniteGroup, find_all: bool
-) -> list[tuple[int, ...]]:
-    """Isomorphisms source -> target by backtracking over generator images.
+def _automorphism_images(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every automorphism's images, by backtracking over generator images.
 
     Candidate images must match element order; partial assignments are
     extended over the generated subgroup and pruned on any conflict.
     Deterministic: generators ascend, candidates ascend.
     """
-    if source.order != target.order:
-        return []
-    n = source.order
-    src_orders = [source.element_order(x) for x in range(n)]
-    tgt_orders = [target.element_order(x) for x in range(n)]
-    if sorted(src_orders) != sorted(tgt_orders):
-        return []
-    gens = source.generating_set()
-    candidates = [
-        [t for t in range(n) if tgt_orders[t] == src_orders[g]] for g in gens
-    ]
+    n = group.order
+    orders = [group.element_order(x) for x in range(n)]
+    gens = group.generating_set()
+    candidates = [[t for t in range(n) if orders[t] == orders[g]] for g in gens]
     results: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
@@ -562,8 +519,8 @@ def _morphism_search(
             fresh = []
             for x in frontier:
                 for g, t in pairs:
-                    y = source.mul(x, g)
-                    fy = target.mul(images[x], t)
+                    y = group.mul(x, g)
+                    fy = group.mul(images[x], t)
                     if images[y] == -1:
                         if fy in used:
                             return None  # not injective
@@ -575,24 +532,21 @@ def _morphism_search(
             frontier = fresh
         return images
 
-    def descend() -> bool:
+    def descend() -> None:
         depth = len(chosen)
         if depth == len(gens):
             images = consistent_map()
-            if images is None or -1 in images:
-                return False
             # A total, injective map with f(x*g) = f(x)*f(g) for every x and
             # every generator g is a homomorphism, by induction on word
             # length: no whole-table check is needed.
-            results.append(tuple(images))
-            return not find_all
+            if images is not None and -1 not in images:
+                results.append(tuple(images))
+            return
         for t in candidates[depth]:
             chosen.append(t)
             if consistent_map() is not None:
-                if descend():
-                    return True
+                descend()
             chosen.pop()
-        return False
 
     descend()
     return results
@@ -603,7 +557,7 @@ def automorphic_image_search(
     subset: Iterable[int],
     target_subset: Iterable[int],
     limits: Limits = DEFAULT_LIMITS,
-) -> GroupAutomorphism | None:
+) -> Perm | None:
     """First automorphism carrying one subset onto the other, if any."""
     s = frozenset(subset)
     t = frozenset(target_subset)

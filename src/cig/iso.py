@@ -1,7 +1,9 @@
 """Digraph isomorphism and automorphism search.
 
 Backtracking over color-compatible vertex images after iterated degree
-refinement.  Deterministic: sources are placed smallest color class first,
+refinement; `refine` gives the stable colouring as a tuple of colour
+indices.  Every isomorphism found is checked with `Digraph.relabel`.
+Deterministic: sources are placed smallest color class first,
 candidate targets ascend, so identical inputs always produce identical
 bijections.  Automorphism groups come back as a strong generating set with
 their order, found by one first-hit search per basic-orbit point; the
@@ -15,31 +17,12 @@ but are not discrete still need a pairwise search.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from cig import _kernels
 from cig.digraphs import Digraph
 from cig.limits import DEFAULT_LIMITS, CapExceeded, Limits
-from cig.perms import Perm, PermGroup
-
-
-class VertexColoring:
-    """A stable vertex coloring; colors are indices 0..k-1."""
-
-    __slots__ = ("order", "colors")
-
-    def __init__(self, colors: Iterable[int]):
-        self.colors = tuple(colors)
-        self.order = len(self.colors)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, VertexColoring) and self.colors == other.colors
-
-    def __hash__(self) -> int:
-        return hash(self.colors)
-
-    def __repr__(self) -> str:
-        return f"VertexColoring({self.colors})"
+from cig.perms import Perm, PermGroup, orbit
 
 
 def _normalize(colors: Sequence[int]) -> list[int]:
@@ -80,18 +63,15 @@ def _refine_colors(d: Digraph, colors: Sequence[int]) -> list[int]:
         colors = new_colors
 
 
-def refine(d: Digraph, initial: VertexColoring | Sequence[int] | None = None) -> VertexColoring:
-    """Iterate (color, loop flag, out-degree-per-color, in-degree-per-color)
+def refine(d: Digraph, initial: Sequence[int] | None = None) -> tuple[int, ...]:
+    """The stable colouring, one colour index 0..k-1 per vertex.
+
+    Iterate (color, loop flag, out-degree-per-color, in-degree-per-color)
     signatures until stable.  Distinct initial colors are never merged."""
-    if initial is None:
-        colors: Sequence[int] = [0] * d.order
-    elif isinstance(initial, VertexColoring):
-        colors = initial.colors
-    else:
-        colors = list(initial)
+    colors = [0] * d.order if initial is None else list(initial)
     if len(colors) != d.order:
         raise ValueError("coloring length does not match order")
-    return VertexColoring(_refine_colors(d, colors))
+    return tuple(_refine_colors(d, colors))
 
 
 def rooted_key(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> tuple:
@@ -157,20 +137,13 @@ def find_isomorphism(
     if not hits:
         return None
     mapping = Perm(hits[0])
-    _assert_preserves_arcs(a, b, mapping.images)
+    if a.relabel(mapping.images) != b:
+        raise AssertionError("search returned a non-isomorphism")  # unreachable
     return mapping
 
 
 def are_isomorphic(a: Digraph, b: Digraph, limits: Limits = DEFAULT_LIMITS) -> bool:
     return find_isomorphism(a, b, limits) is not None
-
-
-def _orbit(point: int, generators: Sequence[Perm]) -> set[int]:
-    orbit, frontier = {point}, [point]
-    while frontier:
-        frontier = [g(x) for x in frontier for g in generators if g(x) not in orbit]
-        orbit.update(frontier)
-    return orbit
 
 
 def automorphism_group_of(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> PermGroup:
@@ -204,25 +177,19 @@ def automorphism_group_of(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> PermGr
     order = 1
     for k in reversed(range(len(base))):
         b, above, below = base[k], path[k], path[k + 1]
-        orbit = _orbit(b, generators)
+        b_orbit = orbit(b, generators)
         search_order = _search_order(below)
         cand = _candidates(search_order, above, above)
         slot = search_order.index(b)
         cell = cand[slot]
         for v in cell:
-            if v in orbit:
+            if v in b_orbit:
                 continue
             cand[slot] = [v]
             hits = _kernels.iso_backtrack(n, masks, masks, search_order, cand, False)
             if hits:
                 generators.append(Perm(hits[0]))
-                orbit = _orbit(b, generators)
-        order *= len(orbit)
+                b_orbit = orbit(b, generators)
+        order *= len(b_orbit)
     return PermGroup(generators, degree=n, order=order)
 
-
-def _assert_preserves_arcs(a: Digraph, b: Digraph, images: Sequence[int]) -> None:
-    for u in range(a.order):
-        for v in range(a.order):
-            if a.has_arc(u, v) != b.has_arc(images[u], images[v]):
-                raise AssertionError("search returned a non-isomorphism")  # unreachable

@@ -132,6 +132,19 @@ class PointPartition:
     def class_index(self, x: int) -> int:
         return self._class_index[x]
 
+    def fiber_images(self) -> tuple[int, ...]:
+        """The relabelling that sends x to (class index) * size + (rank of x
+        in its class), mapping classes of one size onto the fibers of
+        `fiber_partition`."""
+        size = len(self.classes[0])
+        if any(len(c) != size for c in self.classes):
+            raise ValueError("classes differ in size")
+        images = [0] * self.degree
+        for i, c in enumerate(self.classes):
+            for rank, x in enumerate(c):
+                images[x] = i * size + rank
+        return tuple(images)
+
     def refines(self, other: PointPartition) -> bool:
         """True iff every class of self lies inside a class of other."""
         if self.degree != other.degree:
@@ -184,24 +197,12 @@ class PermGroup:
 
     def orbits(self) -> PointPartition:
         """Orbit partition of the point set (generators suffice)."""
-        gens = [g.images for g in self.generators]
-        seen = [False] * self.degree
+        seen: set[int] = set()
         classes = []
         for start in range(self.degree):
-            if seen[start]:
-                continue
-            orbit = [start]
-            seen[start] = True
-            queue = [start]
-            while queue:
-                x = queue.pop()
-                for g in gens:
-                    y = g[x]
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.append(y)
-                        queue.append(y)
-            classes.append(orbit)
+            if start not in seen:
+                classes.append(orbit(start, self.generators))
+                seen |= classes[-1]
         return PointPartition(self.degree, classes)
 
     def is_transitive(self) -> bool:
@@ -290,6 +291,19 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
+
+
+def orbit(point: int, generators: Iterable[Perm]) -> set[int]:
+    """The orbit of a point under the group the generators generate."""
+    gens = [g.images for g in generators]
+    seen, frontier = {point}, [point]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            if g[x] not in seen:
+                seen.add(g[x])
+                frontier.append(g[x])
+    return seen
 
 
 def trivial_group(degree: int) -> PermGroup:

@@ -1,6 +1,7 @@
 """CI pairs and groups, lifting, certificates, wreath-aut dichotomy."""
 
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -20,7 +21,7 @@ from cig.digraphs import Digraph, cayley
 from cig.groups import FiniteGroup, catalog_specs, parse_group_spec
 from cig.iso import automorphism_group_of, find_isomorphism
 from cig.limits import CapExceeded, Limits
-from cig.perms import PointPartition, symmetric_group
+from cig.perms import Perm, PermGroup, PointPartition, symmetric_group, wreath_product
 
 
 def directed_cycle(n):
@@ -308,6 +309,67 @@ class TestLiftStructure:
         report = verify_lift_structure(FiniteGroup.cyclic(4), {0, 2}, {1})
         assert report.all_passed
         assert report.aut_group.order == 8
+
+
+@lru_cache(maxsize=None)
+def automorphism_set(d: Digraph) -> frozenset[tuple[int, ...]]:
+    # Cached: across kernels, the looped complete and the empty lifts repeat.
+    return frozenset(oracles.enumerated_automorphisms(d))
+
+
+def wreath_closure(report) -> set[tuple[int, ...]]:
+    """Every element of Aut(quotient) wr S_block, with Aut(quotient) from
+    enumeration, as image tuples on the group's elements: each acts on the
+    pair space, whose fibers are the cosets in rank order."""
+    dq = report.quotient_digraph
+    aut_q = [Perm(p) for p in oracles.enumerated_automorphisms(dq)]
+    outer = PermGroup(aut_q, order=len(aut_q), degree=dq.order)
+    pairs = wreath_product(outer, symmetric_group(report.lift.block_size))
+    to_pair = report.lift.coset_partition.fiber_images()
+    from_pair = Perm(to_pair).inverse().images
+    return {
+        tuple(from_pair[w[to_pair[x]]] for x in range(len(to_pair)))
+        for w in oracles.closure(pairs)
+    }
+
+
+class TestLiftStructureAgainstClosures:
+    """Each automorphism-level check of `verify_lift_structure` is the set
+    relation it names, between Aut(lifted) and the wreath group, both listed
+    element by element."""
+
+    @staticmethod
+    def assert_checks_are_set_relations(group, kernel, s_quotient):
+        report = verify_lift_structure(group, kernel, s_quotient)
+        aut = automorphism_set(report.lifted_digraph)
+        wreath = wreath_closure(report)
+        assert report.aut_group.order == len(aut)
+        assert report.expected_aut_order == len(wreath)
+        assert report.checks["aut_order_equal"] == (len(aut) == len(wreath))
+        assert report.checks["wreath_generators_in_aut"] == (wreath <= aut)
+        assert report.checks["aut_inside_wreath"] == (aut <= wreath)
+        return report
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(8)])
+    def test_every_kernel_and_quotient_set(self, spec):
+        g = parse_group_spec(spec)
+        for h in g.normal_subgroups():
+            if 1 < len(h) < g.order:
+                q = g.order // len(h)
+                for m in range(1 << q):
+                    s = {x for x in range(q) if m >> x & 1}
+                    self.assert_checks_are_set_relations(g, h, s)
+
+    def test_looped_quotient_outgrows_the_wreath_group(self):
+        # Z4 over {0, 2} with S = {0, 1}: the lift is K4 with every loop,
+        # whose 24 automorphisms are more than the wreath group's 8.
+        report = self.assert_checks_are_set_relations(
+            FiniteGroup.cyclic(4), {0, 2}, {0, 1}
+        )
+        assert (report.aut_group.order, report.expected_aut_order) == (24, 8)
+        assert report.checks["wreath_generators_in_aut"]
+        assert not report.checks["aut_order_equal"]
+        assert not report.checks["aut_inside_wreath"]
 
 
 class TestUniqueBlockPartition:

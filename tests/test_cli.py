@@ -1,8 +1,11 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -264,6 +267,35 @@ class TestStructuredOutput:
         )
         assert code == 0
         assert json.loads(out)["result"]["arc_count"] == 0
+
+
+# One command per kind of `--format json` result: a ci_equivalent pair, a
+# non-CI group witness, an accepted and a hypothesis_not_ci certificate (which
+# carry `alpha` and `alpha_bar`), and a wreath blow-up.
+JSON_SNAPSHOT_COMMANDS = (
+    "ci pair --group Z6 --set1 1 --set2 5",
+    "ci group --group Z8",
+    "quotient verify --group Z6 --normal 3 --set1 1 --set2 2",
+    "quotient verify --group Z16 --normal 8 --set1 1,2,5 --set2 1,5,6",
+    "wreath aut --g1-group Z2 --g1-set 1 --g2-group Z2 --g2-set 1",
+)
+JSON_SNAPSHOT = Path(__file__).parent / "snapshots" / "cli_json.txt"
+
+
+def json_transcript() -> str:
+    """Each command line, its stdout and its exit code, in order."""
+    parts = []
+    for command in JSON_SNAPSHOT_COMMANDS:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["--format", "json", *command.split()])
+        parts.append(f"$ cig --format json {command}\n{out.getvalue()}exit {code}\n")
+    return "".join(parts)
+
+
+class TestJsonBytes:
+    def test_json_output_matches_snapshot_bytes(self):
+        assert json_transcript().encode() == JSON_SNAPSHOT.read_bytes()
 
 
 class TestConsoleScript:

@@ -2,18 +2,20 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
 import oracles
 from cig.groups import (
     FiniteGroup,
-    GroupAutomorphism,
     GroupSpecError,
     automorphic_image_search,
     catalog_specs,
+    group_automorphism,
     parse_group_spec,
 )
+from cig.perms import Perm
 from cig.limits import CapExceeded, Limits
 
 
@@ -64,6 +66,27 @@ class TestConstruction:
     def test_order_cap(self):
         with pytest.raises(CapExceeded):
             FiniteGroup.symmetric(6)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: FiniteGroup.cyclic(1500),
+            lambda: FiniteGroup.dihedral(700),
+            lambda: FiniteGroup.symmetric(9),
+            lambda: FiniteGroup.alternating(9),
+            lambda: parse_group_spec("Z2xZ1500"),
+        ],
+        ids=["cyclic(1500)", "dihedral(700)", "symmetric(9)", "alternating(9)", "Z2xZ1500"],
+    )
+    def test_order_cap_comes_before_the_table(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSpecGrammar:
@@ -247,11 +270,24 @@ class TestAutomorphisms:
 
     @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
     def test_every_map_passes_validation(self, spec):
-        # automorphisms() skips the constructor's check; the search must
-        # return only maps that pass it.
+        # automorphisms() does not run group_automorphism's check; the
+        # search must return only maps that pass it.
         g = parse_group_spec(spec)
         for alpha in g.automorphisms():
-            GroupAutomorphism(g, alpha.images, validate=True)
+            assert group_automorphism(g, alpha.images) == alpha
+
+    def test_validation_rejects_a_non_bijection(self):
+        with pytest.raises(ValueError, match="not a permutation"):
+            group_automorphism(FiniteGroup.cyclic(4), (0, 1, 1, 3))
+
+    def test_validation_rejects_a_non_multiplicative_bijection(self):
+        # 1 -> 2 would send 1 + 1 = 2 to 2 + 2 = 0, but 2 -> 1.
+        with pytest.raises(ValueError, match="not multiplicative"):
+            group_automorphism(FiniteGroup.cyclic(4), (0, 2, 1, 3))
+
+    def test_validation_rejects_the_wrong_degree(self):
+        with pytest.raises(ValueError, match="order 4"):
+            group_automorphism(FiniteGroup.cyclic(4), (0, 2, 1))
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
@@ -312,13 +348,18 @@ class TestInducedAutomorphism:
     def test_negation_induces_negation(self):
         g = FiniteGroup.cyclic(6)
         q = g.quotient({0, 3})
-        negation = GroupAutomorphism(g, (0, 5, 4, 3, 2, 1))
+        negation = Perm((0, 5, 4, 3, 2, 1))
         bar = q.induce(negation)
         assert bar.images == (0, 2, 1)  # coset of 1 maps to coset of 2
 
+    def test_wrong_degree_is_rejected(self):
+        q = FiniteGroup.cyclic(6).quotient({0, 3})
+        with pytest.raises(ValueError, match="different order"):
+            q.induce(Perm.identity(4))
+
     def test_kernel_must_be_preserved(self):
         g = parse_group_spec("Z2xZ2")
-        swap = GroupAutomorphism(g, (0, 2, 1, 3))  # swaps the two coordinates
+        swap = Perm((0, 2, 1, 3))  # swaps the two coordinates
         q = g.quotient(g.subgroup_generated([2]))  # kernel {(0,0),(1,0)}
         with pytest.raises(ValueError, match="kernel"):
             q.induce(swap)

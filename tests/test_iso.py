@@ -11,7 +11,6 @@ from cig.ci import orbit_representatives
 from cig.digraphs import Digraph, cayley
 from cig.groups import FiniteGroup, catalog_specs, parse_group_spec
 from cig.iso import (
-    VertexColoring,
     are_isomorphic,
     automorphism_group_of,
     find_isomorphism,
@@ -31,25 +30,25 @@ def directed_cycle(n):
 
 class TestRefine:
     def test_complete_graph_stays_uniform(self):
-        assert len(set(refine(Digraph.complete(5)).colors)) == 1
+        assert len(set(refine(Digraph.complete(5)))) == 1
 
     def test_four_cycle_stays_uniform(self):
         c4 = cayley(FiniteGroup.cyclic(4), {1, 3})
-        assert len(set(refine(c4).colors)) == 1
+        assert len(set(refine(c4))) == 1
 
     def test_directed_path_fully_splits(self):
-        assert len(set(refine(directed_path(3)).colors)) == 3
+        assert len(set(refine(directed_path(3)))) == 3
 
     def test_initial_colors_never_merge(self):
         d = Digraph.complete(4)
-        coloring = refine(d, VertexColoring([0, 0, 1, 1]))
-        assert coloring.colors[0] == coloring.colors[1]
-        assert coloring.colors[2] == coloring.colors[3]
-        assert coloring.colors[0] != coloring.colors[2]
+        coloring = refine(d, [0, 0, 1, 1])
+        assert coloring[0] == coloring[1]
+        assert coloring[2] == coloring[3]
+        assert coloring[0] != coloring[2]
 
     def test_loops_split_colors(self):
         d = Digraph.from_arcs(2, [(0, 0)])
-        assert len(set(refine(d).colors)) == 2
+        assert len(set(refine(d))) == 2
 
     def test_color_multiset_is_isomorphism_invariant(self):
         rng = random.Random(31)
@@ -59,7 +58,7 @@ class TestRefine:
             relabeling = list(range(n))
             rng.shuffle(relabeling)
             other = d.relabel(relabeling)
-            assert sorted(refine(d).colors) == sorted(refine(other).colors)
+            assert sorted(refine(d)) == sorted(refine(other))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -247,7 +246,7 @@ class TestRootedKey:
         d = cayley(FiniteGroup.cyclic(5), {1, 2})
         discrete, masks = rooted_key(d)
         assert discrete
-        assert masks == d.relabel(refine(d, [0, 1, 1, 1, 1]).colors).out_masks
+        assert masks == d.relabel(refine(d, [0, 1, 1, 1, 1])).out_masks
 
     def test_order_cap(self):
         with pytest.raises(CapExceeded):

@@ -78,6 +78,18 @@ class TestPointPartition:
         assert not a.refines(b)
         assert not b.refines(a)
 
+    def test_fiber_images_send_classes_onto_fibers(self):
+        cosets = PointPartition(6, [[0, 3], [1, 4], [2, 5]])
+        images = cosets.fiber_images()
+        assert images == (0, 2, 4, 1, 3, 5)
+        assert PointPartition(6, (Perm(images).image_of_set(c) for c in cosets)) == (
+            fiber_partition(3, 2)
+        )
+
+    def test_fiber_images_need_one_class_size(self):
+        with pytest.raises(ValueError, match="differ in size"):
+            PointPartition(3, [[0, 1], [2]]).fiber_images()
+
 
 class TestClosure:
     """The closure oracle against hand counts and a pairwise-product check."""
