@@ -5,7 +5,10 @@ Everything here is exhaustive at desk scale: isomorphism verdicts come from
 full backtracking search (CI sweeps first rule out every pair whose rooted
 refinement keys differ), automorphism verdicts from strong generating sets
 (exact group orders, membership checked on generators), and the quotient
-certificate records one named boolean per verification step.
+certificate records one named boolean per verification step.  A
+certificate builds G/H once and checks each side's lift against it in one
+`verify_lift_structure` pass: arcs, the wreath automorphism group, and the
+cosets as the only block system of their size.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from cig import perms
 from cig.digraphs import (
@@ -40,6 +43,21 @@ def _check_subset(group: FiniteGroup, subset: frozenset[int], what: str) -> None
     for x in subset:
         if not 0 <= x < group.order:
             raise ValueError(f"{what} element {x} out of range for order {group.order}")
+
+
+def _check_sets(
+    group: FiniteGroup, mode: str, s1: frozenset[int], s2: frozenset[int]
+) -> None:
+    """The mode, both sets' ranges, and in graph mode their inverse-closure."""
+    _check_mode(mode)
+    _check_subset(group, s1, "set1")
+    _check_subset(group, s2, "set2")
+    if mode == "graph":
+        for s in (s1, s2):
+            if not group.is_inverse_closed(s):
+                raise ValueError(
+                    f"graph mode requires inverse-closed sets, got {sorted(s)}"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -76,16 +94,8 @@ def ci_pair(
     automorphism carries one set to the other; non_ci_witness: isomorphic
     but no automorphism works (exhaustively checked).
     """
-    _check_mode(mode)
     s1, s2 = frozenset(set1), frozenset(set2)
-    _check_subset(group, s1, "set1")
-    _check_subset(group, s2, "set2")
-    if mode == "graph":
-        for s in (s1, s2):
-            if not group.is_inverse_closed(s):
-                raise ValueError(
-                    f"graph mode requires inverse-closed sets, got {sorted(s)}"
-                )
+    _check_sets(group, mode, s1, s2)
     iso = find_isomorphism(cayley(group, s1), cayley(group, s2), limits)
     if iso is None:
         return CIPairResult("not_isomorphic", None, None)
@@ -295,7 +305,7 @@ def _lift(qmap: QuotientMap, s_quotient: frozenset[int]) -> LiftResult:
         case=case,
         connection=frozenset(connection),
         block_size=len(qmap.kernel),
-        coset_partition=qmap.decomposition.partition(),
+        coset_partition=qmap.cosets,
     )
 
 
@@ -307,30 +317,14 @@ def lift_connection_set(
     return _lift(qmap, frozenset(s_quotient))
 
 
-def _wreath_member(
-    images: Sequence[int], partition: PointPartition, quotient: Digraph
-) -> bool:
-    """Structural membership in Aut(quotient) wreath full-symmetric-on-classes.
-
-    The permutation must map classes onto classes and induce an
-    arc-preserving map of the quotient digraph; inside classes anything goes.
-    """
-    classes = partition.classes
-    induced = [partition.class_index(images[c[0]]) for c in classes]
-    if any({images[x] for x in c} != set(classes[i]) for c, i in zip(classes, induced)):
-        return False
-    return quotient.relabel(induced) == quotient
-
-
 @dataclass(frozen=True)
 class LiftStructureReport:
-    """Arc-level and automorphism-level verification of one lift."""
+    """Arc-level, automorphism-level and block-level verification of one lift."""
 
     lift: LiftResult
     quotient_digraph: Digraph
     lifted_digraph: Digraph
     aut_group: PermGroup
-    quotient_aut_group: PermGroup
     expected_aut_order: int
     checks: dict[str, bool]
 
@@ -338,39 +332,31 @@ class LiftStructureReport:
     def all_passed(self) -> bool:
         return all(self.checks.values())
 
-    def to_json(self) -> dict:
-        return {
-            "lift": self.lift.to_json(),
-            "aut_order": self.aut_group.order,
-            "quotient_aut_order": self.quotient_aut_group.order,
-            "expected_aut_order": self.expected_aut_order,
-            "checks": dict(self.checks),
-        }
-
 
 def verify_lift_structure(
-    group: FiniteGroup,
-    subgroup: Iterable[int],
+    qmap: QuotientMap,
     s_quotient: Iterable[int],
     limits: Limits = DEFAULT_LIMITS,
 ) -> LiftStructureReport:
     """Check that the lifted Cayley digraph is exactly the expected wreath
-    product and that its automorphism group is the expected wreath group.
+    product, that its automorphism group is the expected wreath group, and
+    that the cosets are that group's only block system of their size.
 
     Group equality is order equality plus two-way generator membership.
     Both groups are subgroups of Sym(n), so each lies inside the other
     exactly when its generators do: the generators of Aut(quotient) wr
     S_block, acting on the lifted digraph relabelled so that the cosets are
-    its fibers, must preserve that digraph's arcs, and the generators of
-    Aut(lifted) found by the search must be class-structured over the
-    cosets.  The orders are exact: products of basic-orbit lengths, and
-    |Aut(quotient)| * (block size)!^|quotient| for the wreath group.
+    its fibers, must preserve that digraph's arcs, and each generator of
+    Aut(lifted) found by the search must carry cosets onto cosets and
+    induce an automorphism of the quotient digraph.  The orders are exact:
+    products of basic-orbit lengths, and, for the wreath group,
+    |Aut(quotient)| * (block size)!^|quotient|.
     """
-    qmap = group.quotient(frozenset(subgroup))
-    lift = _lift(qmap, frozenset(s_quotient))
-    size = lift.block_size
-    dq = cayley(qmap.target, frozenset(s_quotient))
-    lifted = cayley(group, lift.connection)
+    s_quotient = frozenset(s_quotient)
+    lift = _lift(qmap, s_quotient)
+    cosets, size = lift.coset_partition, lift.block_size
+    dq = cayley(qmap.target, s_quotient)
+    lifted = cayley(qmap.source, lift.connection)
 
     inner = (
         Digraph.complete(size)
@@ -378,7 +364,7 @@ def verify_lift_structure(
         else Digraph.empty(size)
     )
     expected = wreath_product(dq, inner)
-    relabeled = lifted.relabel(lift.coset_partition.fiber_images())
+    relabeled = lifted.relabel(cosets.fiber_images())
     arc_identity = relabeled == expected
 
     aut_lifted = automorphism_group_of(lifted, limits)
@@ -390,7 +376,7 @@ def verify_lift_structure(
         relabeled.relabel(g.images) == relabeled for g in wreath.generators
     )
     aut_in_wreath = all(
-        _wreath_member(g.images, lift.coset_partition, dq)
+        (bar := cosets.induced(g)) is not None and dq.relabel(bar.images) == dq
         for g in aut_lifted.generators
     )
     checks = {
@@ -398,24 +384,16 @@ def verify_lift_structure(
         "aut_order_equal": order_equal,
         "wreath_generators_in_aut": gens_in_aut,
         "aut_inside_wreath": aut_in_wreath,
+        "unique_block_system": aut_lifted.block_systems(size) == [cosets],
     }
     return LiftStructureReport(
         lift=lift,
         quotient_digraph=dq,
         lifted_digraph=lifted,
         aut_group=aut_lifted,
-        quotient_aut_group=aut_q,
         expected_aut_order=wreath.order,
         checks=checks,
     )
-
-
-def verify_unique_block_partition(
-    group: PermGroup, size: int, expected: PointPartition
-) -> bool:
-    """True iff the group has exactly one size-`size` block system: `expected`."""
-    systems = group.block_systems(size)
-    return len(systems) == 1 and systems[0] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -479,16 +457,10 @@ def quotient_ci_certificate(
     kernels (size 1 or the whole group) short-circuit to a direct
     quotient-level verification.
     """
-    _check_mode(mode)
     h = frozenset(subgroup)
     qmap = group.quotient(h)  # validates normality
     s1, s2 = frozenset(set1), frozenset(set2)
-    _check_subset(qmap.target, s1, "set1")
-    _check_subset(qmap.target, s2, "set2")
-    if mode == "graph":
-        for s in (s1, s2):
-            if not qmap.target.is_inverse_closed(s):
-                raise ValueError("graph mode requires inverse-closed quotient sets")
+    _check_sets(qmap.target, mode, s1, s2)
 
     size = len(h)
     checks: dict[str, bool] = {}
@@ -521,37 +493,27 @@ def quotient_ci_certificate(
         status = "accepted" if accepted else "hypothesis_not_ci"
         return certificate(status, accepted, degenerate=True, alpha_bar=beta)
 
-    report1 = verify_lift_structure(group, h, s1, limits)
-    report2 = verify_lift_structure(group, h, s2, limits)
+    report1 = verify_lift_structure(qmap, s1, limits)
+    report2 = verify_lift_structure(qmap, s2, limits)
     lift1, lift2 = report1.lift, report2.lift
     checks["lift_cases_agree"] = lift1.case == lift2.case
-    checks["lift_arc_identity_side1"] = report1.checks["arc_identity"]
-    checks["lift_arc_identity_side2"] = report2.checks["arc_identity"]
-    checks["aut_wreath_equality_side1"] = (
-        report1.checks["aut_order_equal"]
-        and report1.checks["wreath_generators_in_aut"]
-        and report1.checks["aut_inside_wreath"]
-    )
-    checks["aut_wreath_equality_side2"] = (
-        report2.checks["aut_order_equal"]
-        and report2.checks["wreath_generators_in_aut"]
-        and report2.checks["aut_inside_wreath"]
-    )
-    checks["unique_block_system_side1"] = verify_unique_block_partition(
-        report1.aut_group, size, lift1.coset_partition
-    )
-    checks["unique_block_system_side2"] = verify_unique_block_partition(
-        report2.aut_group, size, lift2.coset_partition
-    )
+    per_side = {
+        "lift_arc_identity": ("arc_identity",),
+        "aut_wreath_equality": (
+            "aut_order_equal", "wreath_generators_in_aut", "aut_inside_wreath",
+        ),
+        "unique_block_system": ("unique_block_system",),
+    }
+    for name, keys in per_side.items():
+        for side, report in enumerate((report1, report2), 1):
+            checks[f"{name}_side{side}"] = all(report.checks[k] for k in keys)
 
     alpha = automorphic_image_search(group, lift1.connection, lift2.connection, limits)
     checks["alpha_found"] = alpha is not None
     if alpha is None:
         return certificate("hypothesis_not_ci", False, lift1=lift1, lift2=lift2)
 
-    part = lift1.coset_partition
-    mapped = {tuple(sorted(alpha(x) for x in cls)) for cls in part.classes}
-    checks["alpha_preserves_cosets"] = mapped == set(part.classes)
+    checks["alpha_preserves_cosets"] = qmap.cosets.induced(alpha) is not None
     checks["alpha_fixes_subgroup"] = alpha.image_of_set(h) == h
 
     alpha_bar = None

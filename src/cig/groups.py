@@ -1,9 +1,11 @@
 """Finite groups as multiplication tables with identity at index 0.
 
 Covers the constructor catalog (cyclic, direct products, dihedral,
-quaternion, symmetric, alternating, table files), subgroup and coset
-machinery, quotients, and automorphism enumeration.  An automorphism is a
-`Perm` of the element indices; `group_automorphism` checks that a map is one.
+quaternion, symmetric, alternating, table files), subgroups, cosets,
+quotients, and automorphism enumeration.  The cosets of a subgroup are a
+`PointPartition` of the elements, and a `QuotientMap` numbers the target's
+elements by those classes.  An automorphism is a `Perm` of the element
+indices; `group_automorphism` checks that a map is one.
 """
 
 from __future__ import annotations
@@ -180,51 +182,35 @@ class FiniteGroup:
 
     # -- cosets and quotients ----------------------------------------------
 
-    def cosets(self, subgroup: Iterable[int]) -> CosetDecomposition:
-        """Left cosets xH, ordered by minimum element."""
+    def cosets(self, subgroup: Iterable[int]) -> PointPartition:
+        """Left cosets xH as a partition of the elements, ordered by minimum."""
         h = frozenset(subgroup)
         if not self.is_subgroup(h):
             raise ValueError("not a subgroup")
-        index = [-1] * self.order
-        cosets: list[frozenset[int]] = []
-        transversal: list[int] = []
-        for x in range(self.order):
-            if index[x] >= 0:
-                continue
-            coset = frozenset(self.table[x][b] for b in h)
-            for y in coset:
-                index[y] = len(cosets)
-            cosets.append(coset)
-            transversal.append(x)
-        return CosetDecomposition(
-            group=self,
-            subgroup=h,
-            cosets=tuple(cosets),
-            transversal=tuple(transversal),
-            index=tuple(index),
-        )
+        cosets = {frozenset(self.table[x][b] for b in h) for x in range(self.order)}
+        return PointPartition(self.order, cosets)
 
     def quotient(self, kernel: Iterable[int]) -> QuotientMap:
-        """Quotient by a normal subgroup, with a verified induced table."""
+        """Quotient by a normal subgroup, with a verified induced table.
+
+        Coset i, the i-th class of `cosets`, is element i of the target,
+        represented by its minimum.
+        """
         h = frozenset(kernel)
         if not self.is_normal(h):
             raise ValueError("subgroup is not normal: products of cosets are ill-defined")
-        dec = self.cosets(h)
-        q = len(dec.cosets)
-        table = [
-            [dec.index[self.mul(dec.transversal[i], dec.transversal[j])] for j in range(q)]
-            for i in range(q)
-        ]
+        cosets = self.cosets(h)
+        index = cosets.class_index
+        reps = [c[0] for c in cosets.classes]
+        table = [[index(self.mul(a, b)) for b in reps] for a in reps]
         # Well-definedness across all coset members, not just representatives.
         for a in range(self.order):
             for b in range(self.order):
-                if dec.index[self.mul(a, b)] != table[dec.index[a]][dec.index[b]]:
+                if index(self.mul(a, b)) != table[index(a)][index(b)]:
                     raise RuntimeError("coset product is not well-defined")
-        labels = [f"[{self.labels[rep]}]" for rep in dec.transversal]
+        labels = [f"[{self.labels[rep]}]" for rep in reps]
         target = FiniteGroup(table, labels=labels, name=f"{self.name}/H")
-        return QuotientMap(
-            source=self, kernel=h, target=target, projection=dec.index, decomposition=dec
-        )
+        return QuotientMap(source=self, kernel=h, target=target, cosets=cosets)
 
     # -- automorphisms -----------------------------------------------------
 
@@ -441,37 +427,20 @@ def group_automorphism(group: FiniteGroup, images: Iterable[int]) -> Perm:
 
 
 @dataclass(frozen=True)
-class CosetDecomposition:
-    """Left cosets of a subgroup, ordered by minimum element."""
-
-    group: FiniteGroup
-    subgroup: frozenset[int]
-    cosets: tuple[frozenset[int], ...]
-    transversal: tuple[int, ...]
-    index: tuple[int, ...]
-
-    def partition(self) -> PointPartition:
-        return PointPartition(self.group.order, self.cosets)
-
-
-@dataclass(frozen=True)
 class QuotientMap:
-    """Projection of a group onto its quotient by a normal subgroup."""
+    """Projection of a group onto its quotient by a normal subgroup: element
+    x of the source maps to `cosets.class_index(x)` of the target."""
 
     source: FiniteGroup
     kernel: frozenset[int]
     target: FiniteGroup
-    projection: tuple[int, ...]
-    decomposition: CosetDecomposition
+    cosets: PointPartition
 
     def project_set(self, subset: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.projection[x] for x in subset)
+        return frozenset(self.cosets.class_index(x) for x in subset)
 
     def lift_set(self, coset_indices: Iterable[int]) -> frozenset[int]:
-        out: set[int] = set()
-        for i in coset_indices:
-            out |= self.decomposition.cosets[i]
-        return frozenset(out)
+        return frozenset(x for i in coset_indices for x in self.cosets.classes[i])
 
     def induce(self, alpha: Perm) -> Perm:
         """The induced quotient automorphism: coset of g maps to coset of alpha(g).
@@ -485,13 +454,10 @@ class QuotientMap:
             raise ValueError(
                 "automorphism does not preserve the kernel; no induced map exists"
             )
-        images = [
-            self.projection[alpha(rep)] for rep in self.decomposition.transversal
-        ]
-        for x in range(self.source.order):
-            if self.projection[alpha(x)] != images[self.projection[x]]:
-                raise RuntimeError("induced map is not well-defined")
-        return group_automorphism(self.target, images)
+        induced = self.cosets.induced(alpha)
+        if induced is None:
+            raise RuntimeError("induced map is not well-defined")
+        return group_automorphism(self.target, induced.images)
 
 
 def _automorphism_images(group: FiniteGroup) -> list[tuple[int, ...]]:

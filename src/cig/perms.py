@@ -145,6 +145,19 @@ class PointPartition:
                 images[x] = i * size + rank
         return tuple(images)
 
+    def induced(self, perm: Perm) -> Perm | None:
+        """The permutation of class indices that `perm` induces, or None
+        unless every class maps onto a class (of the same size)."""
+        if perm.degree != self.degree:
+            raise ValueError("degree mismatch")
+        images = []
+        for c in self.classes:
+            image = tuple(sorted(perm.images[x] for x in c))
+            if image != self.class_of(image[0]):
+                return None
+            images.append(self._class_index[image[0]])
+        return Perm(images)
+
     def refines(self, other: PointPartition) -> bool:
         """True iff every class of self lies inside a class of other."""
         if self.degree != other.degree:

@@ -338,7 +338,7 @@ class TestCriterion6QuotientCertificates:
                                 instance, cert.failing_checks(),
                             )
                             # The cited dichotomy explains the exact Aut order.
-                            rep = verify_lift_structure(group, kernel, s1)
+                            rep = verify_lift_structure(qmap, s1)
                             predicted = (
                                 automorphism_group_of(dec.quotient).order
                                 * factorial(dec.inner_size * size)

@@ -14,7 +14,6 @@ from cig.ci import (
     lift_connection_set,
     quotient_ci_certificate,
     verify_lift_structure,
-    verify_unique_block_partition,
     verify_wreath_aut_dichotomy,
 )
 from cig.digraphs import Digraph, cayley
@@ -296,17 +295,17 @@ class TestLift:
 
 class TestLiftStructure:
     def test_z6_wreath_identity(self):
-        report = verify_lift_structure(FiniteGroup.cyclic(6), {0, 3}, {1})
+        report = verify_lift_structure(FiniteGroup.cyclic(6).quotient({0, 3}), {1})
         assert report.all_passed
         assert report.aut_group.order == 24
 
     def test_z4_empty_set_structure(self):
-        report = verify_lift_structure(FiniteGroup.cyclic(4), {0, 2}, set())
+        report = verify_lift_structure(FiniteGroup.cyclic(4).quotient({0, 2}), set())
         assert report.all_passed
         assert report.aut_group.order == 8
 
     def test_z4_full_coset_structure(self):
-        report = verify_lift_structure(FiniteGroup.cyclic(4), {0, 2}, {1})
+        report = verify_lift_structure(FiniteGroup.cyclic(4).quotient({0, 2}), {1})
         assert report.all_passed
         assert report.aut_group.order == 8
 
@@ -340,7 +339,7 @@ class TestLiftStructureAgainstClosures:
 
     @staticmethod
     def assert_checks_are_set_relations(group, kernel, s_quotient):
-        report = verify_lift_structure(group, kernel, s_quotient)
+        report = verify_lift_structure(group.quotient(kernel), s_quotient)
         aut = automorphism_set(report.lifted_digraph)
         wreath = wreath_closure(report)
         assert report.aut_group.order == len(aut)
@@ -376,44 +375,60 @@ class TestUniqueBlockPartition:
     def test_z6_cosets(self):
         aut = automorphism_group_of(cayley(FiniteGroup.cyclic(6), {1, 3, 4}))
         cosets = PointPartition(6, [[0, 3], [1, 4], [2, 5]])
-        assert verify_unique_block_partition(aut, 2, cosets)
+        assert aut.block_systems(2) == [cosets]
 
     def test_z4_cosets(self):
         aut = automorphism_group_of(cayley(FiniteGroup.cyclic(4), {2}))
         cosets = PointPartition(4, [[0, 2], [1, 3]])
-        assert verify_unique_block_partition(aut, 2, cosets)
+        assert aut.block_systems(2) == [cosets]
 
     def test_primitive_group_fails(self):
-        assert not verify_unique_block_partition(
-            symmetric_group(4), 2, PointPartition(4, [[0, 1], [2, 3]])
-        )
+        assert symmetric_group(4).block_systems(2) != [PointPartition(4, [[0, 1], [2, 3]])]
 
     def test_multiple_systems_fail(self):
         # The regular Klein four-group has one size-2 system per order-2
         # subgroup, so uniqueness fails even though the expected one exists.
         klein = oracles.regular_representation(parse_group_spec("Z2xZ2"))
         assert len(klein.block_systems(2)) == 3
-        assert not verify_unique_block_partition(
-            klein, 2, PointPartition(4, [[0, 1], [2, 3]])
-        )
+        assert klein.block_systems(2) != [PointPartition(4, [[0, 1], [2, 3]])]
 
     def test_structural_wreath_membership(self):
-        from cig.ci import _wreath_member
+        def in_wreath(images, partition, quotient):
+            # The aut_inside_wreath test of verify_lift_structure.
+            bar = partition.induced(Perm(images))
+            return bar is not None and quotient.relabel(bar.images) == quotient
 
         cosets = PointPartition(4, [[0, 1], [2, 3]])
         quotient = Digraph.complete(2)
         # Swapping the two classes and fixing insides is in the wreath group.
-        assert _wreath_member((2, 3, 0, 1), cosets, quotient)
+        assert in_wreath((2, 3, 0, 1), cosets, quotient)
         # Any within-class shuffle is too.
-        assert _wreath_member((1, 0, 2, 3), cosets, quotient)
+        assert in_wreath((1, 0, 2, 3), cosets, quotient)
         # A map splitting a class across two classes is not.
-        assert not _wreath_member((0, 2, 1, 3), cosets, quotient)
+        assert not in_wreath((0, 2, 1, 3), cosets, quotient)
         # Class-preserving but quotient-arc-breaking maps are not, either.
         path = Digraph.from_arcs(2, [(0, 1)])
-        assert not _wreath_member((2, 3, 0, 1), cosets, path)
+        assert not in_wreath((2, 3, 0, 1), cosets, path)
 
 
 class TestQuotientCertificate:
+    @pytest.mark.parametrize("spec", ["Z16", "Z2xZ8"])
+    def test_non_ci_quotient_lifts_to_a_non_ci_witness(self, spec):
+        # The contrapositive of the lift argument: G/{0, 8} is Z8, which is
+        # not CI at {1,2,5} vs {1,5,6}, so neither is G at the lifted sets.
+        g = parse_group_spec(spec)
+        cert = quotient_ci_certificate(g, {0, 8}, {1, 2, 5}, {1, 5, 6})
+        assert cert.status == "hypothesis_not_ci"
+        assert cert.failing_checks() == ["alpha_found"]
+        s1, s2 = cert.lift1.connection, cert.lift2.connection
+        assert (sorted(s1), sorted(s2)) == (
+            [1, 2, 5, 8, 9, 10, 13],
+            [1, 5, 6, 8, 9, 13, 14],
+        )
+        res = ci_pair(g, s1, s2)
+        assert res.verdict == "non_ci_witness"
+        cig.ci._reverify_witness(g, s1, s2, res.iso)
+
     def test_z6_worked_instance(self):
         cert = quotient_ci_certificate(FiniteGroup.cyclic(6), {0, 3}, {1}, {2})
         assert cert.accepted

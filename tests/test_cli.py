@@ -72,6 +72,22 @@ class TestExitCodes:
         )
         assert code == 1
         assert "status: rejected" in out
+        # The checks are listed in the order the certificate runs them.
+        assert out.splitlines()[4:] == [
+            "  ok  quotient_isomorphic",
+            "  ok  lift_cases_agree",
+            "  ok  lift_arc_identity_side1",
+            "  ok  lift_arc_identity_side2",
+            "  FAIL  aut_wreath_equality_side1",
+            "  FAIL  aut_wreath_equality_side2",
+            "  FAIL  unique_block_system_side1",
+            "  FAIL  unique_block_system_side2",
+            "  ok  alpha_found",
+            "  ok  alpha_preserves_cosets",
+            "  ok  alpha_fixes_subgroup",
+            "  ok  alpha_bar_well_defined",
+            "  ok  alpha_bar_maps_sets",
+        ]
 
     def test_out_of_range_index_exits_two(self, capsys):
         code, _, err = run_cli(
@@ -278,6 +294,9 @@ JSON_SNAPSHOT_COMMANDS = (
     "quotient verify --group Z6 --normal 3 --set1 1 --set2 2",
     "quotient verify --group Z16 --normal 8 --set1 1,2,5 --set2 1,5,6",
     "wreath aut --g1-group Z2 --g1-set 1 --g2-group Z2 --g2-set 1",
+    "quotient verify --group Z4 --normal 2 --set1 0,1 --set2 0,1",
+    "quotient verify --group Z8 --normal 4 --set1 1 --set2 1,2",
+    "quotient verify --group Z4 --normal 0 --set1 1 --set2 3",
 )
 JSON_SNAPSHOT = Path(__file__).parent / "snapshots" / "cli_json.txt"
 

@@ -183,20 +183,17 @@ class TestSubgroups:
 
 class TestCosets:
     def test_z4_mod_two(self):
-        dec = FiniteGroup.cyclic(4).cosets({0, 2})
-        assert dec.cosets == (frozenset({0, 2}), frozenset({1, 3}))
-        assert dec.transversal == (0, 1)
+        cosets = FiniteGroup.cyclic(4).cosets({0, 2})
+        assert cosets.classes == ((0, 2), (1, 3))
+        assert [cosets.class_index(x) for x in range(4)] == [0, 1, 0, 1]
 
     def test_z6_mod_three(self):
-        dec = FiniteGroup.cyclic(6).cosets({0, 3})
-        assert dec.cosets == (
-            frozenset({0, 3}), frozenset({1, 4}), frozenset({2, 5}),
-        )
+        cosets = FiniteGroup.cyclic(6).cosets({0, 3})
+        assert cosets.classes == ((0, 3), (1, 4), (2, 5))
 
     def test_identity_subgroup_gives_singletons(self):
-        dec = FiniteGroup.symmetric(3).cosets({0})
-        assert all(len(c) == 1 for c in dec.cosets)
-        assert dec.transversal == tuple(range(6))
+        cosets = FiniteGroup.symmetric(3).cosets({0})
+        assert cosets.classes == tuple((x,) for x in range(6))
 
 
 class TestQuotients:
@@ -219,16 +216,17 @@ class TestQuotients:
         g = parse_group_spec("Z2xZ4")
         for h in g.normal_subgroups():
             q = g.quotient(h)
-            for i, coset in enumerate(q.decomposition.cosets):
-                assert {x for x in range(g.order) if q.projection[x] == i} == coset
+            for i, coset in enumerate(q.cosets.classes):
+                fiber = {x for x in range(g.order) if q.cosets.class_index(x) == i}
+                assert fiber == {g.mul(coset[0], y) for y in h}
 
     def test_projection_is_homomorphism(self):
         g = FiniteGroup.quaternion()
         q = g.quotient(g.subgroup_generated([1]))  # center {1,-1}
         for a in range(8):
             for b in range(8):
-                assert q.projection[g.mul(a, b)] == q.target.mul(
-                    q.projection[a], q.projection[b]
+                assert q.cosets.class_index(g.mul(a, b)) == q.target.mul(
+                    q.cosets.class_index(a), q.cosets.class_index(b)
                 )
 
 
@@ -363,6 +361,13 @@ class TestInducedAutomorphism:
         q = g.quotient(g.subgroup_generated([2]))  # kernel {(0,0),(1,0)}
         with pytest.raises(ValueError, match="kernel"):
             q.induce(swap)
+
+    def test_coset_splitting_bijection_is_rejected(self):
+        # (1 2) preserves the kernel {0, 3} but sends the coset {1, 4} to
+        # {2, 4}, which is no coset, so no map of cosets is induced.
+        q = FiniteGroup.cyclic(6).quotient({0, 3})
+        with pytest.raises(RuntimeError, match="not well-defined"):
+            q.induce(Perm((0, 2, 1, 3, 4, 5)))
 
     def test_functoriality_on_random_pairs(self):
         rng = random.Random(7)

@@ -1,6 +1,6 @@
 """Permutation, partition, block-system, and group-wreath behavior."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +89,34 @@ class TestPointPartition:
     def test_fiber_images_need_one_class_size(self):
         with pytest.raises(ValueError, match="differ in size"):
             PointPartition(3, [[0, 1], [2]]).fiber_images()
+
+    @pytest.mark.parametrize(
+        "classes",
+        [
+            [[0, 1], [2, 3], [4, 5]],
+            [[0, 1, 2], [3, 4, 5]],
+            # Unequal sizes: a class can map into a larger class without
+            # mapping onto it.
+            [[0], [1, 2], [3, 4, 5]],
+            [[0], [1], [2, 3], [4, 5]],
+        ],
+    )
+    def test_induced_matches_set_definition(self, classes):
+        partition = PointPartition(6, classes)
+        blocks = [frozenset(c) for c in partition]
+        for images in permutations(range(6)):
+            perm = Perm(images)
+            mapped = [perm.image_of_set(c) for c in blocks]
+            expected = (
+                Perm(blocks.index(m) for m in mapped)
+                if all(m in blocks for m in mapped)
+                else None
+            )
+            assert partition.induced(perm) == expected
+
+    def test_induced_needs_the_partition_degree(self):
+        with pytest.raises(ValueError, match="degree mismatch"):
+            PointPartition(4, [[0, 1], [2, 3]]).induced(Perm.identity(6))
 
 
 class TestClosure:
@@ -225,7 +253,7 @@ def _invariant_partitions(g):
 
 
 def _z6_snapshot_lift_aut():
-    return verify_lift_structure(FiniteGroup.cyclic(6), {0, 3}, {1}).aut_group
+    return verify_lift_structure(FiniteGroup.cyclic(6).quotient({0, 3}), {1}).aut_group
 
 
 _WREATHS = [
