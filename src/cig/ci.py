@@ -173,9 +173,8 @@ def _reverify_witness(
     """Independent re-check of a non-CI witness; raises on any failure."""
     if cayley(group, s1).relabel(iso.images) != cayley(group, s2):
         raise AssertionError("witness isomorphism does not preserve arcs")
-    for alpha in group.automorphisms(limits):
-        if alpha.image_of_set(s1) == s2:
-            raise AssertionError("witness has an automorphic image after all")
+    if automorphic_image_search(group, s1, s2, limits) is not None:
+        raise AssertionError("witness has an automorphic image after all")
 
 
 def orbit_representatives(
@@ -291,9 +290,7 @@ class LiftResult:
         }
 
 
-def _lift(qmap: QuotientMap, s_quotient: frozenset[int]) -> LiftResult:
-    _check_subset(qmap.target, s_quotient, "quotient connection set")
-    dq = cayley(qmap.target, s_quotient)
+def _lift(qmap: QuotientMap, s_quotient: frozenset[int], dq: Digraph) -> LiftResult:
     union = qmap.lift_set(s_quotient)
     if decompose_over_complete(dq) is None:
         case = "non_decomposable"
@@ -314,7 +311,9 @@ def lift_connection_set(
 ) -> LiftResult:
     """Lift a quotient connection set, choosing the case by decomposability."""
     qmap = group.quotient(frozenset(subgroup))
-    return _lift(qmap, frozenset(s_quotient))
+    s_quotient = frozenset(s_quotient)
+    _check_subset(qmap.target, s_quotient, "quotient connection set")
+    return _lift(qmap, s_quotient, cayley(qmap.target, s_quotient))
 
 
 @dataclass(frozen=True)
@@ -353,9 +352,16 @@ def verify_lift_structure(
     |Aut(quotient)| * (block size)!^|quotient|.
     """
     s_quotient = frozenset(s_quotient)
-    lift = _lift(qmap, s_quotient)
+    _check_subset(qmap.target, s_quotient, "quotient connection set")
+    return _verify_lift(qmap, s_quotient, cayley(qmap.target, s_quotient), limits)
+
+
+def _verify_lift(
+    qmap: QuotientMap, s_quotient: frozenset[int], dq: Digraph, limits: Limits
+) -> LiftStructureReport:
+    """`verify_lift_structure`, given the quotient digraph `dq`."""
+    lift = _lift(qmap, s_quotient, dq)
     cosets, size = lift.coset_partition, lift.block_size
-    dq = cayley(qmap.target, s_quotient)
     lifted = cayley(qmap.source, lift.connection)
 
     inner = (
@@ -493,8 +499,8 @@ def quotient_ci_certificate(
         status = "accepted" if accepted else "hypothesis_not_ci"
         return certificate(status, accepted, degenerate=True, alpha_bar=beta)
 
-    report1 = verify_lift_structure(qmap, s1, limits)
-    report2 = verify_lift_structure(qmap, s2, limits)
+    report1 = _verify_lift(qmap, s1, dq1, limits)
+    report2 = _verify_lift(qmap, s2, dq2, limits)
     lift1, lift2 = report1.lift, report2.lift
     checks["lift_cases_agree"] = lift1.case == lift2.case
     per_side = {

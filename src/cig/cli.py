@@ -95,8 +95,8 @@ def _parse_indices(text: str, group: FiniteGroup, what: str) -> frozenset[int]:
     return frozenset(out)
 
 
-def _labels(group: FiniteGroup, subset) -> str:
-    return "{" + ", ".join(f"{x}:{group.labels[x]}" for x in sorted(subset)) + "}"
+def _labels(labels: Sequence[str], subset) -> str:
+    return "{" + ", ".join(f"{x}:{labels[x]}" for x in sorted(subset)) + "}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,7 +210,7 @@ def _run(args: argparse.Namespace, config: RunConfig) -> int:
         }
         lines = [
             f"group: {group.name} (order {group.order})",
-            f"connection set: {_labels(group, connection)}",
+            f"connection set: {_labels(group.labels, connection)}",
             f"vertices: {digraph.order}",
             f"arcs: {digraph.arc_count}",
             f"undirected: {digraph.is_undirected}",
@@ -268,7 +268,7 @@ def _run(args: argparse.Namespace, config: RunConfig) -> int:
         if verdict.witness:
             s1, s2, _ = verdict.witness
             lines.append(
-                f"witness: {_labels(group, s1)} vs {_labels(group, s2)}"
+                f"witness: {_labels(group.labels, s1)} vs {_labels(group.labels, s2)}"
             )
         _emit(config, verdict.to_json(), lines)
         return 0 if verdict.is_ci else 1
@@ -279,9 +279,9 @@ def _run(args: argparse.Namespace, config: RunConfig) -> int:
         kernel = group.subgroup_generated(gens)
         reps1 = _parse_indices(args.set1, group, "--set1")
         reps2 = _parse_indices(args.set2, group, "--set2")
-        qmap = group.quotient(kernel)
-        s1 = qmap.project_set(reps1)
-        s2 = qmap.project_set(reps2)
+        cosets = group.cosets(kernel)  # coset i is element i of G/H
+        s1 = frozenset(map(cosets.class_index, reps1))
+        s2 = frozenset(map(cosets.class_index, reps2))
         config.options.update(
             group=args.group,
             normal=sorted(kernel),
@@ -294,10 +294,11 @@ def _run(args: argparse.Namespace, config: RunConfig) -> int:
         cert = quotient_ci_certificate(
             group, kernel, s1, s2, mode=args.mode, limits=config.limits
         )
+        qlabels = group.coset_labels(cosets)
         lines = [
             f"group: {group.name} (order {group.order})",
-            f"kernel: {_labels(group, kernel)}",
-            f"quotient sets: {_labels(qmap.target, s1)} vs {_labels(qmap.target, s2)}",
+            f"kernel: {_labels(group.labels, kernel)}",
+            f"quotient sets: {_labels(qlabels, s1)} vs {_labels(qlabels, s2)}",
             f"status: {cert.status}",
         ]
         for name, ok in cert.checks.items():

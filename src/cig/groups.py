@@ -2,10 +2,11 @@
 
 Covers the constructor catalog (cyclic, direct products, dihedral,
 quaternion, symmetric, alternating, table files), subgroups, cosets,
-quotients, and automorphism enumeration.  The cosets of a subgroup are a
-`PointPartition` of the elements, and a `QuotientMap` numbers the target's
-elements by those classes.  An automorphism is a `Perm` of the element
-indices; `group_automorphism` checks that a map is one.
+quotients, and automorphisms, listed or found by a set transporter.  The
+cosets of a subgroup are a `PointPartition` of the elements, and a
+`QuotientMap` numbers the target's elements by those classes.  An
+automorphism is a `Perm` of the element indices; `group_automorphism`
+checks that a map is one.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import re
 from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from cig.limits import DEFAULT_LIMITS, GROUP_ORDER_CAP, CapExceeded, Limits
 from cig.perms import Perm, PointPartition
@@ -208,9 +209,13 @@ class FiniteGroup:
             for b in range(self.order):
                 if index(self.mul(a, b)) != table[index(a)][index(b)]:
                     raise RuntimeError("coset product is not well-defined")
-        labels = [f"[{self.labels[rep]}]" for rep in reps]
+        labels = self.coset_labels(cosets)
         target = FiniteGroup(table, labels=labels, name=f"{self.name}/H")
         return QuotientMap(source=self, kernel=h, target=target, cosets=cosets)
+
+    def coset_labels(self, cosets: PointPartition) -> list[str]:
+        """The quotient's element labels: `[x]` for each coset, x its minimum."""
+        return [f"[{self.labels[c[0]]}]" for c in cosets.classes]
 
     # -- automorphisms -----------------------------------------------------
 
@@ -436,9 +441,6 @@ class QuotientMap:
     target: FiniteGroup
     cosets: PointPartition
 
-    def project_set(self, subset: Iterable[int]) -> frozenset[int]:
-        return frozenset(self.cosets.class_index(x) for x in subset)
-
     def lift_set(self, coset_indices: Iterable[int]) -> frozenset[int]:
         return frozenset(x for i in coset_indices for x in self.cosets.classes[i])
 
@@ -460,18 +462,22 @@ class QuotientMap:
         return group_automorphism(self.target, induced.images)
 
 
-def _automorphism_images(group: FiniteGroup) -> list[tuple[int, ...]]:
-    """Every automorphism's images, by backtracking over generator images.
+def _automorphism_images(
+    group: FiniteGroup, s: frozenset[int] = frozenset(), t: frozenset[int] = frozenset()
+) -> Iterator[tuple[int, ...]]:
+    """Images of each automorphism carrying `s` onto `t` (all, by default), by
+    backtracking over generator images: Leon's set transporter.
 
     Candidate images must match element order; partial assignments are
-    extended over the generated subgroup and pruned on any conflict.
-    Deterministic: generators ascend, candidates ascend.
-    """
+    extended over the generated subgroup and pruned on any conflict, sending a
+    point of `s` outside `t` or one outside `s` into `t` included.  That drops
+    no solution, so leaves come in listing order: generators and candidates ascend."""
     n = group.order
+    if (0 in s) != (0 in t):
+        return  # every automorphism fixes the identity
     orders = [group.element_order(x) for x in range(n)]
     gens = group.generating_set()
-    candidates = [[t for t in range(n) if orders[t] == orders[g]] for g in gens]
-    results: list[tuple[int, ...]] = []
+    candidates = [[c for c in range(n) if orders[c] == orders[g]] for g in gens]
     chosen: list[int] = []
 
     def consistent_map() -> list[int] | None:
@@ -484,12 +490,12 @@ def _automorphism_images(group: FiniteGroup) -> list[tuple[int, ...]]:
         while frontier:
             fresh = []
             for x in frontier:
-                for g, t in pairs:
+                for g, c in pairs:
                     y = group.mul(x, g)
-                    fy = group.mul(images[x], t)
+                    fy = group.mul(images[x], c)
                     if images[y] == -1:
-                        if fy in used:
-                            return None  # not injective
+                        if fy in used or (y in s) != (fy in t):
+                            return None  # not injective, or not transporting
                         images[y] = fy
                         used.add(fy)
                         fresh.append(y)
@@ -498,7 +504,7 @@ def _automorphism_images(group: FiniteGroup) -> list[tuple[int, ...]]:
             frontier = fresh
         return images
 
-    def descend() -> None:
+    def descend() -> Iterator[tuple[int, ...]]:
         depth = len(chosen)
         if depth == len(gens):
             images = consistent_map()
@@ -506,16 +512,15 @@ def _automorphism_images(group: FiniteGroup) -> list[tuple[int, ...]]:
             # every generator g is a homomorphism, by induction on word
             # length: no whole-table check is needed.
             if images is not None and -1 not in images:
-                results.append(tuple(images))
+                yield tuple(images)
             return
-        for t in candidates[depth]:
-            chosen.append(t)
+        for c in candidates[depth]:
+            chosen.append(c)
             if consistent_map() is not None:
-                descend()
+                yield from descend()
             chosen.pop()
 
-    descend()
-    return results
+    yield from descend()
 
 
 def automorphic_image_search(
@@ -524,15 +529,15 @@ def automorphic_image_search(
     target_subset: Iterable[int],
     limits: Limits = DEFAULT_LIMITS,
 ) -> Perm | None:
-    """First automorphism carrying one subset onto the other, if any."""
+    """First automorphism, in `automorphisms()` order, carrying one subset onto
+    the other, or None: a set transporter, capped by ``limits.aut`` as the list is."""
     s = frozenset(subset)
     t = frozenset(target_subset)
     if len(s) != len(t):
         return None
-    for alpha in group.automorphisms(limits):
-        if alpha.image_of_set(s) == t:
-            return alpha
-    return None
+    if group.order > limits.aut:
+        raise CapExceeded(f"order {group.order} exceeds automorphism cap {limits.aut}")
+    return next(map(Perm, _automorphism_images(group, s, t)), None)
 
 
 # -- group-spec grammar -----------------------------------------------------

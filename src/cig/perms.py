@@ -277,9 +277,10 @@ class PermGroup:
 
         For a transitive group an invariant partition is the set of images of
         its class through 0, and every block through 0 other than {0} is the
-        join of the minimal blocks of the pairs {0, x} it contains.  So the
-        blocks through 0 are {0} plus the join closure of those minimal
-        blocks, all computed from the generators.
+        join of the minimal blocks of the pairs {0, x} in it, which lie inside
+        it, as do their joins.  So the blocks through 0 of at most `size`
+        points are {0} plus the join closure of the minimal blocks, dropping
+        any set larger than `size`, all computed from the generators.
         """
         n = self.degree
         if not self.is_transitive():
@@ -288,13 +289,15 @@ class PermGroup:
             raise ValueError(f"class size {size} does not divide degree {n}")
         if n > BLOCK_DEGREE_CAP:
             raise CapExceeded(f"degree {n} exceeds block-search cap {BLOCK_DEGREE_CAP}")
-        blocks = {frozenset({0})} | {self._block_of((0, x)) for x in range(1, n)}
+        minimal = {self._block_of((0, x)) for x in range(1, n)}
+        blocks = {frozenset({0})} | {b for b in minimal if len(b) <= size}
         todo = list(blocks)
         while todo:
             a = todo.pop()
-            for b in list(blocks):
+            # A join is larger than both parts unless one holds the other.
+            for b in [b for b in blocks if max(len(a), len(b)) < len(a | b) <= size]:
                 join = self._block_of(a | b)
-                if join not in blocks:
+                if len(join) <= size and join not in blocks:
                     blocks.add(join)
                     todo.append(join)
         return [

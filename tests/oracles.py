@@ -1,7 +1,9 @@
 """Brute-force oracles, independent of the library's search paths.
 
 Everything here enumerates: all bijections for isomorphism questions and
-for group automorphisms, every leaf of the find-all backtracking for
+for group automorphisms, the whole automorphism list for the first
+automorphism carrying one set onto another (the scan the library replaced
+by a set transporter), every leaf of the find-all backtracking for
 automorphism groups (the element listing the library itself no longer
 builds), one isomorphism search per pair of connection sets for the CI
 sweep (the pair loop the library replaced by refinement keys), every vertex
@@ -55,6 +57,16 @@ def brute_group_automorphisms(table) -> list[tuple[int, ...]]:
         if all(f[table[a][b]] == table[f[a]][f[b]] for a in range(n) for b in range(n)):
             found.append(f)
     return found
+
+
+def first_automorphic_image(group, s, t):
+    """The first automorphism of `group.automorphisms()`, in list order, that
+    carries the set s onto the set t, or None."""
+    s, t = frozenset(s), frozenset(t)
+    for alpha in group.automorphisms():
+        if alpha.image_of_set(s) == t:
+            return alpha
+    return None
 
 
 @cache

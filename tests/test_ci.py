@@ -429,6 +429,48 @@ class TestQuotientCertificate:
         assert res.verdict == "non_ci_witness"
         cig.ci._reverify_witness(g, s1, s2, res.iso)
 
+    @pytest.mark.parametrize(
+        "spec,kernel,set1,set2,expected",
+        [
+            pytest.param(
+                "Z2xZ2xZ2", {0, 1}, {1, 2}, {2, 3},
+                ("accepted", [], [0, 1, 4, 5, 6, 7, 2, 3], [0, 2, 3, 1],
+                 [1, 2, 3, 4, 5], [1, 4, 5, 6, 7]),
+                id="accepted",
+            ),
+            pytest.param(
+                "Z8", {0}, {1, 2}, {3, 6},
+                ("accepted", [], None, [0, 3, 6, 1, 4, 7, 2, 5], None, None),
+                id="degenerate",
+            ),
+            pytest.param(
+                "Z16", {0, 8}, {1, 2, 5}, {1, 5, 6},
+                ("hypothesis_not_ci", ["alpha_found"], None, None,
+                 [1, 2, 5, 8, 9, 10, 13], [1, 5, 6, 8, 9, 13, 14]),
+                id="hypothesis_not_ci",
+            ),
+        ],
+    )
+    def test_certificate_lists_no_automorphisms(
+        self, monkeypatch, spec, kernel, set1, set2, expected
+    ):
+        def refuse(self, limits=None):
+            raise AssertionError("the certificate listed Aut(G)")
+
+        monkeypatch.setattr(FiniteGroup, "automorphisms", refuse)
+        cert = quotient_ci_certificate(parse_group_spec(spec), kernel, set1, set2)
+        out = cert.to_json()
+        lifts = [lift and lift["connection"] for lift in (out["lift1"], out["lift2"])]
+        assert (
+            out["status"], cert.failing_checks(), out["alpha"], out["alpha_bar"], *lifts
+        ) == expected
+
+    def test_reverify_refuses_a_pair_with_an_automorphic_image(self):
+        g = FiniteGroup.cyclic(4)
+        negation = Perm((0, 3, 2, 1))
+        with pytest.raises(AssertionError, match="automorphic image after all"):
+            cig.ci._reverify_witness(g, frozenset({1}), frozenset({3}), negation)
+
     def test_z6_worked_instance(self):
         cert = quotient_ci_certificate(FiniteGroup.cyclic(6), {0, 3}, {1}, {2})
         assert cert.accepted

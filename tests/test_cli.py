@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import cig.ci
 from cig import __version__
 from cig.cli import main
+from cig.groups import FiniteGroup
 
 
 def run_cli(capsys, *argv):
@@ -166,6 +168,24 @@ class TestExitCodes:
         )
         assert code == 2
         assert "inverse-closed" in err
+
+    def test_certificate_builds_each_digraph_and_quotient_once(self, capsys, monkeypatch):
+        # One Cayley digraph per quotient set and per lifted set, and G/H once.
+        built, quotients = [], []
+        cayley, quotient = cig.ci.cayley, FiniteGroup.quotient
+        monkeypatch.setattr(
+            cig.ci, "cayley", lambda g, s: built.append(g.order) or cayley(g, s)
+        )
+        monkeypatch.setattr(
+            FiniteGroup, "quotient", lambda g, h: quotients.append(h) or quotient(g, h)
+        )
+        code, out, _ = run_cli(
+            capsys, "quotient", "verify", "--group", "Z6",
+            "--normal", "3", "--set1", "1", "--set2", "2",
+        )
+        assert code == 0 and "status: accepted" in out
+        assert built == [3, 3, 6, 6]
+        assert quotients == [frozenset({0, 3})]
 
     def test_non_normal_kernel_exits_two(self, capsys):
         code, _, err = run_cli(

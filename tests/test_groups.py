@@ -10,6 +10,7 @@ import oracles
 from cig.groups import (
     FiniteGroup,
     GroupSpecError,
+    _automorphism_images,
     automorphic_image_search,
     catalog_specs,
     group_automorphism,
@@ -314,6 +315,60 @@ class TestAutomorphisms:
 
     def test_automorphic_image_search_respects_element_order(self):
         assert automorphic_image_search(FiniteGroup.cyclic(4), {1}, {2}) is None
+
+
+def _transporter_pairs(group, rng):
+    """Seeded (s, t) pairs of one size: the empty and the full set, then
+    per round an automorphic image, a random set, and a set holding the
+    identity (a looped Cayley digraph) against sets without it, both ways."""
+    n = group.order
+    auts = group.automorphisms()
+    pairs = [(set(), set()), (set(range(n)), set(range(n)))]
+    for _ in range(25 if n > 1 else 0):
+        k = rng.randrange(1, n)
+        s = set(rng.sample(range(n), k))
+        looped = {0, *rng.sample(range(1, n), k - 1)}
+        unlooped = set(rng.sample(range(1, n), k))
+        pairs += [
+            (s, rng.choice(auts).image_of_set(s)),
+            (s, set(rng.sample(range(n), k))),
+            (looped, unlooped),
+            (unlooped, looped),
+            (looped, rng.choice(auts).image_of_set(looped)),
+        ]
+    return pairs
+
+
+_TRANSPORTER_SPECS = [s for s, _ in catalog_specs(12)] + ["Z16", "Z2xZ8", "Z4xZ4", "D8"]
+
+
+class TestSetTransporter:
+    """`automorphic_image_search` finds without listing what the list scan
+    finds: the first automorphism, in `automorphisms()` order, carrying s
+    onto t."""
+
+    @pytest.mark.parametrize("spec", _TRANSPORTER_SPECS)
+    def test_first_image_matches_the_list_scan(self, spec):
+        g = parse_group_spec(spec)
+        for s, t in _transporter_pairs(g, random.Random(f"transporter {spec}")):
+            expected = oracles.first_automorphic_image(g, s, t)
+            assert automorphic_image_search(g, s, t) == expected, (s, t)
+
+    @pytest.mark.parametrize("spec", _TRANSPORTER_SPECS)
+    def test_every_leaf_is_a_listed_transporter(self, spec):
+        # The search's leaves, sets of unequal size included (which the
+        # public entry point answers before searching), are exactly the
+        # listed automorphisms carrying s onto t, in list order; for the
+        # first pair, s = t = {}, that is the whole list.
+        g = parse_group_spec(spec)
+        auts = g.automorphisms()
+        rng = random.Random(f"leaves {spec}")
+        for s, t in _transporter_pairs(g, rng)[:40]:
+            s = frozenset(s)
+            for target in (frozenset(t), frozenset(t) ^ {rng.randrange(g.order)}):
+                found = list(map(Perm, _automorphism_images(g, s, target)))
+                expected = [a for a in auts if a.image_of_set(s) == target]
+                assert found == expected, (s, target)
 
 
 class TestLeftRegularRepresentation:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from cig.ci import verify_lift_structure
-from cig.groups import FiniteGroup
+from cig.groups import FiniteGroup, parse_group_spec
 from cig.limits import CapExceeded
 from cig.perms import (
     Perm,
@@ -300,6 +300,42 @@ class TestBlocksAgainstElementScan:
         for size in range(1, g.degree + 1):
             if g.degree % size == 0:
                 assert g.block_systems(size) == oracles.brute_block_systems(g, size)
+
+    @pytest.mark.parametrize("spec", ["Z2xZ2xZ2", "Q8"])
+    def test_lifted_digraph_block_systems_match_oracle_in_order(self, spec):
+        # The automorphism groups a certificate asks for blocks: every lift
+        # over every order-2 kernel, at every class size.  Lifts with the
+        # same generators are one group, checked once.
+        g = parse_group_spec(spec)
+        auts = {}
+        for kernel in (h for h in g.normal_subgroups() if len(h) == 2):
+            qmap = g.quotient(kernel)
+            for bits in range(1 << qmap.target.order):
+                s = {x for x in range(qmap.target.order) if bits >> x & 1}
+                aut = verify_lift_structure(qmap, s).aut_group
+                auts.setdefault(aut.generators, aut)
+        for aut in auts.values():
+            for size in (1, 2, 4, 8):
+                assert aut.block_systems(size) == oracles.brute_block_systems(aut, size)
+
+    @pytest.mark.parametrize("make", _WREATHS)
+    def test_closure_joins_no_pair_past_the_size(self, make, monkeypatch):
+        # Answers cannot show the bound, which only saves work: every set
+        # joined is a pair {0, x} or a union of at most `size` points.
+        g = make()
+        joined = []
+        block_of = PermGroup._block_of
+
+        def recording(self, points):
+            joined.append(len(points))
+            return block_of(self, points)
+
+        monkeypatch.setattr(PermGroup, "_block_of", recording)
+        for size in range(1, g.degree + 1):
+            if g.degree % size == 0:
+                joined.clear()
+                g.block_systems(size)
+                assert max(joined) <= max(size, 2), size
 
     def test_is_block_matches_oracle_on_small_subsets(self):
         g = wreath_product(cyclic_group(3), cyclic_group(3))
