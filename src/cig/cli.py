@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -84,7 +85,7 @@ def _parse_indices(text: str, group: FiniteGroup, what: str) -> frozenset[int]:
     out = set()
     for piece in text.split(","):
         piece = piece.strip()
-        if not piece.lstrip("-").isdigit():
+        if not re.fullmatch(r"-?[0-9]+", piece):
             raise ValueError(f"{what}: {piece!r} is not an element index")
         x = int(piece)
         if not 0 <= x < group.order:

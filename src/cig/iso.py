@@ -2,7 +2,9 @@
 
 Backtracking over color-compatible vertex images after iterated degree
 refinement; `refine` gives the stable colouring as a tuple of colour
-indices.  Every isomorphism found is checked with `Digraph.relabel`.
+indices.  A refinement round packs each vertex's per-colour degree counts
+into one int and stops as soon as the colouring is discrete.  Every
+isomorphism found is checked with `Digraph.relabel`.
 Deterministic: sources are placed smallest color class first,
 candidate targets ascend, so identical inputs always produce identical
 bijections.  Automorphism groups come back as a strong generating set with
@@ -31,23 +33,29 @@ def _normalize(colors: Sequence[int]) -> list[int]:
 
 
 def _signatures(d: Digraph, colors: Sequence[int]) -> list[tuple]:
-    """Per vertex: (color, loop flag, out-degree per color, in-degree per color)."""
+    """Per vertex: (color, loop flag, out-degree per color, in-degree per color).
+
+    Each count vector is packed into one int, colour c's count in the slot
+    of weight 2**(w*(k-1-c)), w = n.bit_length(): counts are at most n, so
+    no slot overflows and integer order is the vector's lexicographic order.
+    """
     k = max(colors, default=-1) + 1
+    w = d.order.bit_length()
+    weight = [1 << w * (k - 1 - c) for c in colors]
     signatures = []
-    for v in range(d.order):
-        out_by = [0] * k
-        row = d.out_masks[v]
+    for v, (row, col) in enumerate(zip(d.out_masks, d.in_masks)):
+        loop = row >> v & 1
+        out = 0
         while row:
-            w = (row & -row).bit_length() - 1
-            out_by[colors[w]] += 1
-            row &= row - 1
-        in_by = [0] * k
-        col = d.in_masks[v]
+            low = row & -row
+            out += weight[low.bit_length() - 1]
+            row ^= low
+        into = 0
         while col:
-            w = (col & -col).bit_length() - 1
-            in_by[colors[w]] += 1
-            col &= col - 1
-        signatures.append((colors[v], d.has_loop(v), tuple(out_by), tuple(in_by)))
+            low = col & -col
+            into += weight[low.bit_length() - 1]
+            col ^= low
+        signatures.append((colors[v], loop, out, into))
     return signatures
 
 
@@ -55,19 +63,22 @@ def _refine_colors(d: Digraph, colors: Sequence[int]) -> list[int]:
     colors = _normalize(colors)
     while True:
         k = max(colors, default=-1) + 1
+        if k == d.order:
+            return colors  # discrete, hence stable
         signatures = _signatures(d, colors)
         ranking = {s: i for i, s in enumerate(sorted(set(signatures)))}
-        new_colors = [ranking[s] for s in signatures]
-        if max(new_colors, default=-1) + 1 == k:
-            return new_colors
-        colors = new_colors
+        if len(ranking) == k:
+            return colors  # stable: every class kept its colour index
+        colors = [ranking[s] for s in signatures]
 
 
 def refine(d: Digraph, initial: Sequence[int] | None = None) -> tuple[int, ...]:
     """The stable colouring, one colour index 0..k-1 per vertex.
 
     Iterate (color, loop flag, out-degree-per-color, in-degree-per-color)
-    signatures until stable.  Distinct initial colors are never merged."""
+    signatures until stable, each count vector packed into one int.  A
+    discrete colouring is stable, so it returns before another round.
+    Distinct initial colors are never merged."""
     colors = [0] * d.order if initial is None else list(initial)
     if len(colors) != d.order:
         raise ValueError("coloring length does not match order")

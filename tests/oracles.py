@@ -5,14 +5,16 @@ for group automorphisms, the whole automorphism list for the first
 automorphism carrying one set onto another (the scan the library replaced
 by a set transporter), every leaf of the find-all backtracking for
 automorphism groups (the element listing the library itself no longer
-builds), one isomorphism search per pair of connection sets for the CI
-sweep (the pair loop the library replaced by refinement keys), every vertex
-pair for twin classes (the test the library replaced by one key per
-vertex), the breadth-first element closure of a permutation group (which
-the library, holding only generators and an order, never builds) for
-group orders, blocks and invariant partitions, all uniform set partitions
-for wreath-structure questions.  They stay dumb on purpose -- the package
-is tested against them, never the other way around.
+builds), refinement rounds with tuple signatures and a confirming round
+at a discrete colouring (the rounds the library replaced by packed counts
+and an early exit), one isomorphism search per pair of connection sets
+for the CI sweep (the pair loop the library replaced by refinement keys),
+every vertex pair for twin classes (the test the library replaced by one
+key per vertex), the breadth-first element closure of a permutation group
+(which the library, holding only generators and an order, never builds)
+for group orders, blocks and invariant partitions, all uniform set
+partitions for wreath-structure questions.  They stay dumb on purpose --
+the package is tested against them, never the other way around.
 """
 
 from functools import cache
@@ -147,6 +149,54 @@ def enumerated_automorphisms(d: Digraph) -> list[tuple[int, ...]]:
     cand = _candidates(order, colors, colors)
     masks = list(d.out_masks)
     return sorted(_kernels.iso_backtrack(n, masks, masks, order, cand, True))
+
+
+def round_signatures(d: Digraph, colors) -> list[tuple]:
+    """Per vertex: (color, loop flag, out-degree per color, in-degree per
+    color), the count vectors as tuples: the refinement round the library
+    replaced by packed counts."""
+    k = max(colors, default=-1) + 1
+    signatures = []
+    for v in range(d.order):
+        out_by = [0] * k
+        row = d.out_masks[v]
+        while row:
+            w = (row & -row).bit_length() - 1
+            out_by[colors[w]] += 1
+            row &= row - 1
+        in_by = [0] * k
+        col = d.in_masks[v]
+        while col:
+            w = (col & -col).bit_length() - 1
+            in_by[colors[w]] += 1
+            col &= col - 1
+        signatures.append((colors[v], d.has_loop(v), tuple(out_by), tuple(in_by)))
+    return signatures
+
+
+def round_refinement(d: Digraph, colors) -> list[int]:
+    """The stable colouring by tuple signatures, with a confirming round
+    even when the colouring is already discrete."""
+    ranking = {c: i for i, c in enumerate(sorted(set(colors)))}
+    colors = [ranking[c] for c in colors]
+    while True:
+        k = max(colors, default=-1) + 1
+        signatures = round_signatures(d, colors)
+        ranking = {s: i for i, s in enumerate(sorted(set(signatures)))}
+        new_colors = [ranking[s] for s in signatures]
+        if max(new_colors, default=-1) + 1 == k:
+            return new_colors
+        colors = new_colors
+
+
+def round_rooted_key(d: Digraph) -> tuple:
+    """`iso.rooted_key` from the tuple-signature rounds: the relabelled
+    digraph when vertex 0 individualised refines to a discrete colouring,
+    the sorted tuple signatures otherwise."""
+    colors = round_refinement(d, [min(v, 1) for v in range(d.order)])
+    if len(set(colors)) == d.order:
+        return (True, d.relabel(colors).out_masks)
+    return (False, tuple(sorted(round_signatures(d, colors))))
 
 
 def union_find_twin_labels(n: int, out, complete_kind: bool) -> list[int]:

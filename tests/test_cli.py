@@ -98,6 +98,15 @@ class TestExitCodes:
         assert code == 2
         assert "out of range" in err
 
+    @pytest.mark.parametrize("value", ["--1", "\u00b2"])
+    def test_non_index_exits_two_naming_the_flag(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "ci", "pair", "--group", "Z8", f"--set1={value}", "--set2", "1"
+        )
+        assert code == 2
+        assert f"--set1: {value!r} is not an element index" in err
+        assert out == ""
+
     def test_bad_spec_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "cayley", "--group", "B9", "--set", "1")
         assert code == 2

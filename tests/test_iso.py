@@ -65,6 +65,52 @@ class TestRefine:
             refine(Digraph.empty(3), [0, 0])
 
 
+def _sparse_or_dense_digraph(rng, n):
+    p = rng.choice([0.1, 0.5, 0.9])
+    return Digraph(
+        n, (sum(1 << v for v in range(n) if rng.random() < p) for _ in range(n))
+    )
+
+
+class TestRefineAgainstRounds:
+    """`refine` returns exactly the colour indices of the tuple-signature
+    rounds in `oracles.round_refinement`: packing the counts and stopping at
+    a discrete colouring renumber nothing."""
+
+    @staticmethod
+    def assert_same(d, initial):
+        assert refine(d, initial) == tuple(oracles.round_refinement(d, initial))
+
+    def test_random_small_digraphs(self):
+        rng = random.Random(12)
+        for n in range(11):
+            for _ in range(60):
+                d = _sparse_or_dense_digraph(rng, n)
+                self.assert_same(d, [0] * n)
+                self.assert_same(d, rng.sample(range(-n, n), n))
+                self.assert_same(d, [rng.randrange(-3, 3) for _ in range(n)])
+
+    @pytest.mark.parametrize("spec", [s for s, n in catalog_specs(8) if n == 8])
+    def test_order_eight_cayley_digraphs_with_zero_individualised(self, spec):
+        g = parse_group_spec(spec)
+        for s in _all_connection_sets(g):
+            self.assert_same(cayley(g, s), [min(v, 1) for v in range(8)])
+
+    def test_counts_past_six_bit_slots(self):
+        # From 64 vertices a count can be 64, one bit past a 6-bit slot.  In
+        # `spike` with 0 individualised, vertex 1 sees the other n - 2
+        # vertices of colour 1 and vertex 2 only vertex 0: (0, n - 2) <
+        # (1, 0) as tuples, but not in 6-bit slots once n - 2 >= 64.
+        rng = random.Random(64)
+        for n in range(64, 71):
+            full = Digraph(n, [(1 << n) - 1] * n)
+            spike = Digraph(n, [0, (1 << n) - 4, 1] + [0] * (n - 3))
+            for d in (full, spike, _sparse_or_dense_digraph(rng, n)):
+                self.assert_same(d, [0] * n)
+                self.assert_same(d, [min(v, 1) for v in range(n)])
+                self.assert_same(d, [rng.randrange(-2, 3) for _ in range(n)])
+
+
 class TestFindIsomorphism:
     def test_triangle_and_its_reverse(self):
         c3 = directed_cycle(3)
@@ -240,6 +286,19 @@ class TestRootedKey:
     def test_all_connection_sets_against_brute_force(self, spec):
         g = parse_group_spec(spec)
         self.assert_sound(g, _all_connection_sets(g), oracles.brute_isomorphism)
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(10)])
+    def test_keys_separate_what_the_tuple_rounds_separate(self, spec):
+        g = parse_group_spec(spec)
+        digraphs = [cayley(g, r) for r in orbit_representatives(g, "digraph")]
+
+        def partition(key):
+            classes = {}
+            for i, d in enumerate(digraphs):
+                classes.setdefault(key(d), []).append(i)
+            return sorted(classes.values())
+
+        assert partition(rooted_key) == partition(oracles.round_rooted_key)
 
     def test_discrete_key_is_the_relabelled_digraph(self):
         # Z5 with {1, 2}: the out-neighbours of 0 are told apart at once.
