@@ -99,44 +99,28 @@ def ci_pair(
     iso = find_isomorphism(cayley(group, s1), cayley(group, s2), limits)
     if iso is None:
         return CIPairResult("not_isomorphic", None, None)
-    alpha = automorphic_image_search(group, s1, s2, limits)
+    alpha = automorphic_image_search(group, s1, s2)
     if alpha is None:
         return CIPairResult("non_ci_witness", None, iso)
     return CIPairResult("ci_equivalent", alpha, iso)
 
 
 def enumerate_connection_sets(group: FiniteGroup, mode: str) -> list[frozenset[int]]:
-    """All candidate connection sets, ordered by (size, elements).
-
-    Digraph mode: every subset.  Graph mode: every inverse-closed subset,
-    built from {x, x^-1} pairs.
+    """All candidate connection sets, ordered by (size, elements): every
+    union of atoms, which are the singletons in digraph mode and the
+    {x, x^-1} pairs in graph mode.  Past 2^16 sets it raises CapExceeded
+    before building any.
     """
     _check_mode(mode)
-    n = group.order
-    if mode == "digraph":
-        if n > 16:
-            raise CapExceeded(f"2^{n} connection sets is past desk scale")
-        subsets = [
-            frozenset(x for x in range(n) if m >> x & 1) for m in range(1 << n)
-        ]
-    else:
-        pairs = []
-        seen: set[int] = set()
-        for x in range(n):
-            if x in seen:
-                continue
-            pair = frozenset({x, group.inv(x)})
-            seen |= pair
-            pairs.append(pair)
-        if len(pairs) > 16:
-            raise CapExceeded(f"2^{len(pairs)} connection sets is past desk scale")
-        subsets = []
-        for m in range(1 << len(pairs)):
-            s: frozenset[int] = frozenset()
-            for i, pair in enumerate(pairs):
-                if m >> i & 1:
-                    s |= pair
-            subsets.append(s)
+    atoms = {
+        frozenset({x, group.inv(x)} if mode == "graph" else {x})
+        for x in range(group.order)
+    }
+    if len(atoms) > 16:
+        raise CapExceeded(f"2^{len(atoms)} connection sets is past desk scale")
+    subsets: list[frozenset[int]] = [frozenset()]
+    for atom in atoms:
+        subsets += [s | atom for s in subsets]
     return sorted(subsets, key=lambda s: (len(s), sorted(s)))
 
 
@@ -167,24 +151,27 @@ class CIGroupVerdict:
 
 
 def _reverify_witness(
-    group: FiniteGroup, s1: frozenset[int], s2: frozenset[int], iso: Perm,
-    limits: Limits = DEFAULT_LIMITS,
+    group: FiniteGroup, s1: frozenset[int], s2: frozenset[int], iso: Perm
 ) -> None:
     """Independent re-check of a non-CI witness; raises on any failure."""
     if cayley(group, s1).relabel(iso.images) != cayley(group, s2):
         raise AssertionError("witness isomorphism does not preserve arcs")
-    if automorphic_image_search(group, s1, s2, limits) is not None:
+    if automorphic_image_search(group, s1, s2) is not None:
         raise AssertionError("witness has an automorphic image after all")
 
 
 def orbit_representatives(
     group: FiniteGroup, mode: str, limits: Limits = DEFAULT_LIMITS
 ) -> list[frozenset[int]]:
-    """The first connection set of every Aut(G)-orbit, in enumeration order."""
+    """The first connection set of every Aut(G)-orbit, in enumeration order.
+
+    The sets are enumerated first, so a sweep past 2^16 sets is refused
+    before Aut(G) is listed."""
+    sets = enumerate_connection_sets(group, mode)
     auts = group.automorphisms(limits)
     reps: list[frozenset[int]] = []
     seen: set[frozenset[int]] = set()
-    for s in enumerate_connection_sets(group, mode):
+    for s in sets:
         if s in seen:
             continue
         seen.update(alpha.image_of_set(s) for alpha in auts)
@@ -248,7 +235,7 @@ def is_ci_group(
         res = ci_pair(group, s1, s2, mode, limits)
         if res.verdict == "non_ci_witness":
             assert res.iso is not None
-            _reverify_witness(group, s1, s2, res.iso, limits)
+            _reverify_witness(group, s1, s2, res.iso)
             witness, decided = (s1, s2, res.iso), position
             break
     exhaustive = budget is None or decided <= budget
@@ -490,7 +477,7 @@ def quotient_ci_certificate(
     if size in (1, group.order):
         # Degenerate kernel: the quotient is the group itself (or trivial);
         # verify the conclusion directly at quotient level.
-        beta = automorphic_image_search(qmap.target, s1, s2, limits)
+        beta = automorphic_image_search(qmap.target, s1, s2)
         checks["alpha_bar_found"] = beta is not None
         checks["alpha_bar_maps_sets"] = (
             beta is not None and beta.image_of_set(s1) == s2
@@ -514,7 +501,7 @@ def quotient_ci_certificate(
         for side, report in enumerate((report1, report2), 1):
             checks[f"{name}_side{side}"] = all(report.checks[k] for k in keys)
 
-    alpha = automorphic_image_search(group, lift1.connection, lift2.connection, limits)
+    alpha = automorphic_image_search(group, lift1.connection, lift2.connection)
     checks["alpha_found"] = alpha is not None
     if alpha is None:
         return certificate("hypothesis_not_ci", False, lift1=lift1, lift2=lift2)
@@ -614,7 +601,13 @@ def verify_wreath_aut_dichotomy(
     over a complete (or empty) inner factor of size r, the inner factor must
     be a join (or disjoint union) of s isomorphic pieces, and the composite
     wreath formula must reproduce the computed order exactly.
+
+    The product is built only to be searched, so its order is checked
+    against ``limits.search`` before any search runs.
     """
+    n = d1.order * d2.order
+    if n > limits.search:
+        raise CapExceeded(f"wreath product on {n} vertices exceeds search cap {limits.search}")
     a1 = automorphism_group_of(d1, limits)
     a2 = automorphism_group_of(d2, limits)
     if not a1.is_transitive() or not a2.is_transitive():

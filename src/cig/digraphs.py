@@ -12,7 +12,6 @@ from math import gcd
 from typing import TYPE_CHECKING, Iterable
 
 from cig import _kernels
-from cig.limits import WREATH_VERTEX_CAP, CapExceeded
 from cig.perms import PointPartition
 
 if TYPE_CHECKING:
@@ -228,8 +227,6 @@ def wreath_product(outer: Digraph, inner: Digraph) -> Digraph:
     """
     n1, n2 = outer.order, inner.order
     n = n1 * n2
-    if n > WREATH_VERTEX_CAP:
-        raise CapExceeded(f"wreath product on {n} vertices exceeds cap {WREATH_VERTEX_CAP}")
     masks = [0] * n
     fiber_full = (1 << n2) - 1
     for u in range(n1):

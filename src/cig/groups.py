@@ -111,9 +111,6 @@ class FiniteGroup:
             k += 1
         return k
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def is_abelian(self) -> bool:
         return all(
             self.table[a][b] == self.table[b][a]
@@ -524,19 +521,16 @@ def _automorphism_images(
 
 
 def automorphic_image_search(
-    group: FiniteGroup,
-    subset: Iterable[int],
-    target_subset: Iterable[int],
-    limits: Limits = DEFAULT_LIMITS,
+    group: FiniteGroup, subset: Iterable[int], target_subset: Iterable[int]
 ) -> Perm | None:
     """First automorphism, in `automorphisms()` order, carrying one subset onto
-    the other, or None: a set transporter, capped by ``limits.aut`` as the list is."""
+    the other, or None: a set transporter.  It lists nothing, so no cap
+    applies; every library caller has searched the group's Cayley digraph
+    under ``limits.search`` first."""
     s = frozenset(subset)
     t = frozenset(target_subset)
     if len(s) != len(t):
         return None
-    if group.order > limits.aut:
-        raise CapExceeded(f"order {group.order} exceeds automorphism cap {limits.aut}")
     return next(map(Perm, _automorphism_images(group, s, t)), None)
 
 

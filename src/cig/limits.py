@@ -1,15 +1,10 @@
-"""Size caps. Operations fail loudly past a cap instead of degrading."""
+"""Size caps. A cap bounds a listing or a search and is checked before that
+work starts, so an operation past it fails loudly instead of degrading."""
 
 from dataclasses import dataclass
 
 GROUP_ORDER_CAP = 200
 """Maximum order for multiplication-table construction."""
-
-BLOCK_DEGREE_CAP = 24
-"""Maximum degree for exhaustive block-system search."""
-
-WREATH_VERTEX_CAP = 1024
-"""Maximum vertex count of a digraph wreath product."""
 
 
 @dataclass(frozen=True)
@@ -17,8 +12,9 @@ class Limits:
     """The user-settable caps, passed as one value to every search.
 
     search: maximum digraph order accepted by the isomorphism/automorphism
-    search.  aut: maximum group order for automorphism and subgroup
-    enumeration.
+    search; it also bounds the set transporter, which runs only after a
+    search on the group's Cayley digraph.  aut: maximum group order whose
+    automorphisms (the CI sweep) or subgroups are listed.
     """
 
     search: int = 40

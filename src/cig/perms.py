@@ -10,8 +10,6 @@ from __future__ import annotations
 from math import factorial
 from typing import Iterable, Sequence
 
-from cig.limits import BLOCK_DEGREE_CAP, CapExceeded
-
 
 class Perm:
     """A permutation of {0..degree-1}; ``(p * q)(x) == p(q(x))``."""
@@ -287,8 +285,6 @@ class PermGroup:
             raise ValueError("block systems are defined for transitive groups")
         if size <= 0 or n % size:
             raise ValueError(f"class size {size} does not divide degree {n}")
-        if n > BLOCK_DEGREE_CAP:
-            raise CapExceeded(f"degree {n} exceeds block-search cap {BLOCK_DEGREE_CAP}")
         minimal = {self._block_of((0, x)) for x in range(1, n)}
         blocks = {frozenset({0})} | {b for b in minimal if len(b) <= size}
         todo = list(blocks)

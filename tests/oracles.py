@@ -61,11 +61,11 @@ def brute_group_automorphisms(table) -> list[tuple[int, ...]]:
     return found
 
 
-def first_automorphic_image(group, s, t):
-    """The first automorphism of `group.automorphisms()`, in list order, that
-    carries the set s onto the set t, or None."""
+def first_automorphic_image(group, s, t, limits=DEFAULT_LIMITS):
+    """The first automorphism of `group.automorphisms(limits)`, in list order,
+    that carries the set s onto the set t, or None."""
     s, t = frozenset(s), frozenset(t)
-    for alpha in group.automorphisms():
+    for alpha in group.automorphisms(limits):
         if alpha.image_of_set(s) == t:
             return alpha
     return None
@@ -108,7 +108,7 @@ def pairwise_ci_sweep(group, mode="digraph", budget=None, limits=DEFAULT_LIMITS)
         pairs_checked += 1
         res = _pair_verdict(group, s1, s2, mode, limits)
         if res.verdict == "non_ci_witness":
-            _reverify_witness(group, s1, s2, res.iso, limits)
+            _reverify_witness(group, s1, s2, res.iso)
             witness = (s1, s2, res.iso)
             break
     return CIGroupVerdict(group, mode, witness is None, witness, pairs_checked, exhaustive)

@@ -235,7 +235,45 @@ class TestLimits:
 
     def test_aut_cap_takes_effect(self):
         with pytest.raises(CapExceeded, match="automorphism cap 5"):
-            ci_pair(FiniteGroup.cyclic(6), {1}, {5}, limits=Limits(aut=5))
+            is_ci_group(FiniteGroup.cyclic(6), limits=Limits(aut=5))
+
+    def test_sweep_refuses_before_listing_automorphisms(self, monkeypatch):
+        # Graph mode on Z2^5 has 2^32 connection sets, and listing its
+        # 9,999,360 automorphisms first would take minutes.
+        def listing(*args):
+            raise AssertionError("Aut(G) listed before the refusal")
+
+        monkeypatch.setattr(FiniteGroup, "automorphisms", listing)
+        g = parse_group_spec("Z2xZ2xZ2xZ2xZ2")
+        with pytest.raises(CapExceeded, match="2\\^32 connection sets is past desk scale"):
+            is_ci_group(g, "graph", limits=Limits(aut=40))
+
+    def test_wreath_product_is_refused_before_any_search(self, monkeypatch):
+        def search(*args):
+            raise AssertionError("searched before the refusal")
+
+        monkeypatch.setattr(cig.ci, "automorphism_group_of", search)
+        with pytest.raises(CapExceeded, match="49 vertices exceeds search cap 40"):
+            verify_wreath_aut_dichotomy(directed_cycle(7), directed_cycle(7))
+
+
+class TestPastTwentyFourVertices:
+    """Answers above 24 vertices, inside the default search cap of 40."""
+
+    @pytest.mark.parametrize("n,k,s1,s2", [(25, 5, 1, 2), (28, 7, 1, 3)])
+    def test_cyclic_certificate_is_accepted(self, n, k, s1, s2):
+        # Coset i of <k> holds i, so the quotient sets are {s1} and {s2}.
+        g = FiniteGroup.cyclic(n)
+        cert = quotient_ci_certificate(g, g.subgroup_generated([k]), {s1}, {s2})
+        assert cert.accepted, cert.failing_checks()
+        assert cert.alpha == oracles.first_automorphic_image(
+            g, cert.lift1.connection, cert.lift2.connection, Limits(aut=40)
+        )
+
+    def test_z32_pair_is_ci_equivalent(self):
+        res = ci_pair(FiniteGroup.cyclic(32), {1, 2}, {3, 6})
+        assert res.verdict == "ci_equivalent"
+        assert res.alpha.image_of_set({1, 2}) == {3, 6}
 
 
 class TestLift:

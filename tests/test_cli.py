@@ -126,8 +126,7 @@ class TestExitCodes:
             # Z8/<4>: non-isomorphic quotients, so only the quotient search runs.
             ("--search-cap 3 quotient verify --group Z8 --normal 4 --set1 1 --set2 2",
              "exceeds search cap 3"),
-            ("--aut-cap 5 ci pair --group Z6 --set1 1 --set2 5",
-             "exceeds automorphism cap 5"),
+            ("--aut-cap 5 ci group --group Z6", "exceeds automorphism cap 5"),
         ],
     )
     def test_cap_takes_effect(self, capsys, argv, message):

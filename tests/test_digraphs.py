@@ -16,7 +16,6 @@ from cig.digraphs import (
 )
 from cig.groups import FiniteGroup
 from cig.iso import are_isomorphic
-from cig.limits import CapExceeded
 
 
 def directed_cycle(n):
@@ -134,10 +133,6 @@ class TestWreathProduct:
                 wreath_product(wreath_product(a, b), c),
                 wreath_product(a, wreath_product(b, c)),
             )
-
-    def test_vertex_cap(self):
-        with pytest.raises(CapExceeded):
-            wreath_product(Digraph.empty(64), Digraph.empty(64))
 
 
 class TestCompleteEmpty:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import oracles
 from cig.ci import verify_lift_structure
 from cig.groups import FiniteGroup, parse_group_spec
-from cig.limits import CapExceeded
 from cig.perms import (
     Perm,
     PermGroup,
@@ -235,9 +234,9 @@ class TestBlocks:
         with pytest.raises(ValueError):
             trivial_group(2).block_systems(2)
 
-    def test_block_search_degree_cap(self):
-        with pytest.raises(CapExceeded):
-            cyclic_group(30).block_systems(2)
+    def test_block_search_past_twenty_four_points(self):
+        g = cyclic_group(30)
+        assert g.block_systems(2) == oracles.brute_block_systems(g, 2)
 
 
 def _invariant_partitions(g):
