@@ -2,13 +2,10 @@
 
 All pure Python; ``BACKEND`` is always ``"python"``.
 
-Conventions:
-
-* a permutation is a tuple ``p`` with ``p[x]`` the image of point ``x``;
-  composition ``p . q`` means "apply q, then p";
-* adjacency is one integer bitmask per vertex (``out[u] >> v & 1`` is the
-  arc u -> v).  Python integers have no fixed width, so these kernels take
-  any number of vertices.
+Adjacency is one integer bitmask per vertex: ``out[u] >> v & 1`` is the arc
+u -> v, and ``into[v] >> u & 1`` the same arc seen from its head (the
+``Digraph.out_masks`` and ``Digraph.in_masks`` tuples).  Python integers
+have no fixed width, so these kernels take any number of vertices.
 """
 
 BACKEND = "python"
@@ -78,8 +75,9 @@ def iso_backtrack(n, out_a, out_b, order, cand, find_all):
     return results
 
 
-def twin_labels(n, out, complete_kind):
-    """Twin-class label per vertex (labels numbered by first occurrence).
+def twin_labels(out, into, complete_kind):
+    """Twin-class label per vertex (labels numbered by first occurrence),
+    from the out-masks ``out`` and in-masks ``into`` of one digraph.
 
     Two vertices are twins when they have identical in- and out-
     neighbourhoods outside the pair and, for ``complete_kind``, are mutually
@@ -88,24 +86,17 @@ def twin_labels(n, out, complete_kind):
     looped clique case, which an inner empty factor also realizes through a
     quotient loop).
 
-    That relation is equality of one key per vertex: ``(out[u], in[u])`` for
-    the empty kind, and ``(out[u] | 1<<u, in[u] | 1<<u, loop bit)`` for the
-    complete kind.
+    That relation is equality of one key per vertex: ``(out[u], into[u])``
+    for the empty kind, and ``(out[u] | 1<<u, into[u] | 1<<u, loop bit)``
+    for the complete kind.
     """
-    in_masks = [0] * n
-    for u in range(n):
-        m = out[u]
-        while m:
-            v = (m & -m).bit_length() - 1
-            in_masks[v] |= 1 << u
-            m &= m - 1
     seen = {}
-    labels = [0] * n
-    for u in range(n):
+    labels = []
+    for u, (row, col) in enumerate(zip(out, into)):
         if complete_kind:
             bit = 1 << u
-            key = (out[u] | bit, in_masks[u] | bit, out[u] >> u & 1)
+            key = (row | bit, col | bit, row >> u & 1)
         else:
-            key = (out[u], in_masks[u])
-        labels[u] = seen.setdefault(key, len(seen))
+            key = (row, col)
+        labels.append(seen.setdefault(key, len(seen)))
     return labels

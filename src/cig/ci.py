@@ -3,7 +3,8 @@ machine verification of the quotient construction on concrete instances.
 
 Everything here is exhaustive at desk scale: isomorphism verdicts come from
 full backtracking search (CI sweeps first rule out every pair whose rooted
-refinement keys differ), automorphism verdicts from strong generating sets
+refinement keys differ, then run `find_isomorphism`, not `ci_pair`, on the
+same-key pairs), automorphism verdicts from strong generating sets
 (exact group orders, membership checked on generators), and the quotient
 certificate records one named boolean per verification step.  A
 certificate builds G/H once and checks each side's lift against it in one
@@ -14,7 +15,7 @@ cosets as the only block system of their size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from math import factorial
 from typing import Iterable, Iterator
 
@@ -27,7 +28,7 @@ from cig.digraphs import (
     wreath_product,
 )
 from cig.groups import FiniteGroup, QuotientMap, automorphic_image_search
-from cig.iso import automorphism_group_of, find_isomorphism, rooted_key
+from cig.iso import _check_cap, automorphism_group_of, find_isomorphism, rooted_key
 from cig.limits import DEFAULT_LIMITS, CapExceeded, Limits
 from cig.perms import Perm, PermGroup, PointPartition
 
@@ -181,22 +182,24 @@ def orbit_representatives(
 
 def _same_key_pairs(
     group: FiniteGroup, classes: list[list[frozenset[int]]], limits: Limits
-) -> Iterator[tuple[int, frozenset[int], frozenset[int]]]:
-    """(position, s1, s2) for each same-size pair with equal rooted keys, in
-    scan order; `position` is its 1-based index among all same-size pairs.
-    Keys are computed one size at a time, as the scan gets there."""
+) -> Iterator[tuple[int, frozenset[int], frozenset[int], Digraph, Digraph]]:
+    """(position, s1, s2, cayley(s1), cayley(s2)) for each same-size pair
+    with equal rooted keys, in scan order; `position` is its 1-based index
+    among all same-size pairs.  Keys are computed one size at a time, as the
+    scan gets there."""
     offset = 0
     for same_size in classes:
         m = len(same_size)
         if m < 2:
             continue
+        digraphs = [cayley(group, r) for r in same_size]
         by_key: dict[tuple, list[int]] = {}
-        for i, r in enumerate(same_size):
-            by_key.setdefault(rooted_key(cayley(group, r), limits), []).append(i)
+        for i, d in enumerate(digraphs):
+            by_key.setdefault(rooted_key(d, limits), []).append(i)
         pairs = sorted(p for ids in by_key.values() for p in combinations(ids, 2))
         for i, j in pairs:
             position = offset + i * m - i * (i + 1) // 2 + j - i
-            yield position, same_size[i], same_size[j]
+            yield position, same_size[i], same_size[j], digraphs[i], digraphs[j]
         offset += m * (m - 1) // 2
 
 
@@ -212,31 +215,35 @@ def is_ci_group(
     exactly when no two of equal size have isomorphic Cayley digraphs.
     Each gets one `rooted_key` (refinement with the identity individualised,
     canonical when discrete); pairs with different keys are not isomorphic,
-    so `ci_pair` runs only on same-key pairs, in scan order (by size, then
-    index i < j), up to the first re-verified witness.
+    so `find_isomorphism` runs only on same-key pairs, in scan order (by
+    size, then index i < j), up to the first isomorphic pair.  No set
+    transporter runs until then: it could only answer "no" on such a pair,
+    and `_reverify_witness` asks it once, for the witness.
 
     `pairs_checked` counts the pairs decided in that scan order: the
     witness's 1-based position, or all same-size pairs when there is none,
     capped at `budget` (at least 1).  `exhaustive` is cleared only when the
-    budget ran out before the scan was decided.
+    budget ran out before the scan was decided.  A group past the search
+    cap is refused before any connection set or automorphism is listed.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be a positive number of pairs, got {budget}")
-    by_size: dict[int, list[frozenset[int]]] = {}
-    for r in orbit_representatives(group, mode, limits):
-        by_size.setdefault(len(r), []).append(r)
-    classes = [same_size for _, same_size in sorted(by_size.items())]
+    _check_cap(group.order, limits.search)
+    # Representatives come in enumeration order, which is by size first.
+    classes = [
+        list(same_size)
+        for _, same_size in groupby(orbit_representatives(group, mode, limits), len)
+    ]
 
     witness = None
     decided = sum(len(c) * (len(c) - 1) // 2 for c in classes)
-    for position, s1, s2 in _same_key_pairs(group, classes, limits):
+    for position, s1, s2, d1, d2 in _same_key_pairs(group, classes, limits):
         if budget is not None and position > budget:
             break
-        res = ci_pair(group, s1, s2, mode, limits)
-        if res.verdict == "non_ci_witness":
-            assert res.iso is not None
-            _reverify_witness(group, s1, s2, res.iso)
-            witness, decided = (s1, s2, res.iso), position
+        iso = find_isomorphism(d1, d2, limits)
+        if iso is not None:
+            _reverify_witness(group, s1, s2, iso)
+            witness, decided = (s1, s2, iso), position
             break
     exhaustive = budget is None or decided <= budget
     return CIGroupVerdict(
@@ -619,13 +626,12 @@ def verify_wreath_aut_dichotomy(
 
     dichotomy = None
     if not equal:
-        for kind in ("complete", "empty"):
-            if kind == "complete":
-                dec = decompose_over_complete(d1)
-                comps = d2.complement().weak_components()
-            else:
-                dec = decompose_over_empty(d1)
-                comps = d2.weak_components()
+        for kind, decompose in (
+            ("complete", decompose_over_complete),
+            ("empty", decompose_over_empty),
+        ):
+            dec = decompose(d1)
+            comps = (d2.complement() if kind == "complete" else d2).weak_components()
             if dec is None or len(comps) < 2:
                 continue
             piece = _iso_pieces(d2, comps, limits)

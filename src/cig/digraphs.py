@@ -254,7 +254,7 @@ class WreathDecomposition:
 
 
 def _decompose(d: Digraph, kind: str) -> WreathDecomposition | None:
-    labels = _kernels.twin_labels(d.order, list(d.out_masks), kind == "complete")
+    labels = _kernels.twin_labels(d.out_masks, d.in_masks, kind == "complete")
     r = gcd(*Counter(labels).values())
     if r < 2:
         return None
@@ -264,16 +264,9 @@ def _decompose(d: Digraph, kind: str) -> WreathDecomposition | None:
     # Split each twin class into consecutive runs of r (ascending indices).
     parts = [cls[i : i + r] for cls in twins.values() for i in range(0, len(cls), r)]
     partition = PointPartition(d.order, parts)
-    q = len(partition)
-    reps = [c[0] for c in partition.classes]
-    q_masks = [0] * q
-    for i, u in enumerate(reps):
-        if d.has_loop(u):
-            q_masks[i] |= 1 << i
-        for j, v in enumerate(reps):
-            if i != j and d.has_arc(u, v):
-                q_masks[i] |= 1 << j
-    quotient = Digraph(q, q_masks)
+    # Class minima ascend with the class index, so the induced subdigraph on
+    # them is the quotient, loops included.
+    quotient = d.induced(c[0] for c in partition.classes)
     inner = Digraph.complete(r) if kind == "complete" else Digraph.empty(r)
     rebuilt = wreath_product(quotient, inner)
     if d.relabel(partition.fiber_images()) != rebuilt:

@@ -142,9 +142,7 @@ def find_isomorphism(
         return None
     order = _search_order(colors_a)
     cand = _candidates(order, colors_a, colors_b)
-    hits = _kernels.iso_backtrack(
-        n, list(a.out_masks), list(b.out_masks), order, cand, False
-    )
+    hits = _kernels.iso_backtrack(n, a.out_masks, b.out_masks, order, cand, False)
     if not hits:
         return None
     mapping = Perm(hits[0])
@@ -173,7 +171,7 @@ def automorphism_group_of(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> PermGr
     """
     _check_cap(d.order, limits.search)
     n = d.order
-    masks = list(d.out_masks)
+    masks = d.out_masks
     path = [_refine_colors(d, [0] * n)]
     base = []
     while len(set(path[-1])) < n:

@@ -2,7 +2,10 @@
 
 A rename or signature change in `cig` would otherwise first show up as
 failed jobs in a benchmark run.  This builds each workload, runs and checks
-its first job, and calls the `pin.py` helpers that reach into `cig.groups`.
+its first job, untraced and under `tracing.Tracer`, and calls the `pin.py`
+helpers that reach into `cig.groups`.  The tracer reads some arguments by
+position (`iso_backtrack`'s sixth), so a kernel signature change that
+breaks it fails here.
 """
 
 from pathlib import Path
@@ -19,14 +22,15 @@ def perfbench():
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(PERFBENCH))
         import pin
+        import tracing
         import workloads
 
-        yield pin, workloads
+        yield pin, workloads, tracing
 
 
 @pytest.mark.parametrize("workload", ["ci_sweep", "quotient_cert", "wreath_aut"])
 def test_first_job_runs_and_checks(perfbench, workload):
-    _, workloads = perfbench
+    _, workloads, _ = perfbench
     job = workloads.build(workload, 1)[0]
     given = job.inputs(0)
     output = job.run(given)
@@ -34,8 +38,32 @@ def test_first_job_runs_and_checks(perfbench, workload):
     job.counts(output)
 
 
+# Targets that `tracing.py` still names although the library deleted them.
+DELETED_TARGETS = {"kernels.perm_closure", "perms.from_elements"}
+
+
+def test_first_jobs_run_and_check_under_the_tracer(perfbench):
+    _, workloads, tracing = perfbench
+    tracer = tracing.Tracer()
+    tracer.install()
+    counts = {}
+    try:
+        for workload in ("ci_sweep", "quotient_cert", "wreath_aut"):
+            job = workloads.build(workload, 1)[0]
+            given = job.inputs(0)
+            tracer.reset()
+            output = job.run(given)
+            assert job.check(given, output) is None, workload
+            counts[workload] = dict(tracer.counts)
+    finally:
+        tracer.uninstall()
+    assert set(tracer.absent) <= DELETED_TARGETS, tracer.absent
+    assert counts["quotient_cert"].get("kernels.iso_first.calls", 0) > 0
+    assert counts["quotient_cert"].get("kernels.twin_labels.calls", 0) > 0
+
+
 def test_pin_helpers(perfbench):
-    pin, _ = perfbench
+    pin, _, _ = perfbench
     z6 = FiniteGroup.cyclic(6)
     kernel = frozenset({0, 3})
     assert pin._variants(z6, kernel, frozenset({1}), frozenset({2})) == [

@@ -163,9 +163,29 @@ class TestSweepAgainstPairLoop:
         # Every representative of these groups has its own rooted key, so
         # the sweep decides all pairs without one isomorphism search.
         calls = []
-        monkeypatch.setattr(cig.ci, "ci_pair", lambda *args: calls.append(args))
+        monkeypatch.setattr(cig.ci, "find_isomorphism", lambda *args: calls.append(args))
         v = is_ci_group(parse_group_spec(spec), "digraph")
         assert v.is_ci and v.exhaustive and calls == []
+
+    def test_witness_asks_the_set_transporter_once(self, monkeypatch):
+        # Distinct representatives have no automorphic image of each other,
+        # so only `_reverify_witness` asks the transporter, and `ci_pair`
+        # never runs.
+        calls = []
+        search = cig.ci.automorphic_image_search
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        def pair(*args):
+            raise AssertionError("ci_pair called by the sweep")
+
+        monkeypatch.setattr(cig.ci, "automorphic_image_search", counted)
+        monkeypatch.setattr(cig.ci, "ci_pair", pair)
+        v = is_ci_group(FiniteGroup.cyclic(8), "digraph")
+        assert v.witness[:2] == ({1, 2, 5}, {1, 5, 6})
+        assert len(calls) == 1
 
 
 class TestSweepAgainstTheory:
@@ -247,6 +267,17 @@ class TestLimits:
         g = parse_group_spec("Z2xZ2xZ2xZ2xZ2")
         with pytest.raises(CapExceeded, match="2\\^32 connection sets is past desk scale"):
             is_ci_group(g, "graph", limits=Limits(aut=40))
+
+    def test_sweep_refuses_past_the_search_cap_before_any_work(self, monkeypatch):
+        # Z2^4 has 2^16 connection sets and 20,160 automorphisms to list
+        # before the first rooted key would meet the cap.
+        def listing(*args):
+            raise AssertionError("Aut(G) listed before the refusal")
+
+        monkeypatch.setattr(FiniteGroup, "automorphisms", listing)
+        g = parse_group_spec("Z2xZ2xZ2xZ2")
+        with pytest.raises(CapExceeded, match="digraph order 16 exceeds search cap 10"):
+            is_ci_group(g, limits=Limits(search=10))
 
     def test_wreath_product_is_refused_before_any_search(self, monkeypatch):
         def search(*args):

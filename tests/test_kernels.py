@@ -12,10 +12,9 @@ from cig.digraphs import Digraph, wreath_product
 
 
 def _assert_labels_agree(d: Digraph) -> None:
-    masks = list(d.out_masks)
     for complete_kind in (True, False):
-        assert _kernels.twin_labels(d.order, masks, complete_kind) == (
-            oracles.union_find_twin_labels(d.order, masks, complete_kind)
+        assert _kernels.twin_labels(d.out_masks, d.in_masks, complete_kind) == (
+            oracles.union_find_twin_labels(d.order, d.out_masks, complete_kind)
         ), (d.out_masks, complete_kind)
 
 
