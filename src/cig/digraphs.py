@@ -94,12 +94,9 @@ class Digraph:
 
     @property
     def is_undirected(self) -> bool:
-        """True iff the arc relation is symmetric."""
-        return all(
-            not (self.out_masks[u] >> v & 1) ^ (self.out_masks[v] >> u & 1)
-            for u in range(self.order)
-            for v in range(u + 1, self.order)
-        )
+        """True iff the arc relation is symmetric: each vertex has the same
+        out- and in-neighbours."""
+        return self.out_masks == self.in_masks
 
     # -- transformations -----------------------------------------------------
 

@@ -5,14 +5,15 @@ refinement; `refine` gives the stable colouring as a tuple of colour
 indices.  A refinement round packs each vertex's per-colour degree counts
 into one int and stops as soon as the colouring is discrete.  Every
 isomorphism found is checked with `Digraph.relabel`.
-Deterministic: sources are placed smallest color class first,
-candidate targets ascend, so identical inputs always produce identical
-bijections.  Automorphism groups come back as a strong generating set with
-their order, found by one first-hit search per basic-orbit point; the
-elements are never listed.  `rooted_key` gives vertex-transitive digraphs
-an isomorphism invariant from one refinement rooted at vertex 0: a
-canonical form when that colouring is discrete, a signature multiset
-otherwise.  There is no full canonical labelling: digraphs whose keys agree
+Deterministic: `find_isomorphism` places sources smallest color class
+first, the automorphism search places each base point first and then the
+least vertex linked to a placed one, and candidate targets ascend, so
+identical inputs always produce identical bijections.  Automorphism groups
+come back as a strong generating set with their order, found by one
+first-hit search per basic-orbit point; the elements are never listed.
+`rooted_key` gives vertex-transitive digraphs an isomorphism invariant
+from one refinement rooted at vertex 0: a canonical form when that
+colouring is discrete, a signature multiset otherwise.  There is no full canonical labelling: digraphs whose keys agree
 but are not discrete still need a pairwise search.
 """
 
@@ -155,6 +156,21 @@ def are_isomorphic(a: Digraph, b: Digraph, limits: Limits = DEFAULT_LIMITS) -> b
     return find_isomorphism(a, b, limits) is not None
 
 
+def _connected_order(adj: Sequence[int], start: int) -> list[int]:
+    """Placement order from `start`: next the least unplaced vertex linked
+    (per the bitmasks `adj`) to a placed one, else the least unplaced one."""
+    unplaced = ((1 << len(adj)) - 1) ^ (1 << start)
+    frontier = adj[start] & unplaced
+    order = [start]
+    while unplaced:
+        pick = frontier or unplaced
+        v = (pick & -pick).bit_length() - 1
+        order.append(v)
+        unplaced ^= 1 << v
+        frontier = (frontier | adj[v]) & unplaced
+    return order
+
+
 def automorphism_group_of(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> PermGroup:
     """The full automorphism group, as a strong generating set and its order.
 
@@ -168,6 +184,10 @@ def automorphism_group_of(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> PermGr
     cell of that colouring.  Afterwards the generators act on b_k with
     exactly its basic orbit, so Aut(d) has order equal to the product of
     the basic-orbit lengths (McKay, "Practical graph isomorphism", 1981).
+    Each search places b_k first and then follows `_connected_order`, so
+    placements meet a placed neighbour early.  Vertices are linked by an
+    arc either way or, when more than half of all ordered pairs are arcs,
+    by a missing arc either way: the kernel checks both, the rarer prunes.
     """
     _check_cap(d.order, limits.search)
     n = d.order
@@ -177,28 +197,31 @@ def automorphism_group_of(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> PermGr
     while len(set(path[-1])) < n:
         colors = list(path[-1])
         sizes = Counter(colors)
-        b = next(v for v in _search_order(colors) if sizes[colors[v]] > 1)
+        _, _, b = min((sizes[c], c, v) for v, c in enumerate(colors) if sizes[c] > 1)
         base.append(b)
         colors[b] = -1  # a colour of its own
         path.append(_refine_colors(d, colors))
 
+    if 2 * d.arc_count <= n * n:
+        adj = [row | col for row, col in zip(masks, d.in_masks)]
+    else:
+        full = (1 << n) - 1
+        adj = [full & ~(row & col) for row, col in zip(masks, d.in_masks)]
     generators: list[Perm] = []
     order = 1
     for k in reversed(range(len(base))):
-        b, above, below = base[k], path[k], path[k + 1]
+        b, above = base[k], path[k]
         b_orbit = orbit(b, generators)
-        search_order = _search_order(below)
+        search_order = _connected_order(adj, b)
         cand = _candidates(search_order, above, above)
-        slot = search_order.index(b)
-        cell = cand[slot]
+        cell = cand[0]
         for v in cell:
             if v in b_orbit:
                 continue
-            cand[slot] = [v]
+            cand[0] = [v]
             hits = _kernels.iso_backtrack(n, masks, masks, search_order, cand, False)
             if hits:
                 generators.append(Perm(hits[0]))
                 b_orbit = orbit(b, generators)
         order *= len(b_orbit)
     return PermGroup(generators, degree=n, order=order)
-

@@ -285,7 +285,16 @@ class PermGroup:
             raise ValueError("block systems are defined for transitive groups")
         if size <= 0 or n % size:
             raise ValueError(f"class size {size} does not divide degree {n}")
-        minimal = {self._block_of((0, x)) for x in range(1, n)}
+        # An element k fixing 0 maps the minimal block of {0, x} onto that
+        # of {0, k(x)}, and maps every block through 0 onto itself: x's
+        # whole orbit under the 0-fixing generators shares one minimal block.
+        stab = [g for g in self.generators if g.images[0] == 0]
+        minimal = set()
+        covered = {0}
+        for x in range(1, n):
+            if x not in covered:
+                covered |= orbit(x, stab)
+                minimal.add(self._block_of((0, x)))
         blocks = {frozenset({0})} | {b for b in minimal if len(b) <= size}
         todo = list(blocks)
         while todo:

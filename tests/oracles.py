@@ -10,7 +10,8 @@ at a discrete colouring (the rounds the library replaced by packed counts
 and an early exit), one isomorphism search per pair of connection sets
 for the CI sweep (the pair loop the library replaced by refinement keys),
 every vertex pair for twin classes (the test the library replaced by one
-key per vertex), the breadth-first element closure of a permutation group
+key per vertex) and for arc symmetry (replaced by comparing out- and
+in-masks), the breadth-first element closure of a permutation group
 (which the library, holding only generators and an order, never builds)
 for group orders, blocks and invariant partitions, all uniform set
 partitions for wreath-structure questions.  They stay dumb on purpose --
@@ -197,6 +198,15 @@ def round_rooted_key(d: Digraph) -> tuple:
     if len(set(colors)) == d.order:
         return (True, d.relabel(colors).out_masks)
     return (False, tuple(sorted(round_signatures(d, colors))))
+
+
+def pairwise_undirected(d: Digraph) -> bool:
+    """Every pair u < v has arcs both ways or neither."""
+    return all(
+        d.has_arc(u, v) == d.has_arc(v, u)
+        for u in range(d.order)
+        for v in range(u + 1, d.order)
+    )
 
 
 def union_find_twin_labels(n: int, out, complete_kind: bool) -> list[int]:

@@ -33,9 +33,11 @@ from cig.groups import (
     FiniteGroup,
     automorphic_image_search,
     catalog_specs,
+    group_automorphism,
     parse_group_spec,
 )
 from cig.iso import automorphism_group_of, find_isomorphism
+from cig.limits import Limits
 from cig.perms import fiber_partition
 from cig.perms import cyclic_group as cyclic_perm_group
 from cig.perms import symmetric_group
@@ -452,3 +454,57 @@ class TestCriterion8DecompositionOracle:
             self._agree(oracles.random_digraph(rng, 6, loops=True))
             checked += 1
         report("C8 decomposition-oracle", f"{checked} digraphs", started)
+
+
+def _random_automorphism(group: FiniteGroup, rng: Random):
+    """A random automorphism of an elementary abelian 2-group: independent
+    random images of a basis, extended by products."""
+    basis = group.generating_set()
+    images: list[int] = []
+    for _ in basis:
+        span = group.subgroup_generated(images)
+        images.append(rng.choice([y for y in range(group.order) if y not in span]))
+    alpha = [0] * group.order
+    for bits in range(1 << len(basis)):
+        x = y = 0
+        for i in range(len(basis)):
+            if bits >> i & 1:
+                x, y = group.mul(x, basis[i]), group.mul(y, images[i])
+        alpha[x] = y
+    return group_automorphism(group, alpha)
+
+
+class TestCriterion10RankFiveCertificates:
+    def test_seeded_loopless_certificates_all_accepted(self):
+        """Z2^5 is a DCI-group (Feng and Kovacs, JCTA 157, 2018), so by C6a's
+        rule every loop-free certificate whose quotient sets are automorphic
+        images of each other must be accepted."""
+        started = time.time()
+        rng = Random(1010)
+        group = parse_group_spec("Z2xZ2xZ2xZ2xZ2")
+        kernels = {
+            size: [h for h in group.normal_subgroups(Limits(aut=32)) if len(h) == size]
+            for size in (2, 4)
+        }
+        counts = {2: 0, 4: 0}
+        slowest = (0.0, None)
+        for i in range(16):
+            size = (2, 4)[i % 2]
+            kernel = rng.choice(kernels[size])
+            quotient = group.quotient(kernel).target
+            s1 = frozenset(x for x in range(1, quotient.order) if rng.random() < 0.5)
+            s2 = _random_automorphism(quotient, rng).image_of_set(s1)
+            instance = (sorted(kernel), sorted(s1), sorted(s2))
+            t = time.time()
+            cert = quotient_ci_certificate(group, kernel, s1, s2)
+            assert cert.accepted, (instance, cert.failing_checks())
+            elapsed = time.time() - t
+            if elapsed >= slowest[0]:
+                slowest = (elapsed, instance)
+            counts[size] += 1
+        report(
+            "C10 rank-five-certificates",
+            f"{sum(counts.values())} certificates accepted ({counts[2]} with |H| = 2, "
+            f"{counts[4]} with |H| = 4), slowest {slowest[0]:.2f}s at {slowest[1]}",
+            started,
+        )

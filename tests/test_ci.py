@@ -291,7 +291,9 @@ class TestLimits:
 class TestPastTwentyFourVertices:
     """Answers above 24 vertices, inside the default search cap of 40."""
 
-    @pytest.mark.parametrize("n,k,s1,s2", [(25, 5, 1, 2), (28, 7, 1, 3)])
+    @pytest.mark.parametrize(
+        "n,k,s1,s2", [(25, 5, 1, 2), (28, 7, 1, 3), (32, 16, 1, 3), (40, 20, 1, 3)]
+    )
     def test_cyclic_certificate_is_accepted(self, n, k, s1, s2):
         # Coset i of <k> holds i, so the quotient sets are {s1} and {s2}.
         g = FiniteGroup.cyclic(n)
@@ -300,6 +302,13 @@ class TestPastTwentyFourVertices:
         assert cert.alpha == oracles.first_automorphic_image(
             g, cert.lift1.connection, cert.lift2.connection, Limits(aut=40)
         )
+
+    def test_lifted_z40_automorphism_group(self):
+        # The lift of a directed 20-cycle over <20> is C20 wr (empty 2),
+        # whose automorphism group is Z20 wr S2.
+        g = FiniteGroup.cyclic(40)
+        lift = lift_connection_set(g, g.subgroup_generated([20]), {1})
+        assert automorphism_group_of(cayley(g, lift.connection)).order == 20 * 2**20
 
     def test_z32_pair_is_ci_equivalent(self):
         res = ci_pair(FiniteGroup.cyclic(32), {1, 2}, {3, 6})

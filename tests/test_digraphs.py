@@ -56,6 +56,14 @@ class TestCayley:
             s = frozenset(x for x in range(8) if rng.random() < 0.4)
             assert g.is_inverse_closed(s) == cayley(g, s).is_undirected
 
+    def test_undirected_matches_pair_loop(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            d = oracles.random_digraph(rng, rng.randrange(0, 9))
+            if rng.random() < 0.5:  # symmetrise, loops kept
+                d = Digraph(d.order, (r | c for r, c in zip(d.out_masks, d.in_masks)))
+            assert d.is_undirected == oracles.pairwise_undirected(d)
+
     def test_left_translations_are_automorphisms(self):
         g = FiniteGroup.symmetric(3)
         d = cayley(g, {1, 4})

@@ -2,7 +2,7 @@
 
 import random
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -173,6 +173,22 @@ class TestFindIsomorphism:
         assert first == second
 
 
+def _cycle_cases():
+    # Cay(Z_n, {s}) is g = gcd(n, s) disjoint directed cycles of length
+    # m = n / g.  It and its complement have automorphism group Z_m wr S_g,
+    # of order m^g * g!.  The search follows arcs on the cycles and missing
+    # arcs on the complements, which have more arcs than non-arcs.
+    for n in (16, 20, 24, 32, 40):
+        for s in (1, 3):
+            d = cayley(FiniteGroup.cyclic(n), {s})
+            g = gcd(n, s)
+            order = (n // g) ** g * factorial(g)
+            yield pytest.param(d, order, id=f"Z{n}-{s}")
+            yield pytest.param(d.complement(), order, id=f"Z{n}-{s}-complement")
+    d = cayley(FiniteGroup.cyclic(24), {5}).complement()
+    yield pytest.param(d, 24, id="Z24-5-complement")
+
+
 class TestAutomorphismGroup:
     def test_empty_graph_gives_symmetric_group(self):
         assert automorphism_group_of(Digraph.empty(4)).order == 24
@@ -202,6 +218,12 @@ class TestAutomorphismGroup:
         for _ in range(40):
             d = oracles.random_digraph(rng, rng.randrange(1, 6))
             assert automorphism_group_of(d).order == oracles.brute_automorphism_count(d)
+
+    @pytest.mark.parametrize("d,order", _cycle_cases())
+    def test_cycles_and_complements_up_to_the_cap(self, d, order):
+        aut = automorphism_group_of(d)
+        assert aut.order == order
+        assert all(d.relabel(g.images) == d for g in aut.generators)
 
     def test_left_regular_representation_is_contained(self):
         rng = random.Random(53)

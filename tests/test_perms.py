@@ -1,5 +1,6 @@
 """Permutation, partition, block-system, and group-wreath behavior."""
 
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 import oracles
 from cig.ci import verify_lift_structure
-from cig.groups import FiniteGroup, parse_group_spec
+from cig.digraphs import cayley
+from cig.groups import FiniteGroup, catalog_specs, parse_group_spec
+from cig.iso import automorphism_group_of
 from cig.perms import (
     Perm,
     PermGroup,
@@ -341,6 +344,53 @@ class TestBlocksAgainstElementScan:
         for size in (2, 3):
             for points in combinations(range(9), size):
                 assert g.is_block(points) == oracles.brute_is_block(g, points)
+
+
+def _assert_block_systems_match_oracle(g):
+    for size in range(1, g.degree + 1):
+        if g.degree % size == 0:
+            assert g.block_systems(size) == oracles.brute_block_systems(g, size), size
+
+
+def _relabelled(g, rng):
+    """g conjugated by a random relabelling of its points, so that which
+    generators fix 0 changes."""
+    pi = Perm(rng.sample(range(g.degree), g.degree))
+    return PermGroup(
+        (pi * x * pi.inverse() for x in g.generators), order=g.order, degree=g.degree
+    )
+
+
+class TestBlockSystemsFromStabiliserOrbits:
+    """`block_systems` takes one union-find per orbit of the group K that the
+    0-fixing generators generate, whatever part of the stabiliser of 0 K is."""
+
+    @pytest.mark.parametrize("n", [9, 10, 16, 18])
+    def test_no_generator_fixes_zero(self, n):
+        _assert_block_systems_match_oracle(cyclic_group(n))
+
+    @pytest.mark.parametrize("make", _WREATHS)
+    def test_relabelled_wreath_generators(self, make):
+        # With S3 as a factor, the generators fixing 0 generate only part
+        # of the stabiliser of 0; relabelling changes which generators fix 0.
+        rng = random.Random(71)
+        g = make()
+        for _ in range(4):
+            _assert_block_systems_match_oracle(_relabelled(g, rng))
+
+    @pytest.mark.parametrize("spec", [s for s, o in catalog_specs(12) if o in (8, 12)])
+    def test_cayley_digraph_automorphism_groups(self, spec):
+        # The oracle lists every element, so only groups of at most 2000
+        # elements are checked (the empty and complete sets give S_n).
+        g = parse_group_spec(spec)
+        rng = random.Random(73)
+        checked = 0
+        while checked < 6:
+            s = {x for x in range(g.order) if rng.random() < 0.4}
+            aut = automorphism_group_of(cayley(g, s))
+            if aut.order <= 2000:
+                _assert_block_systems_match_oracle(aut)
+                checked += 1
 
 
 class TestWreathProduct:
