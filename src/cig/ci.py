@@ -321,10 +321,6 @@ class LiftStructureReport:
     expected_aut_order: int
     checks: dict[str, bool]
 
-    @property
-    def all_passed(self) -> bool:
-        return all(self.checks.values())
-
 
 def verify_lift_structure(
     qmap: QuotientMap,
@@ -347,13 +343,7 @@ def verify_lift_structure(
     """
     s_quotient = frozenset(s_quotient)
     _check_subset(qmap.target, s_quotient, "quotient connection set")
-    return _verify_lift(qmap, s_quotient, cayley(qmap.target, s_quotient), limits)
-
-
-def _verify_lift(
-    qmap: QuotientMap, s_quotient: frozenset[int], dq: Digraph, limits: Limits
-) -> LiftStructureReport:
-    """`verify_lift_structure`, given the quotient digraph `dq`."""
+    dq = cayley(qmap.target, s_quotient)
     lift = _lift(qmap, s_quotient, dq)
     cosets, size = lift.coset_partition, lift.block_size
     lifted = cayley(qmap.source, lift.connection)
@@ -493,8 +483,8 @@ def quotient_ci_certificate(
         status = "accepted" if accepted else "hypothesis_not_ci"
         return certificate(status, accepted, degenerate=True, alpha_bar=beta)
 
-    report1 = _verify_lift(qmap, s1, dq1, limits)
-    report2 = _verify_lift(qmap, s2, dq2, limits)
+    report1 = verify_lift_structure(qmap, s1, limits)
+    report2 = verify_lift_structure(qmap, s2, limits)
     lift1, lift2 = report1.lift, report2.lift
     checks["lift_cases_agree"] = lift1.case == lift2.case
     per_side = {

@@ -108,9 +108,6 @@ class Digraph:
             n, (row ^ (full ^ (1 << u)) for u, row in enumerate(self.out_masks))
         )
 
-    def transpose(self) -> Digraph:
-        return Digraph(self.order, self.in_masks)
-
     def relabel(self, images: Iterable[int]) -> Digraph:
         """Rename vertex x to images[x], preserving arcs."""
         images = tuple(images)

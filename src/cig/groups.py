@@ -111,13 +111,6 @@ class FiniteGroup:
             k += 1
         return k
 
-    def is_abelian(self) -> bool:
-        return all(
-            self.table[a][b] == self.table[b][a]
-            for a in range(self.order)
-            for b in range(a + 1, self.order)
-        )
-
     def is_inverse_closed(self, subset: Iterable[int]) -> bool:
         s = frozenset(subset)
         return all(self.inv(x) in s for x in s)

@@ -1,9 +1,8 @@
 """Digraph isomorphism and automorphism search.
 
 Backtracking over color-compatible vertex images after iterated degree
-refinement; `refine` gives the stable colouring as a tuple of colour
-indices.  A refinement round packs each vertex's per-colour degree counts
-into one int and stops as soon as the colouring is discrete.  Every
+refinement.  A refinement round packs each vertex's per-colour degree
+counts into one int and stops as soon as the colouring is discrete.  Every
 isomorphism found is checked with `Digraph.relabel`.
 Deterministic: `find_isomorphism` places sources smallest color class
 first, the automorphism search places each base point first and then the
@@ -13,8 +12,9 @@ come back as a strong generating set with their order, found by one
 first-hit search per basic-orbit point; the elements are never listed.
 `rooted_key` gives vertex-transitive digraphs an isomorphism invariant
 from one refinement rooted at vertex 0: a canonical form when that
-colouring is discrete, a signature multiset otherwise.  There is no full canonical labelling: digraphs whose keys agree
-but are not discrete still need a pairwise search.
+colouring is discrete, a signature multiset otherwise.  There is no full
+canonical labelling: digraphs whose keys agree but are not discrete still
+need a pairwise search.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ def _signatures(d: Digraph, colors: Sequence[int]) -> list[tuple]:
 
 
 def _refine_colors(d: Digraph, colors: Sequence[int]) -> list[int]:
+    """The stable colouring that refines `colors`, one colour index 0..k-1 per
+    vertex; distinct initial colours are never merged."""
     colors = _normalize(colors)
     while True:
         k = max(colors, default=-1) + 1
@@ -71,19 +73,6 @@ def _refine_colors(d: Digraph, colors: Sequence[int]) -> list[int]:
         if len(ranking) == k:
             return colors  # stable: every class kept its colour index
         colors = [ranking[s] for s in signatures]
-
-
-def refine(d: Digraph, initial: Sequence[int] | None = None) -> tuple[int, ...]:
-    """The stable colouring, one colour index 0..k-1 per vertex.
-
-    Iterate (color, loop flag, out-degree-per-color, in-degree-per-color)
-    signatures until stable, each count vector packed into one int.  A
-    discrete colouring is stable, so it returns before another round.
-    Distinct initial colors are never merged."""
-    colors = [0] * d.order if initial is None else list(initial)
-    if len(colors) != d.order:
-        raise ValueError("coloring length does not match order")
-    return tuple(_refine_colors(d, colors))
 
 
 def rooted_key(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> tuple:
@@ -150,10 +139,6 @@ def find_isomorphism(
     if a.relabel(mapping.images) != b:
         raise AssertionError("search returned a non-isomorphism")  # unreachable
     return mapping
-
-
-def are_isomorphic(a: Digraph, b: Digraph, limits: Limits = DEFAULT_LIMITS) -> bool:
-    return find_isomorphism(a, b, limits) is not None
 
 
 def _connected_order(adj: Sequence[int], start: int) -> list[int]:

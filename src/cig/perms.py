@@ -1,8 +1,8 @@
 """Permutations, permutation groups, block systems, and wreath products.
 
 Points are integers ``0..degree-1``.  A group is its generators and its
-order, which whoever builds it supplies.  Orbits, blockness and block
-systems are computed from the generators alone; no element is ever listed.
+order, which whoever builds it supplies.  Orbits and block systems are
+computed from the generators alone; no element is ever listed.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 
 class Perm:
-    """A permutation of {0..degree-1}; ``(p * q)(x) == p(q(x))``."""
+    """A permutation of {0..degree-1}, stored as its tuple of images."""
 
     __slots__ = ("images",)
 
@@ -21,10 +21,6 @@ class Perm:
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
         self.images = images
-
-    @classmethod
-    def identity(cls, degree: int) -> Perm:
-        return cls(range(degree))
 
     @classmethod
     def from_cycles(cls, degree: int, *cycles: Sequence[int]) -> Perm:
@@ -42,20 +38,6 @@ class Perm:
     def __call__(self, x: int) -> int:
         return self.images[x]
 
-    def __mul__(self, other: Perm) -> Perm:
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return Perm(self.images[x] for x in other.images)
-
-    def inverse(self) -> Perm:
-        inv = [0] * self.degree
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return Perm(inv)
-
-    def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
-
     def image_of_set(self, points: Iterable[int]) -> frozenset[int]:
         return frozenset(self.images[x] for x in points)
 
@@ -64,9 +46,6 @@ class Perm:
 
     def __hash__(self) -> int:
         return hash(self.images)
-
-    def __lt__(self, other: Perm) -> bool:
-        return self.images < other.images
 
     def __repr__(self) -> str:
         return f"Perm({self.cycle_string()})"
@@ -110,14 +89,6 @@ class PointPartition:
         self._class_index = tuple(index)
 
     @classmethod
-    def singletons(cls, degree: int) -> PointPartition:
-        return cls(degree, ([x] for x in range(degree)))
-
-    @classmethod
-    def single_class(cls, degree: int) -> PointPartition:
-        return cls(degree, [range(degree)])
-
-    @classmethod
     def from_labels(cls, labels: Sequence[int]) -> PointPartition:
         groups: dict[int, list[int]] = {}
         for x, lab in enumerate(labels):
@@ -132,8 +103,8 @@ class PointPartition:
 
     def fiber_images(self) -> tuple[int, ...]:
         """The relabelling that sends x to (class index) * size + (rank of x
-        in its class), mapping classes of one size onto the fibers of
-        `fiber_partition`."""
+        in its class), mapping classes of one size onto the fibers
+        i*size .. i*size+size-1."""
         size = len(self.classes[0])
         if any(len(c) != size for c in self.classes):
             raise ValueError("classes differ in size")
@@ -155,12 +126,6 @@ class PointPartition:
                 return None
             images.append(self._class_index[image[0]])
         return Perm(images)
-
-    def refines(self, other: PointPartition) -> bool:
-        """True iff every class of self lies inside a class of other."""
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return all(set(c) <= set(other.class_of(c[0])) for c in self.classes)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -257,18 +222,6 @@ class PermGroup:
         label = labels[min(points)]
         return frozenset(x for x, lab in enumerate(labels) if lab == label)
 
-    def is_block(self, points: Iterable[int]) -> bool:
-        """True iff every element maps the set onto itself or clear of it.
-
-        Exactly when the set is its own smallest enclosing block.
-        """
-        block = frozenset(points)
-        if not block:
-            raise ValueError("a block must be nonempty")
-        if not all(0 <= x < self.degree for x in block):
-            raise ValueError("points out of range")
-        return self._block_of(block) == block
-
     def block_systems(self, size: int) -> list[PointPartition]:
         """All invariant partitions with classes of the given size, sorted by
         the class through 0.
@@ -331,13 +284,6 @@ def trivial_group(degree: int) -> PermGroup:
     return PermGroup((), order=1, degree=degree)
 
 
-def cyclic_group(n: int) -> PermGroup:
-    """The n-cycle group on n points."""
-    if n == 1:
-        return trivial_group(1)
-    return PermGroup([Perm.from_cycles(n, range(n))], order=n)
-
-
 def symmetric_group(n: int) -> PermGroup:
     if n <= 1:
         return trivial_group(max(n, 1))
@@ -365,8 +311,3 @@ def wreath_product(g: PermGroup, h: PermGroup) -> PermGroup:
                 images[x * ny + y] = x * ny + eta(y)
             gens.append(Perm(images))
     return PermGroup(gens, order=g.order * h.order**nx, degree=degree)
-
-
-def fiber_partition(nx: int, ny: int) -> PointPartition:
-    """The partition of pair space into fibers {x} x Y."""
-    return PointPartition(nx * ny, ([x * ny + y for y in range(ny)] for x in range(nx)))

@@ -14,8 +14,11 @@ key per vertex) and for arc symmetry (replaced by comparing out- and
 in-masks), the breadth-first element closure of a permutation group
 (which the library, holding only generators and an order, never builds)
 for group orders, blocks and invariant partitions, all uniform set
-partitions for wreath-structure questions.  They stay dumb on purpose --
-the package is tested against them, never the other way around.
+partitions for wreath-structure questions.  The small constructors and
+comparisons that only tests need live here too: composing and inverting
+image tuples, the cyclic permutation group, the pair-space fibers and
+partition refinement.  They stay dumb on purpose -- the package is tested
+against them, never the other way around.
 """
 
 from functools import cache
@@ -267,6 +270,38 @@ def closure(group: PermGroup) -> list[tuple[int, ...]]:
                     fresh.append(q)
         frontier = fresh
     return sorted(seen)
+
+
+def compose(p, q) -> tuple[int, ...]:
+    """The images of "q, then p" for two image tuples."""
+    return tuple(p[x] for x in q)
+
+
+def inverse(p) -> tuple[int, ...]:
+    """The inverse of an image tuple."""
+    inv = [0] * len(p)
+    for x, y in enumerate(p):
+        inv[y] = x
+    return tuple(inv)
+
+
+def cyclic_group(n: int) -> PermGroup:
+    """The n-cycle group on n points."""
+    if n == 1:
+        return PermGroup((), order=1, degree=1)
+    return PermGroup([Perm.from_cycles(n, range(n))], order=n)
+
+
+def fiber_partition(nx: int, ny: int) -> PointPartition:
+    """The partition of pair space into fibers {x} x Y, (x, y) as x*ny + y."""
+    return PointPartition(nx * ny, ([x * ny + y for y in range(ny)] for x in range(nx)))
+
+
+def refines(a: PointPartition, b: PointPartition) -> bool:
+    """Same points, and every class of a lies inside a class of b."""
+    return a.degree == b.degree and all(
+        set(c) <= set(b.class_of(c[0])) for c in a.classes
+    )
 
 
 def regular_representation(group) -> PermGroup:

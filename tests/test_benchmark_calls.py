@@ -60,6 +60,7 @@ def test_first_jobs_run_and_check_under_the_tracer(perfbench):
     assert set(tracer.absent) <= DELETED_TARGETS, tracer.absent
     assert counts["quotient_cert"].get("kernels.iso_first.calls", 0) > 0
     assert counts["quotient_cert"].get("kernels.twin_labels.calls", 0) > 0
+    assert counts["quotient_cert"].get("ci.verify_lift_structure.calls", 0) > 0
 
 
 def test_pin_helpers(perfbench):

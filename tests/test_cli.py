@@ -177,8 +177,10 @@ class TestExitCodes:
         assert code == 2
         assert "inverse-closed" in err
 
-    def test_certificate_builds_each_digraph_and_quotient_once(self, capsys, monkeypatch):
-        # One Cayley digraph per quotient set and per lifted set, and G/H once.
+    def test_certificate_builds_each_lift_and_quotient_group_once(self, capsys, monkeypatch):
+        # G/H once and one Cayley digraph per lifted set.  Each quotient set's
+        # digraph is built for the isomorphism check and again by
+        # `verify_lift_structure`, the one lift check, which takes only the set.
         built, quotients = [], []
         cayley, quotient = cig.ci.cayley, FiniteGroup.quotient
         monkeypatch.setattr(
@@ -192,7 +194,7 @@ class TestExitCodes:
             "--normal", "3", "--set1", "1", "--set2", "2",
         )
         assert code == 0 and "status: accepted" in out
-        assert built == [3, 3, 6, 6]
+        assert built == [3, 3, 3, 6, 3, 6]
         assert quotients == [frozenset({0, 3})]
 
     def test_non_normal_kernel_exits_two(self, capsys):

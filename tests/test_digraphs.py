@@ -15,7 +15,7 @@ from cig.digraphs import (
     wreath_product,
 )
 from cig.groups import FiniteGroup
-from cig.iso import are_isomorphic
+from cig.iso import find_isomorphism
 
 
 def directed_cycle(n):
@@ -45,9 +45,9 @@ class TestCayley:
     def test_inverse_closed_set_gives_undirected(self):
         d = cayley(FiniteGroup.cyclic(4), {1, 3})
         assert d.is_undirected
-        assert are_isomorphic(d, directed_cycle(4).__class__.from_arcs(
+        assert find_isomorphism(d, directed_cycle(4).__class__.from_arcs(
             4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 0), (0, 3)]
-        ))
+        )) is not None
 
     def test_inverse_closed_predicate_matches_symmetry(self):
         g = FiniteGroup.quaternion()
@@ -87,7 +87,7 @@ class TestComplement:
 
     def test_directed_triangle_reverses(self):
         c3 = directed_cycle(3)
-        assert c3.complement() == c3.transpose()
+        assert c3.complement() == Digraph(3, c3.in_masks)
 
     def test_loops_are_preserved(self):
         d = Digraph.from_arcs(2, [(0, 0), (0, 1)])
@@ -103,7 +103,7 @@ class TestWreathProduct:
             4, [(0, 2), (2, 0), (0, 3), (3, 0), (1, 2), (2, 1), (1, 3), (3, 1)]
         )
         assert w == four_cycle
-        assert are_isomorphic(w, cayley(FiniteGroup.cyclic(4), {1, 3}))
+        assert find_isomorphism(w, cayley(FiniteGroup.cyclic(4), {1, 3})) is not None
 
     def test_inner_singleton_is_identity(self):
         d = directed_cycle(5)
@@ -137,10 +137,10 @@ class TestWreathProduct:
             a = oracles.random_digraph(rng, 2)
             b = oracles.random_digraph(rng, 2)
             c = oracles.random_digraph(rng, 2)
-            assert are_isomorphic(
+            assert find_isomorphism(
                 wreath_product(wreath_product(a, b), c),
                 wreath_product(a, wreath_product(b, c)),
-            )
+            ) is not None
 
 
 class TestCompleteEmpty:

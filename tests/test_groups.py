@@ -33,7 +33,7 @@ class TestConstruction:
     def test_s3_table_matches_permutation_composition(self):
         g = FiniteGroup.symmetric(3)
         assert g.order == 6
-        assert not g.is_abelian()
+        assert any(g.mul(a, b) != g.mul(b, a) for a in range(6) for b in range(6))
         # Independent oracle: rebuild products from the permutation list.
         from itertools import permutations
 
@@ -56,7 +56,7 @@ class TestConstruction:
     def test_quaternion_structure(self):
         q8 = FiniteGroup.quaternion()
         assert sorted(q8.element_order(x) for x in range(8)) == [1, 2, 4, 4, 4, 4, 4, 4]
-        assert not q8.is_abelian()
+        assert any(q8.mul(a, b) != q8.mul(b, a) for a in range(8) for b in range(8))
         assert all(q8.is_normal(h) for h in q8.subgroups())
 
     def test_alternating(self):
@@ -242,11 +242,11 @@ class TestAutomorphisms:
     def test_closed_under_composition_and_inverse(self):
         for spec in ["Z4", "Z2xZ2", "S3", "Z8", "D4"]:
             g = parse_group_spec(spec)
-            auts = set(g.automorphisms())
+            auts = {a.images for a in g.automorphisms()}
             for a in auts:
-                assert a.inverse() in auts
+                assert oracles.inverse(a) in auts
                 for b in auts:
-                    assert a * b in auts
+                    assert oracles.compose(a, b) in auts
 
     def test_order_divides_factorial(self):
         import math
@@ -303,7 +303,7 @@ class TestAutomorphisms:
     def test_automorphic_image_search_identity(self):
         g = FiniteGroup.cyclic(6)
         alpha = automorphic_image_search(g, {1, 3}, {1, 3})
-        assert alpha is not None and alpha.is_identity()
+        assert alpha is not None and alpha.images == tuple(range(6))
 
     def test_automorphic_image_search_negation(self):
         g = FiniteGroup.cyclic(6)
@@ -393,8 +393,8 @@ class TestInducedAutomorphism:
         g = FiniteGroup.cyclic(6)
         q = g.quotient({0, 3})
         identity = g.automorphisms()[0]
-        assert identity.is_identity()
-        assert q.induce(identity).is_identity()
+        assert identity.images == tuple(range(6))
+        assert q.induce(identity).images == (0, 1, 2)
 
     def test_negation_induces_negation(self):
         g = FiniteGroup.cyclic(6)
@@ -406,7 +406,7 @@ class TestInducedAutomorphism:
     def test_wrong_degree_is_rejected(self):
         q = FiniteGroup.cyclic(6).quotient({0, 3})
         with pytest.raises(ValueError, match="different order"):
-            q.induce(Perm.identity(4))
+            q.induce(Perm(range(4)))
 
     def test_kernel_must_be_preserved(self):
         g = parse_group_spec("Z2xZ2")
@@ -433,9 +433,9 @@ class TestInducedAutomorphism:
                 continue
             if b.image_of_set(q.kernel) != q.kernel:
                 continue
-            left = q.induce(a * b)
-            right = q.induce(a) * q.induce(b)
-            assert left.images == right.images
+            left = q.induce(Perm(oracles.compose(a.images, b.images)))
+            right = oracles.compose(q.induce(a).images, q.induce(b).images)
+            assert left.images == right
 
 
 class TestTablesIsomorphic:

@@ -11,10 +11,9 @@ from cig.ci import orbit_representatives
 from cig.digraphs import Digraph, cayley
 from cig.groups import FiniteGroup, catalog_specs, parse_group_spec
 from cig.iso import (
-    are_isomorphic,
+    _refine_colors,
     automorphism_group_of,
     find_isomorphism,
-    refine,
     rooted_key,
 )
 from cig.limits import CapExceeded
@@ -26,6 +25,11 @@ def directed_path(n):
 
 def directed_cycle(n):
     return Digraph.from_arcs(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def refine(d):
+    """The stable colouring below the uniform one."""
+    return _refine_colors(d, [0] * d.order)
 
 
 class TestRefine:
@@ -41,7 +45,7 @@ class TestRefine:
 
     def test_initial_colors_never_merge(self):
         d = Digraph.complete(4)
-        coloring = refine(d, [0, 0, 1, 1])
+        coloring = _refine_colors(d, [0, 0, 1, 1])
         assert coloring[0] == coloring[1]
         assert coloring[2] == coloring[3]
         assert coloring[0] != coloring[2]
@@ -60,10 +64,6 @@ class TestRefine:
             other = d.relabel(relabeling)
             assert sorted(refine(d)) == sorted(refine(other))
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            refine(Digraph.empty(3), [0, 0])
-
 
 def _sparse_or_dense_digraph(rng, n):
     p = rng.choice([0.1, 0.5, 0.9])
@@ -73,13 +73,13 @@ def _sparse_or_dense_digraph(rng, n):
 
 
 class TestRefineAgainstRounds:
-    """`refine` returns exactly the colour indices of the tuple-signature
+    """`_refine_colors` returns exactly the colour indices of the tuple-signature
     rounds in `oracles.round_refinement`: packing the counts and stopping at
     a discrete colouring renumber nothing."""
 
     @staticmethod
     def assert_same(d, initial):
-        assert refine(d, initial) == tuple(oracles.round_refinement(d, initial))
+        assert _refine_colors(d, initial) == oracles.round_refinement(d, initial)
 
     def test_random_small_digraphs(self):
         rng = random.Random(12)
@@ -114,7 +114,7 @@ class TestRefineAgainstRounds:
 class TestFindIsomorphism:
     def test_triangle_and_its_reverse(self):
         c3 = directed_cycle(3)
-        mapping = find_isomorphism(c3, c3.transpose())
+        mapping = find_isomorphism(c3, Digraph(3, c3.in_masks))
         assert mapping is not None
 
     def test_path_vs_empty(self):
@@ -130,10 +130,10 @@ class TestFindIsomorphism:
 
     def test_self_isomorphism(self):
         d = cayley(FiniteGroup.quaternion(), {2, 4})
-        assert are_isomorphic(d, d)
+        assert find_isomorphism(d, d) is not None
 
     def test_different_orders(self):
-        assert not are_isomorphic(Digraph.empty(3), Digraph.empty(4))
+        assert find_isomorphism(Digraph.empty(3), Digraph.empty(4)) is None
 
     def test_returned_mapping_preserves_arcs(self):
         rng = random.Random(37)
@@ -327,7 +327,7 @@ class TestRootedKey:
         d = cayley(FiniteGroup.cyclic(5), {1, 2})
         discrete, masks = rooted_key(d)
         assert discrete
-        assert masks == d.relabel(refine(d, [0, 1, 1, 1, 1])).out_masks
+        assert masks == d.relabel(_refine_colors(d, [0, 1, 1, 1, 1])).out_masks
 
     def test_order_cap(self):
         with pytest.raises(CapExceeded):

@@ -4,10 +4,9 @@ import random
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
+from oracles import cyclic_group, fiber_partition
 from cig.ci import verify_lift_structure
 from cig.digraphs import cayley
 from cig.groups import FiniteGroup, catalog_specs, parse_group_spec
@@ -16,18 +15,18 @@ from cig.perms import (
     Perm,
     PermGroup,
     PointPartition,
-    cyclic_group,
-    fiber_partition,
     symmetric_group,
     trivial_group,
     wreath_product,
 )
 
 
-@st.composite
-def perms(draw, max_degree=7):
-    degree = draw(st.integers(min_value=1, max_value=max_degree))
-    return Perm(draw(st.permutations(list(range(degree)))))
+def singletons(degree):
+    return PointPartition(degree, ([x] for x in range(degree)))
+
+
+def single_class(degree):
+    return PointPartition(degree, [range(degree)])
 
 
 class TestPerm:
@@ -35,27 +34,9 @@ class TestPerm:
         with pytest.raises(ValueError):
             Perm((0, 0, 1))
 
-    def test_composition_applies_right_factor_first(self):
-        p = Perm.from_cycles(3, (0, 1))
-        q = Perm.from_cycles(3, (1, 2))
-        assert (p * q).images == (1, 2, 0)  # q then p
-
-    @given(perms())
-    @settings(max_examples=60, deadline=None)
-    def test_inverse_cancels(self, p):
-        assert (p * p.inverse()).is_identity()
-        assert (p.inverse() * p).is_identity()
-
-    @given(perms(max_degree=5), perms(max_degree=5), perms(max_degree=5))
-    @settings(max_examples=60, deadline=None)
-    def test_associativity(self, a, b, c):
-        if not (a.degree == b.degree == c.degree):
-            return
-        assert ((a * b) * c).images == (a * (b * c)).images
-
     def test_cycle_string(self):
         assert Perm.from_cycles(4, (0, 1, 2)).cycle_string() == "(0 1 2)"
-        assert Perm.identity(3).cycle_string() == "()"
+        assert Perm(range(3)).cycle_string() == "()"
 
 
 class TestPointPartition:
@@ -70,15 +51,16 @@ class TestPointPartition:
             PointPartition(3, [[0], []])
 
     def test_refinement_examples(self):
-        singles = PointPartition.singletons(4)
-        whole = PointPartition.single_class(4)
+        singles = singletons(4)
+        whole = single_class(4)
         a = PointPartition(4, [[0, 1], [2, 3]])
         b = PointPartition(4, [[0, 2], [1, 3]])
-        assert singles.refines(a)
-        assert a.refines(a)
-        assert a.refines(whole)
-        assert not a.refines(b)
-        assert not b.refines(a)
+        assert oracles.refines(singles, a)
+        assert oracles.refines(a, a)
+        assert oracles.refines(a, whole)
+        assert not oracles.refines(a, b)
+        assert not oracles.refines(b, a)
+        assert not oracles.refines(singles, singletons(6))
 
     def test_fiber_images_send_classes_onto_fibers(self):
         cosets = PointPartition(6, [[0, 3], [1, 4], [2, 5]])
@@ -118,7 +100,7 @@ class TestPointPartition:
 
     def test_induced_needs_the_partition_degree(self):
         with pytest.raises(ValueError, match="degree mismatch"):
-            PointPartition(4, [[0, 1], [2, 3]]).induced(Perm.identity(6))
+            PointPartition(4, [[0, 1], [2, 3]]).induced(Perm(range(6)))
 
 
 class TestClosure:
@@ -158,7 +140,7 @@ class TestClosure:
         raws = set(oracles.closure(g))
         assert tuple(range(5)) in raws
         for raw in raws:
-            assert Perm(raw).inverse().images in raws
+            assert oracles.inverse(raw) in raws
 
     def test_order_divides_degree_factorial(self):
         import math
@@ -173,11 +155,11 @@ class TestClosure:
 
 class TestOrbitsAndTransitivity:
     def test_identity_group_orbits(self):
-        assert trivial_group(4).orbits() == PointPartition.singletons(4)
+        assert trivial_group(4).orbits() == singletons(4)
 
     def test_cycle_is_transitive(self):
         assert cyclic_group(4).is_transitive()
-        assert cyclic_group(4).orbits() == PointPartition.single_class(4)
+        assert cyclic_group(4).orbits() == single_class(4)
 
     def test_identity_group_not_transitive(self):
         assert not trivial_group(2).is_transitive()
@@ -193,32 +175,31 @@ class TestOrbitsAndTransitivity:
 
 
 class TestBlocks:
+    """`_block_of(s)` is the smallest block holding s, so s is a block
+    exactly when it is its own."""
+
     def test_full_set_is_block(self):
-        assert cyclic_group(4).is_block(range(4))
+        assert cyclic_group(4)._block_of(frozenset(range(4))) == frozenset(range(4))
 
     def test_alternate_pair_is_block(self):
-        assert cyclic_group(4).is_block({0, 2})
+        assert cyclic_group(4)._block_of(frozenset({0, 2})) == {0, 2}
 
     def test_adjacent_pair_is_not_block(self):
-        assert not cyclic_group(4).is_block({0, 1})
-
-    def test_empty_block_rejected(self):
-        with pytest.raises(ValueError):
-            cyclic_group(4).is_block(set())
+        assert cyclic_group(4)._block_of(frozenset({0, 1})) == frozenset(range(4))
 
     def test_block_images_partition_points(self):
         g = cyclic_group(6)
         block = frozenset({0, 3})
-        assert g.is_block(block)
+        assert g._block_of(block) == block
         images = {tuple(sorted(raw[x] for x in block)) for raw in oracles.closure(g)}
         assert PointPartition(6, images)  # constructor validates partition
         for img in images:
-            assert g.is_block(img)
+            assert g._block_of(frozenset(img)) == frozenset(img)
 
     def test_block_systems_trivial_sizes(self):
         g = cyclic_group(6)
-        assert g.block_systems(1) == [PointPartition.singletons(6)]
-        assert g.block_systems(6) == [PointPartition.single_class(6)]
+        assert g.block_systems(1) == [singletons(6)]
+        assert g.block_systems(6) == [single_class(6)]
 
     def test_block_systems_size_two_of_c4(self):
         assert cyclic_group(4).block_systems(2) == [PointPartition(4, [[0, 2], [1, 3]])]
@@ -340,10 +321,12 @@ class TestBlocksAgainstElementScan:
                 assert max(joined) <= max(size, 2), size
 
     def test_is_block_matches_oracle_on_small_subsets(self):
+        # Atkinson's union-find on arbitrary sets, not only pairs through 0.
         g = wreath_product(cyclic_group(3), cyclic_group(3))
         for size in (2, 3):
             for points in combinations(range(9), size):
-                assert g.is_block(points) == oracles.brute_is_block(g, points)
+                s = frozenset(points)
+                assert (g._block_of(s) == s) == oracles.brute_is_block(g, points)
 
 
 def _assert_block_systems_match_oracle(g):
@@ -355,10 +338,12 @@ def _assert_block_systems_match_oracle(g):
 def _relabelled(g, rng):
     """g conjugated by a random relabelling of its points, so that which
     generators fix 0 changes."""
-    pi = Perm(rng.sample(range(g.degree), g.degree))
-    return PermGroup(
-        (pi * x * pi.inverse() for x in g.generators), order=g.order, degree=g.degree
+    pi = tuple(rng.sample(range(g.degree), g.degree))
+    conjugates = (
+        Perm(oracles.compose(oracles.compose(pi, x.images), oracles.inverse(pi)))
+        for x in g.generators
     )
+    return PermGroup(conjugates, order=g.order, degree=g.degree)
 
 
 class TestBlockSystemsFromStabiliserOrbits:
@@ -421,7 +406,7 @@ class TestWreathProduct:
         partitions = _invariant_partitions(w)
         assert fibers in partitions
         for p in partitions:
-            assert p.refines(fibers) or fibers.refines(p)
+            assert oracles.refines(p, fibers) or oracles.refines(fibers, p)
 
     def test_fiber_system_is_unique_at_inner_degree(self):
         w = wreath_product(cyclic_group(3), symmetric_group(2))
@@ -430,22 +415,22 @@ class TestWreathProduct:
     def test_z3_wr_s2_partition_inventory(self):
         w = wreath_product(cyclic_group(3), symmetric_group(2))
         assert _invariant_partitions(w) == [
-            PointPartition.singletons(6),
+            singletons(6),
             fiber_partition(3, 2),
-            PointPartition.single_class(6),
+            single_class(6),
         ]
 
 
 class TestInvariantPartitions:
     def test_primitive_group_has_only_trivial_partitions(self):
         assert _invariant_partitions(symmetric_group(3)) == [
-            PointPartition.singletons(3),
-            PointPartition.single_class(3),
+            singletons(3),
+            single_class(3),
         ]
 
     def test_c4_partitions(self):
         assert _invariant_partitions(cyclic_group(4)) == [
-            PointPartition.singletons(4),
+            singletons(4),
             PointPartition(4, [[0, 2], [1, 3]]),
-            PointPartition.single_class(4),
+            single_class(4),
         ]
