@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -27,9 +26,6 @@ from cig.digraphs import cayley
 from cig.groups import FiniteGroup, GroupSpecError, catalog_specs, parse_group_spec
 from cig.iso import find_isomorphism
 from cig.limits import CapExceeded, Limits
-
-# `Limits` field -> environment variable; the flag is --<field>-cap.
-_ENV_CAPS = {"search": "CIG_SEARCH_CAP", "aut": "CIG_AUT_CAP"}
 
 
 @dataclass
@@ -52,7 +48,7 @@ class RunConfig:
 
 
 def _positive_int(text: str) -> int:
-    """Parse a count given on the command line or in the environment."""
+    """Parse a count given on the command line."""
     try:
         value = int(text)
     except ValueError:
@@ -63,19 +59,9 @@ def _positive_int(text: str) -> int:
 
 
 def _resolve_limits(args: argparse.Namespace) -> Limits:
-    """The flag beats the environment variable, which beats the default."""
-    values = {}
-    for name, env_name in _ENV_CAPS.items():
-        value = getattr(args, f"{name}_cap")
-        raw = os.environ.get(env_name)
-        if value is None and raw is not None:
-            try:
-                value = _positive_int(raw)
-            except argparse.ArgumentTypeError as exc:
-                raise ValueError(f"{env_name}: {exc}") from None
-        if value is not None:
-            values[name] = value
-    return Limits(**values)
+    """The caps the flags set, and the defaults for the rest."""
+    caps = {"search": args.search_cap, "aut": args.aut_cap}
+    return Limits(**{name: value for name, value in caps.items() if value is not None})
 
 
 def _parse_indices(text: str, group: FiniteGroup, what: str) -> frozenset[int]:

@@ -52,7 +52,6 @@ class FiniteGroup:
         self.labels = tuple(str(x) for x in labels)
         self.name = name or f"group{self.order}"
         self._inverse = tuple(self.table[a].index(0) for a in range(self.order))
-        self._automorphisms: tuple[Perm, ...] | None = None
 
     def _validate_table(self) -> None:
         """Group axioms of the table, identity at index 0.
@@ -60,7 +59,8 @@ class FiniteGroup:
         Associativity uses Light's test on the greedy generating set: the
         elements g with (x*g)*y == x*(g*y) for all x, y are closed under
         products, so passing on generators covers the whole table in
-        O(n^2 * |gens|).  A failure is reported at the first (i, j, k).
+        O(n^2 * |gens|).  A failure is reported at the first failing
+        (x, g, y) of that scan.
         """
         table, n = self.table, self.order
         for row in table:
@@ -76,21 +76,14 @@ class FiniteGroup:
                 raise ValueError(f"row {i} is not a permutation (not a Latin square)")
             if sorted(row[i] for row in table) != identity:
                 raise ValueError(f"column {i} is not a permutation (not a Latin square)")
-        if all(
-            table[table[x][g]][y] == table[x][table[g][y]]
-            for g in self.generating_set()
-            for x in range(n)
-            for y in range(n)
-        ):
-            return
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    left, right = table[table[i][j]][k], table[i][table[j][k]]
+        for g in self.generating_set():
+            for x in range(n):
+                for y in range(n):
+                    left, right = table[table[x][g]][y], table[x][table[g][y]]
                     if left != right:
                         raise ValueError(
-                            f"table is not associative: ({i}*{j})*{k} = {left} "
-                            f"but {i}*({j}*{k}) = {right}"
+                            f"table is not associative: ({x}*{g})*{y} = {left} "
+                            f"but {x}*({g}*{y}) = {right}"
                         )
 
     # -- basic arithmetic ------------------------------------------------
@@ -224,14 +217,12 @@ class FiniteGroup:
     def automorphisms(self, limits: Limits = DEFAULT_LIMITS) -> tuple[Perm, ...]:
         """All automorphisms, by backtracking over generator images.
 
-        Raises CapExceeded when the group order exceeds ``limits.aut``, on
-        every call; the result is cached on the instance once computed.
+        Raises CapExceeded, before listing, when the group order exceeds
+        ``limits.aut``.
         """
         if self.order > limits.aut:
             raise CapExceeded(f"order {self.order} exceeds automorphism cap {limits.aut}")
-        if self._automorphisms is None:
-            self._automorphisms = tuple(map(Perm, _automorphism_images(self)))
-        return self._automorphisms
+        return tuple(map(Perm, _automorphism_images(self)))
 
     # -- construction catalog ------------------------------------------------
 

@@ -171,18 +171,8 @@ class PermGroup:
         self.order = order
         self.generators = gens
 
-    def orbits(self) -> PointPartition:
-        """Orbit partition of the point set (generators suffice)."""
-        seen: set[int] = set()
-        classes = []
-        for start in range(self.degree):
-            if start not in seen:
-                classes.append(orbit(start, self.generators))
-                seen |= classes[-1]
-        return PointPartition(self.degree, classes)
-
     def is_transitive(self) -> bool:
-        return len(self.orbits()) == 1
+        return len(orbit(0, self.generators)) == self.degree
 
     def _minimal_partition(self, points: Iterable[int]) -> list[int]:
         """Class label per point of the finest invariant partition that puts

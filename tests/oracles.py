@@ -3,29 +3,29 @@
 Everything here enumerates: all bijections for isomorphism questions and
 for group automorphisms, the whole automorphism list for the first
 automorphism carrying one set onto another (the scan the library replaced
-by a set transporter), every leaf of the find-all backtracking for
-automorphism groups (the element listing the library itself no longer
-builds), refinement rounds with tuple signatures and a confirming round
-at a discrete colouring (the rounds the library replaced by packed counts
-and an early exit), one isomorphism search per pair of connection sets
-for the CI sweep (the pair loop the library replaced by refinement keys),
-every vertex pair for twin classes (the test the library replaced by one
-key per vertex) and for arc symmetry (replaced by comparing out- and
-in-masks), the breadth-first element closure of a permutation group
-(which the library, holding only generators and an order, never builds)
-for group orders, blocks and invariant partitions, all uniform set
-partitions for wreath-structure questions.  The small constructors and
-comparisons that only tests need live here too: composing and inverting
-image tuples, the cyclic permutation group, the pair-space fibers and
-partition refinement.  They stay dumb on purpose -- the package is tested
-against them, never the other way around.
+by a set transporter), every automorphism of a digraph by placing its
+vertices in index order within their stable colours (the element listing
+the library itself no longer builds), refinement rounds with tuple
+signatures and a confirming round at a discrete colouring (the rounds the
+library replaced by packed counts and an early exit), one isomorphism
+search per pair of connection sets for the CI sweep (the pair loop the
+library replaced by refinement keys), every vertex pair for twin classes
+(the test the library replaced by one key per vertex) and for arc
+symmetry (replaced by comparing out- and in-masks), the breadth-first
+element closure of a permutation group (which the library, holding only
+generators and an order, never builds) for group orders, blocks and
+invariant partitions, all uniform set partitions for wreath-structure
+questions.  The small constructors and comparisons that only tests need
+live here too: composing and inverting image tuples, the cyclic
+permutation group, the pair-space fibers and partition refinement.  They
+stay dumb on purpose -- the package is tested against them, never the
+other way around.
 """
 
 from functools import cache
 from itertools import combinations, permutations
 from random import Random
 
-from cig import _kernels
 from cig.ci import (
     CIGroupVerdict,
     _reverify_witness,
@@ -33,7 +33,6 @@ from cig.ci import (
     enumerate_connection_sets,
 )
 from cig.digraphs import Digraph
-from cig.iso import _candidates, _refine_colors, _search_order
 from cig.limits import DEFAULT_LIMITS
 from cig.perms import Perm, PermGroup, PointPartition
 
@@ -145,14 +144,36 @@ def brute_automorphism_count(d: Digraph) -> int:
 
 
 def enumerated_automorphisms(d: Digraph) -> list[tuple[int, ...]]:
-    """Every automorphism as a sorted list of image tuples: one find-all
-    backtracking search over the refined colour classes, one leaf each."""
+    """Every automorphism as an image tuple, in lexicographic order: vertices
+    placed in index order, each onto an unused vertex of its stable colour
+    (`round_refinement`) with the same loop and the same arcs to and from
+    every vertex placed before it."""
     n = d.order
-    colors = _refine_colors(d, [0] * n)
-    order = _search_order(colors)
-    cand = _candidates(order, colors, colors)
-    masks = list(d.out_masks)
-    return sorted(_kernels.iso_backtrack(n, masks, masks, order, cand, True))
+    colors = round_refinement(d, [0] * n)
+    found = []
+    images = []
+
+    def place(u):
+        if u == n:
+            found.append(tuple(images))
+            return
+        for v in range(n):
+            if (
+                colors[v] == colors[u]
+                and v not in images
+                and d.has_arc(u, u) == d.has_arc(v, v)
+                and all(
+                    d.has_arc(u, w) == d.has_arc(v, images[w])
+                    and d.has_arc(w, u) == d.has_arc(images[w], v)
+                    for w in range(u)
+                )
+            ):
+                images.append(v)
+                place(u + 1)
+                images.pop()
+
+    place(0)
+    return found
 
 
 def round_signatures(d: Digraph, colors) -> list[tuple]:

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -129,8 +130,17 @@ class TestFileLoading:
         ]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"order": 5, "table": table}))
-        with pytest.raises(ValueError, match=r"not associative.*\d+\*\d+"):
+        with pytest.raises(ValueError, match="not associative") as raised:
             parse_group_spec(f"file:{path}")
+        message = str(raised.value)
+        assert message.endswith("(1*1)*2 = 2 but 1*(1*2) = 4")
+        # The named triple fails associativity, and both sides are as named.
+        triple = re.search(
+            r"\((\d+)\*(\d+)\)\*(\d+) = (\d+) but \1\*\(\2\*\3\) = (\d+)", message
+        )
+        x, g, y, left, right = map(int, triple.groups())
+        assert (table[table[x][g]][y], table[x][table[g][y]]) == (left, right)
+        assert left != right
 
     def test_missing_identity_rejected(self, tmp_path):
         path = tmp_path / "noid.json"
@@ -292,8 +302,8 @@ class TestAutomorphisms:
         with pytest.raises(CapExceeded):
             FiniteGroup.symmetric(5).automorphisms()
 
-    def test_cap_holds_after_caching(self):
-        # A cached enumeration must not let a later, smaller cap through.
+    def test_cap_holds_on_every_call(self):
+        # An earlier listing must not let a later, smaller cap through.
         g = FiniteGroup.cyclic(6)
         assert len(g.automorphisms()) == 2
         small = Limits(aut=5)

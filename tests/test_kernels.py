@@ -1,5 +1,6 @@
 """The kernel module: hashed twin labels against the pairwise union-find
-oracle, the backend name, and an import that needs only the standard library."""
+oracle, every leaf of the find-all search against the automorphism oracle,
+the backend name, and an import that needs only the standard library."""
 
 import json
 import random
@@ -33,13 +34,43 @@ class TestTwinLabelsAgainstUnionFind:
         # Random digraphs seldom have twins; wreath products always do.
         rng = random.Random(83)
         for _ in range(400):
-            outer = oracles.random_digraph(rng, rng.randrange(1, 5))
-            r = rng.randrange(2, 4)
-            inner = Digraph.complete(r) if rng.random() < 0.5 else Digraph.empty(r)
-            d = wreath_product(outer, inner)
-            relabeling = list(range(d.order))
-            rng.shuffle(relabeling)
-            _assert_labels_agree(d.relabel(relabeling))
+            _assert_labels_agree(_relabelled_wreath_product(rng))
+
+
+def _relabelled_wreath_product(rng: random.Random) -> Digraph:
+    outer = oracles.random_digraph(rng, rng.randrange(1, 5))
+    r = rng.randrange(2, 4)
+    inner = Digraph.complete(r) if rng.random() < 0.5 else Digraph.empty(r)
+    d = wreath_product(outer, inner)
+    relabeling = list(range(d.order))
+    rng.shuffle(relabeling)
+    return d.relabel(relabeling)
+
+
+class TestFindAllAgainstEnumeration:
+    """`iso_backtrack(..., find_all=True)` from a digraph to itself, placing
+    vertices in a random order with every vertex a candidate, has one leaf
+    per automorphism."""
+
+    @staticmethod
+    def _assert_leaves_agree(d: Digraph, rng: random.Random) -> None:
+        n = d.order
+        order = list(range(n))
+        rng.shuffle(order)
+        masks = list(d.out_masks)
+        leaves = _kernels.iso_backtrack(n, masks, masks, order, [range(n)] * n, True)
+        assert sorted(leaves) == oracles.enumerated_automorphisms(d), d.out_masks
+
+    def test_random_looped_digraphs_up_to_six_vertices(self):
+        rng = random.Random(89)
+        for n in range(7):
+            for _ in range(60):
+                self._assert_leaves_agree(oracles.random_digraph(rng, n), rng)
+
+    def test_relabelled_wreath_products(self):
+        rng = random.Random(97)
+        for _ in range(60):
+            self._assert_leaves_agree(_relabelled_wreath_product(rng), rng)
 
 
 class TestPureFallback:
