@@ -37,15 +37,6 @@ class Digraph:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_arcs(cls, order: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
-        masks = [0] * order
-        for u, v in arcs:
-            if not (0 <= u < order and 0 <= v < order):
-                raise ValueError(f"arc ({u},{v}) out of range")
-            masks[u] |= 1 << v
-        return cls(order, masks)
-
-    @classmethod
     def complete(cls, n: int) -> Digraph:
         """Loopless complete digraph (all arcs in both directions)."""
         full = (1 << n) - 1
@@ -167,14 +158,8 @@ class Digraph:
     def to_json(self) -> dict:
         return {"order": self.order, "arcs": [list(a) for a in self.arcs()]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> Digraph:
-        if "order" not in obj or "arcs" not in obj:
-            raise ValueError('digraph object needs fields "order" and "arcs"')
-        return cls.from_arcs(obj["order"], (tuple(a) for a in obj["arcs"]))
-
-    def to_dot(self, name: str = "g") -> str:
-        lines = [f"digraph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["digraph g {"]
         for u in range(self.order):
             lines.append(f"  {u};")
         for u, v in self.arcs():

@@ -14,9 +14,9 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from cig.limits import DEFAULT_LIMITS, GROUP_ORDER_CAP, CapExceeded, Limits
 from cig.perms import Perm, PointPartition
@@ -227,109 +227,84 @@ class FiniteGroup:
     # -- construction catalog ------------------------------------------------
 
     @classmethod
+    def _from_elements(
+        cls, elements: Sequence, mul: Callable, labels: Sequence[str], name: str
+    ) -> FiniteGroup:
+        """Element i is `elements[i]`, and entry (i, j) of the table is the
+        index of mul(elements[i], elements[j]): each catalog constructor lists
+        its elements, identity first, in the order that every element index in
+        cig refers to.  The table is validated like any other."""
+        index = {x: i for i, x in enumerate(elements)}
+        table = [[index[mul(x, y)] for y in elements] for x in elements]
+        return cls(table, labels=labels, name=name)
+
+    @classmethod
     def cyclic(cls, n: int) -> FiniteGroup:
         if n < 1:
             raise ValueError("order must be positive")
         _check_order(n)
-        table = [[(i + j) % n for j in range(n)] for i in range(n)]
-        return cls(table, labels=[str(i) for i in range(n)], name=f"Z{n}")
+        return cls._from_elements(
+            range(n), lambda i, j: (i + j) % n, [str(i) for i in range(n)], f"Z{n}"
+        )
 
     @classmethod
     def direct_product(cls, a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-        n = a.order * b.order
-        _check_order(n)
-
-        def encode(i: int, j: int) -> int:
-            return i * b.order + j
-
-        table = [[0] * n for _ in range(n)]
-        for i1 in range(a.order):
-            for j1 in range(b.order):
-                for i2 in range(a.order):
-                    for j2 in range(b.order):
-                        table[encode(i1, j1)][encode(i2, j2)] = encode(
-                            a.mul(i1, i2), b.mul(j1, j2)
-                        )
-        labels = [
-            f"({a.labels[i]},{b.labels[j]})"
-            for i in range(a.order)
-            for j in range(b.order)
-        ]
-        return cls(table, labels=labels, name=f"{a.name}x{b.name}")
+        """Pairs (i, j) of an element of each factor, at index i * |b| + j."""
+        _check_order(a.order * b.order)
+        pairs = [(i, j) for i in range(a.order) for j in range(b.order)]
+        return cls._from_elements(
+            pairs,
+            lambda x, y: (a.table[x[0]][y[0]], b.table[x[1]][y[1]]),
+            [f"({a.labels[i]},{b.labels[j]})" for i, j in pairs],
+            f"{a.name}x{b.name}",
+        )
 
     @classmethod
     def dihedral(cls, n: int) -> FiniteGroup:
-        """Dihedral group of order 2n: pairs (k, f) meaning r^k s^f."""
+        """Dihedral group of order 2n: pairs (k, f) meaning r^k s^f, at f * n + k."""
         if n < 1:
             raise ValueError("order parameter must be positive")
         _check_order(2 * n)
-
-        def encode(k: int, f: int) -> int:
-            return f * n + k
-
-        table = [[0] * (2 * n) for _ in range(2 * n)]
-        for k1 in range(n):
-            for f1 in range(2):
-                for k2 in range(n):
-                    for f2 in range(2):
-                        k = (k1 + (k2 if f1 == 0 else -k2)) % n
-                        table[encode(k1, f1)][encode(k2, f2)] = encode(k, f1 ^ f2)
-        labels = []
-        for f in range(2):
-            for k in range(n):
-                if f == 0:
-                    labels.append("e" if k == 0 else f"r{k}")
-                else:
-                    labels.append("s" if k == 0 else f"sr{k}")
-        return cls(table, labels=labels, name=f"D{n}")
+        elements = [(k, f) for f in range(2) for k in range(n)]
+        return cls._from_elements(
+            elements,
+            lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % n, x[1] ^ y[1]),
+            [("e", "s")[f] if k == 0 else f"{('r', 'sr')[f]}{k}" for k, f in elements],
+            f"D{n}",
+        )
 
     @classmethod
     def quaternion(cls) -> FiniteGroup:
-        """The quaternion group {1,-1,i,-i,j,-j,k,-k}."""
-        labels = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-        # (sign, unit) encoding with unit products of quaternions.
-        unit_mul = {
-            (0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
-            (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
-            (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
-            (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0),
-        }
-
-        def decode(x: int) -> tuple[int, int]:
-            return (1 if x % 2 == 0 else -1, x // 2)
-
-        def encode(sign: int, unit: int) -> int:
-            return unit * 2 + (0 if sign == 1 else 1)
-
-        table = [[0] * 8 for _ in range(8)]
-        for x in range(8):
-            sx, ux = decode(x)
-            for y in range(8):
-                sy, uy = decode(y)
-                s, u = unit_mul[(ux, uy)]
-                table[x][y] = encode(s * sx * sy, u)
-        return cls(table, labels=labels, name="Q8")
+        """The quaternion group {1,-1,i,-i,j,-j,k,-k}: pairs (sign, unit), the
+        units 1, i, j, k numbered 0..3, at index 2 * unit + (sign < 0)."""
+        units = (  # the product of two units, as (sign, unit)
+            ((1, 0), (1, 1), (1, 2), (1, 3)),
+            ((1, 1), (-1, 0), (1, 3), (-1, 2)),
+            ((1, 2), (-1, 3), (-1, 0), (1, 1)),
+            ((1, 3), (1, 2), (-1, 1), (-1, 0)),
+        )
+        return cls._from_elements(
+            [(sign, unit) for unit in range(4) for sign in (1, -1)],
+            lambda x, y: (x[0] * y[0] * units[x[1]][y[1]][0], units[x[1]][y[1]][1]),
+            ["1", "-1", "i", "-i", "j", "-j", "k", "-k"],
+            "Q8",
+        )
 
     @classmethod
     def symmetric(cls, n: int) -> FiniteGroup:
-        """Symmetric group on n points, elements in lexicographic order."""
+        """Symmetric group on n points in lexicographic order; p*q is p after q."""
         _check_factorial_order(n, 1, f"S{n}")
-        return cls._from_perm_list(list(permutations(range(max(n, 1)))), name=f"S{n}")
+        perms = list(permutations(range(max(n, 1))))
+        labels = [Perm(p).cycle_string() for p in perms]
+        return cls._from_elements(perms, lambda p, q: tuple(p[x] for x in q), labels, f"S{n}")
 
     @classmethod
     def alternating(cls, n: int) -> FiniteGroup:
+        """The even permutations of `symmetric(n)`, in the same order."""
         _check_factorial_order(n, 2 if n >= 2 else 1, f"A{n}")
         perms = [p for p in permutations(range(max(n, 1))) if _parity(p) == 0]
-        return cls._from_perm_list(perms, name=f"A{n}")
-
-    @classmethod
-    def _from_perm_list(cls, perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
-        index = {p: i for i, p in enumerate(perms)}
-        table = [
-            [index[tuple(p[q[x]] for x in range(len(p)))] for q in perms] for p in perms
-        ]
         labels = [Perm(p).cycle_string() for p in perms]
-        return cls(table, labels=labels, name=name)
+        return cls._from_elements(perms, lambda p, q: tuple(p[x] for x in q), labels, f"A{n}")
 
     # -- spec strings and files ---------------------------------------------
 
@@ -355,13 +330,6 @@ class FiniteGroup:
             obj = json.load(fh)
         return cls.from_json(obj, name=path.stem)
 
-    def to_json(self) -> dict:
-        return {
-            "order": self.order,
-            "table": [list(row) for row in self.table],
-            "labels": list(self.labels),
-        }
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
 
@@ -384,19 +352,8 @@ def _check_factorial_order(n: int, divisor: int, name: str) -> None:
 
 
 def _parity(p: Sequence[int]) -> int:
-    seen = [False] * len(p)
-    parity = 0
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
+    """0 for an even permutation, 1 for an odd one: its inversions, mod 2."""
+    return sum(x > y for x, y in combinations(p, 2)) % 2
 
 
 def group_automorphism(group: FiniteGroup, images: Iterable[int]) -> Perm:

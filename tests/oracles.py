@@ -16,10 +16,10 @@ element closure of a permutation group (which the library, holding only
 generators and an order, never builds) for group orders, blocks and
 invariant partitions, all uniform set partitions for wreath-structure
 questions.  The small constructors and comparisons that only tests need
-live here too: composing and inverting image tuples, the cyclic
-permutation group, the pair-space fibers and partition refinement.  They
-stay dumb on purpose -- the package is tested against them, never the
-other way around.
+live here too: composing and inverting image tuples, a digraph from its
+arc list, the cyclic permutation group, the pair-space fibers and
+partition refinement.  They stay dumb on purpose -- the package is tested
+against them, never the other way around.
 """
 
 from functools import cache
@@ -304,6 +304,16 @@ def inverse(p) -> tuple[int, ...]:
     for x, y in enumerate(p):
         inv[y] = x
     return tuple(inv)
+
+
+def from_arcs(order: int, arcs) -> Digraph:
+    """The digraph on 0..order-1 with these arcs, each checked in range."""
+    masks = [0] * order
+    for u, v in arcs:
+        if not (0 <= u < order and 0 <= v < order):
+            raise ValueError(f"arc ({u},{v}) out of range")
+        masks[u] |= 1 << v
+    return Digraph(order, masks)
 
 
 def cyclic_group(n: int) -> PermGroup:

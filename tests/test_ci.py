@@ -24,7 +24,7 @@ from cig.perms import Perm, PermGroup, PointPartition, symmetric_group, wreath_p
 
 
 def directed_cycle(n):
-    return Digraph.from_arcs(n, [(i, (i + 1) % n) for i in range(n)])
+    return oracles.from_arcs(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 class TestCIPair:
@@ -490,7 +490,7 @@ class TestUniqueBlockPartition:
         # A map splitting a class across two classes is not.
         assert not in_wreath((0, 2, 1, 3), cosets, quotient)
         # Class-preserving but quotient-arc-breaking maps are not, either.
-        path = Digraph.from_arcs(2, [(0, 1)])
+        path = oracles.from_arcs(2, [(0, 1)])
         assert not in_wreath((2, 3, 0, 1), cosets, path)
 
 
@@ -655,6 +655,6 @@ class TestWreathAutDichotomy:
         assert report.dichotomy.predicted_order == 24
 
     def test_rejects_non_vertex_transitive(self):
-        path = Digraph.from_arcs(2, [(0, 1)])
+        path = oracles.from_arcs(2, [(0, 1)])
         with pytest.raises(ValueError, match="vertex-transitive"):
             verify_wreath_aut_dichotomy(path, Digraph.complete(2))

@@ -2,7 +2,6 @@
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +18,7 @@ from cig.iso import find_isomorphism
 
 
 def directed_cycle(n):
-    return Digraph.from_arcs(n, [(i, (i + 1) % n) for i in range(n)])
+    return oracles.from_arcs(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 @st.composite
@@ -45,7 +44,7 @@ class TestCayley:
     def test_inverse_closed_set_gives_undirected(self):
         d = cayley(FiniteGroup.cyclic(4), {1, 3})
         assert d.is_undirected
-        assert find_isomorphism(d, directed_cycle(4).__class__.from_arcs(
+        assert find_isomorphism(d, oracles.from_arcs(
             4, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 0), (0, 3)]
         )) is not None
 
@@ -90,7 +89,7 @@ class TestComplement:
         assert c3.complement() == Digraph(3, c3.in_masks)
 
     def test_loops_are_preserved(self):
-        d = Digraph.from_arcs(2, [(0, 0), (0, 1)])
+        d = oracles.from_arcs(2, [(0, 0), (0, 1)])
         comp = d.complement()
         assert comp.has_loop(0) and not comp.has_loop(1)
         assert comp.has_arc(1, 0) and not comp.has_arc(0, 1)
@@ -99,7 +98,7 @@ class TestComplement:
 class TestWreathProduct:
     def test_k2_over_empty2_is_four_cycle(self):
         w = wreath_product(Digraph.complete(2), Digraph.empty(2))
-        four_cycle = Digraph.from_arcs(
+        four_cycle = oracles.from_arcs(
             4, [(0, 2), (2, 0), (0, 3), (3, 0), (1, 2), (2, 1), (1, 3), (3, 1)]
         )
         assert w == four_cycle
@@ -118,7 +117,7 @@ class TestWreathProduct:
             assert w.arc_count == a.order * b.arc_count + a.arc_count * b.order**2
 
     def test_outer_loop_fills_fiber(self):
-        loop_vertex = Digraph.from_arcs(1, [(0, 0)])
+        loop_vertex = oracles.from_arcs(1, [(0, 0)])
         w = wreath_product(loop_vertex, Digraph.empty(3))
         assert w.arc_count == 9  # complete with loops on the single fiber
 
@@ -181,7 +180,7 @@ class TestDecomposition:
         assert dec.quotient == Digraph.complete(2)
 
     def test_fully_looped_clique_splits_both_ways(self):
-        d = Digraph.from_arcs(2, [(0, 0), (1, 1), (0, 1), (1, 0)])
+        d = oracles.from_arcs(2, [(0, 0), (1, 1), (0, 1), (1, 0)])
         assert decompose_over_complete(d) is not None
         assert decompose_over_empty(d) is not None
 
@@ -239,16 +238,14 @@ class TestDecomposition:
 class TestSerialization:
     def test_json_round_trip(self):
         d = cayley(FiniteGroup.cyclic(6), {1, 3, 4})
-        assert Digraph.from_json(d.to_json()) == d
+        blob = d.to_json()
+        assert blob["order"] == 6
+        assert oracles.from_arcs(6, blob["arcs"]) == d
 
     def test_json_shape(self):
-        d = Digraph.from_arcs(3, [(0, 1), (2, 2)])
+        d = oracles.from_arcs(3, [(0, 1), (2, 2)])
         assert d.to_json() == {"order": 3, "arcs": [[0, 1], [2, 2]]}
 
     def test_dot_output(self):
-        dot = Digraph.from_arcs(2, [(0, 1)]).to_dot()
-        assert "digraph" in dot and "0 -> 1;" in dot
-
-    def test_missing_fields_rejected(self):
-        with pytest.raises(ValueError):
-            Digraph.from_json({"order": 2})
+        dot = oracles.from_arcs(2, [(0, 1)]).to_dot()
+        assert dot == "digraph g {\n  0;\n  1;\n  0 -> 1;\n}"

@@ -1,9 +1,11 @@
 """Multiplication tables, catalog, quotients, automorphisms."""
 
+import hashlib
 import json
 import random
 import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +93,29 @@ class TestConstruction:
         assert peak < 1 << 20
 
 
+CATALOG_TABLES = Path(__file__).parent / "snapshots" / "catalog_tables.json"
+NUMBERING_SPECS = [s for s, _ in catalog_specs(12)] + [
+    "Z16", "Z2xZ8", "Z4xZ4", "D8", "Z2xZ2xZ4", "Q8xZ2", "Z2xD4", "Z2xZ2xZ2xZ2",
+    "S1", "S2", "S4", "S5", "A1", "A2", "A5", "D1", "D2",
+]
+
+
+class TestCatalogNumbering:
+    def test_tables_labels_and_names_match_snapshot(self):
+        """Every element index in cig's output (CLI arguments, witnesses,
+        lifts, alpha) refers to this numbering: the snapshot holds the sha256
+        of json.dumps([table, labels, name]) for each spec."""
+        snapshot = json.loads(CATALOG_TABLES.read_text())
+        assert list(snapshot) == NUMBERING_SPECS
+        changed = []
+        for spec in NUMBERING_SPECS:
+            g = parse_group_spec(spec)
+            blob = json.dumps([g.table, g.labels, g.name]).encode()
+            if hashlib.sha256(blob).hexdigest() != snapshot[spec]:
+                changed.append(spec)
+        assert not changed, f"numbering changed for {changed}"
+
+
 class TestSpecGrammar:
     def test_products_fold_left(self):
         g = parse_group_spec("Z2xZ2xZ3")
@@ -115,9 +140,9 @@ class TestFileLoading:
     def test_round_trip(self, tmp_path):
         g = FiniteGroup.cyclic(6)
         path = tmp_path / "z6.json"
-        path.write_text(json.dumps(g.to_json()))
+        path.write_text(json.dumps({"order": 6, "table": g.table, "labels": g.labels}))
         loaded = parse_group_spec(f"file:{path}")
-        assert loaded.table == g.table
+        assert (loaded.table, loaded.labels) == (g.table, g.labels)
 
     def test_non_associative_table_names_triple(self, tmp_path):
         # Latin square with identity but (1*1)*2 != 1*(1*2).

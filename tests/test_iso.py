@@ -20,11 +20,11 @@ from cig.limits import CapExceeded
 
 
 def directed_path(n):
-    return Digraph.from_arcs(n, [(i, i + 1) for i in range(n - 1)])
+    return oracles.from_arcs(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def directed_cycle(n):
-    return Digraph.from_arcs(n, [(i, (i + 1) % n) for i in range(n)])
+    return oracles.from_arcs(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def refine(d):
@@ -51,7 +51,7 @@ class TestRefine:
         assert coloring[0] != coloring[2]
 
     def test_loops_split_colors(self):
-        d = Digraph.from_arcs(2, [(0, 0)])
+        d = oracles.from_arcs(2, [(0, 0)])
         assert len(set(refine(d))) == 2
 
     def test_color_multiset_is_isomorphism_invariant(self):
