@@ -90,13 +90,31 @@ def twin_labels(out, into, complete_kind):
     for the empty kind, and ``(out[u] | 1<<u, into[u] | 1<<u, loop bit)``
     for the complete kind.
     """
+    if not complete_kind:
+        return _numbered(zip(out, into))
+    return _numbered(
+        (row | 1 << u, col | 1 << u, row >> u & 1)
+        for u, (row, col) in enumerate(zip(out, into))
+    )
+
+
+def apart_twin_labels(out, into):
+    """Label per vertex, numbered as in ``twin_labels``, of its class of
+    non-adjacent twins: vertices with equal loop flags, no arc either way
+    and identical in- and out-neighbourhoods outside the pair.
+
+    The key ``(out[u] & ~(1<<u), into[u] & ~(1<<u), loop bit)`` is the
+    complete kind's with the own bit cleared instead of set.  Unlike the
+    empty kind, it never groups a mutually adjacent looped pair, so
+    decompositions over an empty inner factor keep the empty kind.
+    """
+    return _numbered(
+        (row & ~(1 << u), col & ~(1 << u), row >> u & 1)
+        for u, (row, col) in enumerate(zip(out, into))
+    )
+
+
+def _numbered(keys):
+    """Per key, the index of its first occurrence among the distinct keys."""
     seen = {}
-    labels = []
-    for u, (row, col) in enumerate(zip(out, into)):
-        if complete_kind:
-            bit = 1 << u
-            key = (row | bit, col | bit, row >> u & 1)
-        else:
-            key = (row, col)
-        labels.append(seen.setdefault(key, len(seen)))
-    return labels
+    return [seen.setdefault(key, len(seen)) for key in keys]

@@ -4,7 +4,7 @@ machine verification of the quotient construction on concrete instances.
 Everything here is exhaustive at desk scale: isomorphism verdicts come from
 full backtracking search (CI sweeps first rule out every pair whose rooted
 refinement keys differ, then run `find_isomorphism`, not `ci_pair`, on the
-same-key pairs), automorphism verdicts from strong generating sets
+same-key pairs), automorphism verdicts from generating sets
 (exact group orders, membership checked on generators), and the quotient
 certificate records one named boolean per verification step.  A
 certificate builds G/H once and checks each side's lift against it in one
@@ -337,8 +337,8 @@ def verify_lift_structure(
     S_block, acting on the lifted digraph relabelled so that the cosets are
     its fibers, must preserve that digraph's arcs, and each generator of
     Aut(lifted) found by the search must carry cosets onto cosets and
-    induce an automorphism of the quotient digraph.  The orders are exact:
-    products of basic-orbit lengths, and, for the wreath group,
+    induce an automorphism of the quotient digraph.  Both orders are
+    exact: `automorphism_group_of` gives one, and the wreath group's is
     |Aut(quotient)| * (block size)!^|quotient|.
     """
     s_quotient = frozenset(s_quotient)

@@ -8,8 +8,10 @@ Deterministic: `find_isomorphism` places sources smallest color class
 first, the automorphism search places each base point first and then the
 least vertex linked to a placed one, and candidate targets ascend, so
 identical inputs always produce identical bijections.  Automorphism groups
-come back as a strong generating set with their order, found by one
-first-hit search per basic-orbit point; the elements are never listed.
+come back as a generating set with their order; the elements are never
+listed.  The search first takes out the twin classes, the simplest modules
+(Gallai, "Transitiv orientierbare Graphen", 1967), then runs one first-hit
+search per basic-orbit point of the digraph induced on the class minima.
 `rooted_key` gives vertex-transitive digraphs an isomorphism invariant
 from one refinement rooted at vertex 0: a canonical form when that
 colouring is discrete, a signature multiset otherwise.  There is no full
@@ -20,6 +22,7 @@ need a pairwise search.
 from __future__ import annotations
 
 from collections import Counter
+from math import factorial
 from typing import Sequence
 
 from cig import _kernels
@@ -156,8 +159,72 @@ def _connected_order(adj: Sequence[int], start: int) -> list[int]:
     return order
 
 
+def _twin_classes(d: Digraph) -> list[tuple[list[int], bool]]:
+    """The twin classes, sorted by minimum, each with whether its members
+    are mutually adjacent.
+
+    u != v are twins when the transposition (u v) is an automorphism.  Every
+    class is adjacent or non-adjacent throughout, so a vertex in a class of
+    two or more adjacent twins has no non-adjacent twin, and the two kinds
+    of `_kernels` twin keys together partition the vertices.
+    """
+    out, into = d.out_masks, d.in_masks
+    adjacent = _kernels.twin_labels(out, into, True)
+    apart = _kernels.apart_twin_labels(out, into)
+    sizes = Counter(adjacent)
+    classes: dict[tuple[bool, int], list[int]] = {}
+    for v, (a, b) in enumerate(zip(adjacent, apart)):
+        classes.setdefault((True, a) if sizes[a] > 1 else (False, b), []).append(v)
+    return [(members, kind) for (kind, _), members in classes.items()]
+
+
 def automorphism_group_of(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> PermGroup:
-    """The full automorphism group, as a strong generating set and its order.
+    """The full automorphism group, as a generating set and its order.
+
+    Twins come out first: each twin class C gives Sym(C), every automorphism
+    permutes the classes, and arcs between two classes are all present or
+    all absent.  So Aut(d) is the semidirect product of the Sym(C) by
+    Aut(Q), for the digraph Q induced on the class minima and coloured by
+    class size and kind.  Twin classes are the simplest modules (Gallai,
+    "Transitiv orientierbare Graphen", 1967).  `_search_automorphisms`
+    finds Aut(Q); each of its generators is lifted class onto class in rank
+    order, and one class per orbit of Aut(Q) adds a transposition and a
+    cycle of its members (the lifted generators conjugate its Sym(C) onto
+    the others).  The order is |Aut(Q)| times the product of the class
+    sizes' factorials.  A digraph without twins is searched as it is, from
+    the uniform colouring.
+    """
+    _check_cap(d.order, limits.search)
+    n = d.order
+    classes = _twin_classes(d)
+    if len(classes) == n:
+        return _search_automorphisms(d, [0] * n)
+    quotient = d.induced(members[0] for members, _ in classes)
+    aut_q = _search_automorphisms(quotient, [(len(m), kind) for m, kind in classes])
+    generators = []
+    for g in aut_q.generators:
+        images = [0] * n
+        for (members, _), image in zip(classes, g.images):
+            for x, y in zip(members, classes[image][0]):
+                images[x] = y
+        generators.append(Perm(images))
+    order = aut_q.order
+    covered = set()
+    for i, (members, _) in enumerate(classes):
+        order *= factorial(len(members))
+        if i in covered:
+            continue
+        covered |= orbit(i, aut_q.generators)
+        if len(members) > 1:
+            generators.append(Perm.from_cycles(n, members[:2]))
+        if len(members) > 2:
+            generators.append(Perm.from_cycles(n, members))
+    return PermGroup(generators, degree=n, order=order)
+
+
+def _search_automorphisms(d: Digraph, initial: Sequence) -> PermGroup:
+    """The automorphisms of d that keep every vertex's `initial` colour, as
+    a strong generating set and their order.
 
     The base b_1..b_m follows the first path of individualisation and
     refinement: individualise the first vertex of the smallest non-singleton
@@ -167,17 +234,16 @@ def automorphism_group_of(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> PermGr
     found so far (all of which fix b_1..b_{k-1}) gets one first-hit search
     for an automorphism mapping b_k to v, every other vertex staying in its
     cell of that colouring.  Afterwards the generators act on b_k with
-    exactly its basic orbit, so Aut(d) has order equal to the product of
+    exactly its basic orbit, so the group has order equal to the product of
     the basic-orbit lengths (McKay, "Practical graph isomorphism", 1981).
     Each search places b_k first and then follows `_connected_order`, so
     placements meet a placed neighbour early.  Vertices are linked by an
     arc either way or, when more than half of all ordered pairs are arcs,
     by a missing arc either way: the kernel checks both, the rarer prunes.
     """
-    _check_cap(d.order, limits.search)
     n = d.order
     masks = d.out_masks
-    path = [_refine_colors(d, [0] * n)]
+    path = [_refine_colors(d, initial)]
     base = []
     while len(set(path[-1])) < n:
         colors = list(path[-1])

@@ -152,8 +152,9 @@ class PermGroup:
     """Permutation group given by generators and its order.
 
     Nothing here lists the elements.  The order is the caller's: the
-    automorphism search gives the product of its basic-orbit lengths, and
-    the constructors below give their closed formulas.
+    automorphism search multiplies its basic-orbit lengths and the
+    factorials of the twin-class sizes, and the constructors below give
+    their closed formulas.
     """
 
     def __init__(

@@ -303,6 +303,16 @@ class TestPastTwentyFourVertices:
             g, cert.lift1.connection, cert.lift2.connection, Limits(aut=40)
         )
 
+    @pytest.mark.parametrize(
+        "spec,kernel,s1,s2",
+        [("Z2xZ16", {0, 16}, {1}, {3}), ("D16", {0, 8}, {1}, {7})],
+        ids=["Z2xZ16", "D16"],
+    )
+    def test_noncyclic_certificate_is_accepted(self, spec, kernel, s1, s2):
+        g = parse_group_spec(spec)
+        cert = quotient_ci_certificate(g, kernel, s1, s2)
+        assert cert.accepted, cert.failing_checks()
+
     def test_lifted_z40_automorphism_group(self):
         # The lift of a directed 20-cycle over <20> is C20 wr (empty 2),
         # whose automorphism group is Z20 wr S2.

@@ -7,11 +7,12 @@ from math import factorial, gcd
 import pytest
 
 import oracles
-from cig.ci import orbit_representatives
+from cig.ci import lift_connection_set, orbit_representatives
 from cig.digraphs import Digraph, cayley
 from cig.groups import FiniteGroup, catalog_specs, parse_group_spec
 from cig.iso import (
     _refine_colors,
+    _search_automorphisms,
     automorphism_group_of,
     find_isomorphism,
     rooted_key,
@@ -266,6 +267,97 @@ class TestAutomorphismGroupAgainstEnumeration:
 
     def test_complete_graph_order_without_enumeration(self):
         assert automorphism_group_of(Digraph.complete(12)).order == factorial(12)
+
+
+def _blown_up_digraph(rng, n):
+    """A random looped digraph on n vertices, in 2 of 5 cases with each
+    vertex replaced by its own 1-3 vertex module: complete, empty, or either
+    with loops.  Randomly relabelled, so that twin classes are not runs of
+    consecutive vertices."""
+    d = oracles.random_digraph(rng, n)
+    if rng.random() < 0.4:
+        fibers, arcs, start = [], [], 0
+        for _ in range(n):
+            fiber = range(start, start + rng.randrange(1, 4))
+            adjacent, looped = rng.random() < 0.5, rng.random() < 0.3
+            arcs += [
+                (x, y) for x in fiber for y in fiber if (looped if x == y else adjacent)
+            ]
+            fibers.append(fiber)
+            start = fiber.stop
+        for u, v in d.arcs():
+            if u != v:
+                arcs += [(x, y) for x in fibers[u] for y in fibers[v]]
+        d = oracles.from_arcs(start, arcs)
+    relabeling = list(range(d.order))
+    rng.shuffle(relabeling)
+    return d.relabel(relabeling)
+
+
+def _preserves_arcs(d, g):
+    return d.relabel(g.images) == d
+
+
+class TestTwinQuotient:
+    """`automorphism_group_of` searches only the digraph induced on the twin
+    class minima; its groups agree with the search on the whole digraph and
+    with enumeration."""
+
+    def test_twin_rich_lift_of_z2_to_the_fifth(self):
+        # 608 arcs on 32 vertices, twin classes of 4: the unreduced search
+        # does not finish.  The quotient digraph on 8 vertices has a group of
+        # order 48 and each class contributes S4.
+        g = parse_group_spec("Z2xZ2xZ2xZ2xZ2")
+        d = cayley(g, lift_connection_set(g, {0, 1, 14, 15}, {1, 2, 3, 7}).connection)
+        assert d.arc_count == 608
+        aut = automorphism_group_of(d)
+        assert aut.order == 48 * 24**8
+        assert all(_preserves_arcs(d, x) for x in aut.generators)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_classes_of_one_size_and_different_kinds_stay_apart(self, m):
+        # K_m beside m isolated vertices: the quotient is two isolated
+        # vertices, which the class kinds keep from being swapped.
+        d = Digraph(2 * m, list(Digraph.complete(m).out_masks) + [0] * m)
+        for digraph in (d, d.complement()):
+            assert automorphism_group_of(digraph).order == factorial(m) ** 2
+
+    def test_against_the_unreduced_search_and_enumeration(self):
+        rng = random.Random(101)
+        enumerated = 0
+        for _ in range(500):
+            d = _blown_up_digraph(rng, rng.randrange(1, 7))
+            aut = automorphism_group_of(d)
+            assert aut.order == _search_automorphisms(d, [0] * d.order).order, d.out_masks
+            assert all(_preserves_arcs(d, x) for x in aut.generators), d.out_masks
+            if aut.order <= 2000:
+                enumeration = oracles.enumerated_automorphisms(d)
+                assert oracles.closure(aut) == enumeration, d.out_masks
+                enumerated += 1
+        assert enumerated >= 400
+
+    def test_block_systems_of_lifted_cayley_digraphs(self):
+        # The oracle lists every element, so only groups of at most 5000
+        # elements go to it; the unreduced search's group covers the rest.
+        rng = random.Random(103)
+        brute = 0
+        for spec in [s for s, n in catalog_specs(12) if n in (8, 12)]:
+            g = parse_group_spec(spec)
+            kernels = [h for h in g.normal_subgroups() if 1 < len(h) < g.order]
+            for _ in range(12):
+                h = rng.choice(kernels)
+                size = len(h)
+                s_q = {x for x in range(g.order // size) if rng.random() < 0.5}
+                d = cayley(g, lift_connection_set(g, h, s_q).connection)
+                aut = automorphism_group_of(d)
+                unreduced = _search_automorphisms(d, [0] * d.order)
+                assert aut.order == unreduced.order, (spec, sorted(h), s_q)
+                systems = aut.block_systems(size)
+                assert systems == unreduced.block_systems(size), (spec, sorted(h), s_q)
+                if aut.order <= 5000:
+                    assert systems == oracles.brute_block_systems(aut, size)
+                    brute += 1
+        assert brute >= 40
 
 
 def _all_connection_sets(group):

@@ -1,6 +1,7 @@
 """The kernel module: hashed twin labels against the pairwise union-find
-oracle, every leaf of the find-all search against the automorphism oracle,
-the backend name, and an import that needs only the standard library."""
+oracle and against transpositions, every leaf of the find-all search
+against the automorphism oracle, the backend name, and an import that needs
+only the standard library."""
 
 import json
 import random
@@ -35,6 +36,36 @@ class TestTwinLabelsAgainstUnionFind:
         rng = random.Random(83)
         for _ in range(400):
             _assert_labels_agree(_relabelled_wreath_product(rng))
+
+
+class TestApartTwinLabelsAgainstTranspositions:
+    """Two vertices share an `apart_twin_labels` label exactly when the
+    transposition swapping them is an automorphism and neither arc between
+    them is present."""
+
+    @staticmethod
+    def assert_agree(d: Digraph) -> None:
+        labels = _kernels.apart_twin_labels(d.out_masks, d.in_masks)
+        for u in range(d.order):
+            for v in range(u + 1, d.order):
+                swap = list(range(d.order))
+                swap[u], swap[v] = v, u
+                twins = (
+                    not d.has_arc(u, v)
+                    and not d.has_arc(v, u)
+                    and d.relabel(swap) == d
+                )
+                assert (labels[u] == labels[v]) == twins, (d.out_masks, u, v)
+        assert sorted(set(labels), key=labels.index) == list(range(len(set(labels))))
+
+    def test_every_looped_three_vertex_digraph(self):
+        for d in oracles.all_digraphs(3, loops=True):
+            self.assert_agree(d)
+
+    def test_relabelled_wreath_products(self):
+        rng = random.Random(87)
+        for _ in range(200):
+            self.assert_agree(_relabelled_wreath_product(rng))
 
 
 def _relabelled_wreath_product(rng: random.Random) -> Digraph:
