@@ -6,6 +6,11 @@ Adjacency is one integer bitmask per vertex: ``out[u] >> v & 1`` is the arc
 u -> v, and ``into[v] >> u & 1`` the same arc seen from its head (the
 ``Digraph.out_masks`` and ``Digraph.in_masks`` tuples).  Python integers
 have no fixed width, so these kernels take any number of vertices.
+
+There is one twin relation, the transpositions that are automorphisms, and
+one pass computes it (``twin_labels``).  Both wreath decompositions and the
+automorphism search read their classes from it, through
+``Digraph.twin_classes``.
 """
 
 BACKEND = "python"
@@ -75,46 +80,28 @@ def iso_backtrack(n, out_a, out_b, order, cand, find_all):
     return results
 
 
-def twin_labels(out, into, complete_kind):
+def twin_labels(out, into):
     """Twin-class label per vertex (labels numbered by first occurrence),
     from the out-masks ``out`` and in-masks ``into`` of one digraph.
 
-    Two vertices are twins when they have identical in- and out-
-    neighbourhoods outside the pair and, for ``complete_kind``, are mutually
-    adjacent with equal loop flags; otherwise (empty kind) either share no
-    arcs and no loops, or are mutually adjacent and both looped (the fully
-    looped clique case, which an inner empty factor also realizes through a
-    quotient loop).
-
-    That relation is equality of one key per vertex: ``(out[u], into[u])``
-    for the empty kind, and ``(out[u] | 1<<u, into[u] | 1<<u, loop bit)``
-    for the complete kind.
+    u != v are twins when the transposition (u v) is an automorphism: equal
+    loop flags, identical neighbourhoods outside the pair, and both arcs
+    between them or neither.  Each vertex has two keys, its neighbourhoods
+    with its own bit set (equal for adjacent twins) and cleared (equal for
+    non-adjacent twins), each with its loop bit.  A class is adjacent or
+    non-adjacent throughout, so a vertex takes its adjacent key's class when
+    that has two or more members, and its non-adjacent key's class
+    otherwise.  The two kinds of key never collide: were u's adjacent key w's
+    non-adjacent key, w's out-mask would hold u (set in u's key), so u's
+    in-mask would hold w (cleared in w's key).
     """
-    if not complete_kind:
-        return _numbered(zip(out, into))
-    return _numbered(
-        (row | 1 << u, col | 1 << u, row >> u & 1)
-        for u, (row, col) in enumerate(zip(out, into))
-    )
-
-
-def apart_twin_labels(out, into):
-    """Label per vertex, numbered as in ``twin_labels``, of its class of
-    non-adjacent twins: vertices with equal loop flags, no arc either way
-    and identical in- and out-neighbourhoods outside the pair.
-
-    The key ``(out[u] & ~(1<<u), into[u] & ~(1<<u), loop bit)`` is the
-    complete kind's with the own bit cleared instead of set.  Unlike the
-    empty kind, it never groups a mutually adjacent looped pair, so
-    decompositions over an empty inner factor keep the empty kind.
-    """
-    return _numbered(
-        (row & ~(1 << u), col & ~(1 << u), row >> u & 1)
-        for u, (row, col) in enumerate(zip(out, into))
-    )
-
-
-def _numbered(keys):
-    """Per key, the index of its first occurrence among the distinct keys."""
+    keys = []
+    sizes = {}
+    for u, (row, col) in enumerate(zip(out, into)):
+        bit = 1 << u
+        loop = row >> u & 1
+        near = (row | bit, col | bit, loop)
+        keys.append((near, (row & ~bit, col & ~bit, loop)))
+        sizes[near] = sizes.get(near, 0) + 1
     seen = {}
-    return [seen.setdefault(key, len(seen)) for key in keys]
+    return [seen.setdefault(a if sizes[a] > 1 else b, len(seen)) for a, b in keys]

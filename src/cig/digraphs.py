@@ -6,7 +6,6 @@ graphs are exactly the arc-symmetric digraphs.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from typing import TYPE_CHECKING, Iterable
@@ -153,6 +152,16 @@ class Digraph:
             comps.append(sorted(comp))
         return comps
 
+    def twin_classes(self) -> list[list[int]]:
+        """The twin classes, ordered by least member, each ascending: u and v
+        share a class when the transposition (u v) is an automorphism."""
+        classes: list[list[int]] = []
+        for v, label in enumerate(_kernels.twin_labels(self.out_masks, self.in_masks)):
+            if label == len(classes):
+                classes.append([])
+            classes[label].append(v)
+        return classes
+
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -229,19 +238,24 @@ class WreathDecomposition:
     quotient: Digraph
     inner_size: int
     block_partition: PointPartition
-    inner_kind: str  # "complete" | "empty"
 
 
 def _decompose(d: Digraph, kind: str) -> WreathDecomposition | None:
-    labels = _kernels.twin_labels(d.out_masks, d.in_masks, kind == "complete")
-    r = gcd(*Counter(labels).values())
+    """Factor d over the twin classes that `kind` takes, or None when some
+    vertex lies in no such class of two or more."""
+    classes = d.twin_classes()
+    for members in classes:
+        if len(members) < 2:
+            return None
+        adjacent = d.has_arc(members[0], members[1])
+        looped = d.has_loop(members[0])
+        if not (adjacent if kind == "complete" else adjacent == looped):
+            return None
+    r = gcd(*map(len, classes))
     if r < 2:
         return None
-    twins: dict[int, list[int]] = {}
-    for x, lab in enumerate(labels):
-        twins.setdefault(lab, []).append(x)
     # Split each twin class into consecutive runs of r (ascending indices).
-    parts = [cls[i : i + r] for cls in twins.values() for i in range(0, len(cls), r)]
+    parts = [cls[i : i + r] for cls in classes for i in range(0, len(cls), r)]
     partition = PointPartition(d.order, parts)
     # Class minima ascend with the class index, so the induced subdigraph on
     # them is the quotient, loops included.
@@ -250,18 +264,25 @@ def _decompose(d: Digraph, kind: str) -> WreathDecomposition | None:
     rebuilt = wreath_product(quotient, inner)
     if d.relabel(partition.fiber_images()) != rebuilt:
         raise RuntimeError("twin decomposition failed to reassemble")  # unreachable
-    return WreathDecomposition(quotient, r, partition, kind)
+    return WreathDecomposition(quotient, r, partition)
 
 
 def decompose_over_complete(d: Digraph) -> WreathDecomposition | None:
     """Maximal factorization of d as quotient-wreath-K_r (r >= 2), if any.
 
-    Clique twins: mutually adjacent vertices with equal loop flags and
-    identical neighbourhoods elsewhere.  r is the gcd of twin-class sizes.
+    It takes the adjacent twin classes (`Digraph.twin_classes`), looped or
+    not, and needs every vertex in one of two or more; r is the gcd of
+    their sizes.
     """
     return _decompose(d, "complete")
 
 
 def decompose_over_empty(d: Digraph) -> WreathDecomposition | None:
-    """Maximal factorization of d as quotient-wreath-empty_r (r >= 2), if any."""
+    """Maximal factorization of d as quotient-wreath-empty_r (r >= 2), if any.
+
+    It takes the twin classes whose adjacency equals their loop flag: the
+    non-adjacent loopless ones, and the adjacent looped ones (a quotient loop
+    fills its fiber).  Every vertex must lie in one of two or more; r is the
+    gcd of their sizes.
+    """
     return _decompose(d, "empty")

@@ -269,7 +269,7 @@ class FiniteGroup:
         return cls._from_elements(
             elements,
             lambda x, y: ((x[0] + (-1) ** x[1] * y[0]) % n, x[1] ^ y[1]),
-            [("e", "s")[f] if k == 0 else f"{('r', 'sr')[f]}{k}" for k, f in elements],
+            [("e", "s")[f] if k == 0 else f"r{k}{('', 's')[f]}" for k, f in elements],
             f"D{n}",
         )
 

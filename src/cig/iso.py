@@ -159,34 +159,16 @@ def _connected_order(adj: Sequence[int], start: int) -> list[int]:
     return order
 
 
-def _twin_classes(d: Digraph) -> list[tuple[list[int], bool]]:
-    """The twin classes, sorted by minimum, each with whether its members
-    are mutually adjacent.
-
-    u != v are twins when the transposition (u v) is an automorphism.  Every
-    class is adjacent or non-adjacent throughout, so a vertex in a class of
-    two or more adjacent twins has no non-adjacent twin, and the two kinds
-    of `_kernels` twin keys together partition the vertices.
-    """
-    out, into = d.out_masks, d.in_masks
-    adjacent = _kernels.twin_labels(out, into, True)
-    apart = _kernels.apart_twin_labels(out, into)
-    sizes = Counter(adjacent)
-    classes: dict[tuple[bool, int], list[int]] = {}
-    for v, (a, b) in enumerate(zip(adjacent, apart)):
-        classes.setdefault((True, a) if sizes[a] > 1 else (False, b), []).append(v)
-    return [(members, kind) for (kind, _), members in classes.items()]
-
-
 def automorphism_group_of(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> PermGroup:
     """The full automorphism group, as a generating set and its order.
 
     Twins come out first: each twin class C gives Sym(C), every automorphism
     permutes the classes, and arcs between two classes are all present or
     all absent.  So Aut(d) is the semidirect product of the Sym(C) by
-    Aut(Q), for the digraph Q induced on the class minima and coloured by
-    class size and kind.  Twin classes are the simplest modules (Gallai,
-    "Transitiv orientierbare Graphen", 1967).  `_search_automorphisms`
+    Aut(Q), for the digraph Q induced on the minima of
+    `Digraph.twin_classes` and coloured by class size and whether the
+    class's members are adjacent.  Twin classes are the simplest modules
+    (Gallai, "Transitiv orientierbare Graphen", 1967).  `_search_automorphisms`
     finds Aut(Q); each of its generators is lifted class onto class in rank
     order, and one class per orbit of Aut(Q) adds a transposition and a
     cycle of its members (the lifted generators conjugate its Sym(C) onto
@@ -196,21 +178,22 @@ def automorphism_group_of(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> PermGr
     """
     _check_cap(d.order, limits.search)
     n = d.order
-    classes = _twin_classes(d)
+    classes = d.twin_classes()
     if len(classes) == n:
         return _search_automorphisms(d, [0] * n)
-    quotient = d.induced(members[0] for members, _ in classes)
-    aut_q = _search_automorphisms(quotient, [(len(m), kind) for m, kind in classes])
+    quotient = d.induced(members[0] for members in classes)
+    colours = [(len(m), len(m) > 1 and d.has_arc(m[0], m[1])) for m in classes]
+    aut_q = _search_automorphisms(quotient, colours)
     generators = []
     for g in aut_q.generators:
         images = [0] * n
-        for (members, _), image in zip(classes, g.images):
-            for x, y in zip(members, classes[image][0]):
+        for members, image in zip(classes, g.images):
+            for x, y in zip(members, classes[image]):
                 images[x] = y
         generators.append(Perm(images))
     order = aut_q.order
     covered = set()
-    for i, (members, _) in enumerate(classes):
+    for i, members in enumerate(classes):
         order *= factorial(len(members))
         if i in covered:
             continue

@@ -9,13 +9,15 @@ the library itself no longer builds), refinement rounds with tuple
 signatures and a confirming round at a discrete colouring (the rounds the
 library replaced by packed counts and an early exit), one isomorphism
 search per pair of connection sets for the CI sweep (the pair loop the
-library replaced by refinement keys), every vertex pair for twin classes
-(the test the library replaced by one key per vertex) and for arc
-symmetry (replaced by comparing out- and in-masks), the breadth-first
-element closure of a permutation group (which the library, holding only
-generators and an order, never builds) for group orders, blocks and
-invariant partitions, all uniform set partitions for wreath-structure
-questions.  The small constructors and comparisons that only tests need
+library replaced by refinement keys), every vertex pair for the twins of
+each decomposition kind (the test the library replaced by one key per
+vertex), for the twin relation itself (by trying each transposition) and
+for arc symmetry (replaced by comparing out- and in-masks), every vertex
+pair in a depth-first search for connectivity (the library walks masks),
+the breadth-first element closure of a permutation group (which the
+library, holding only generators and an order, never builds) for group
+orders, blocks and invariant partitions, all uniform set partitions for
+wreath-structure questions.  The small constructors and comparisons that only tests need
 live here too: composing and inverting image tuples, a digraph from its
 arc list, the cyclic permutation group, the pair-space fibers and
 partition refinement.  They stay dumb on purpose -- the package is tested
@@ -230,6 +232,55 @@ def pairwise_undirected(d: Digraph) -> bool:
         d.has_arc(u, v) == d.has_arc(v, u)
         for u in range(d.order)
         for v in range(u + 1, d.order)
+    )
+
+
+def transposition_twin_labels(d: Digraph) -> list[int]:
+    """Twin-class labels (numbered by first occurrence): u joins the class of
+    the least v < u for which swapping u and v, tried with `Digraph.relabel`,
+    is an automorphism, and starts a class of its own when there is none."""
+    labels = []
+    for u in range(d.order):
+        for v in range(u):
+            swap = list(range(d.order))
+            swap[u], swap[v] = v, u
+            if d.relabel(swap) == d:
+                labels.append(labels[v])
+                break
+        else:
+            labels.append(max(labels, default=-1) + 1)
+    return labels
+
+
+def weakly_connected(d: Digraph) -> bool:
+    """Every vertex is reached from vertex 0 by a depth-first search that
+    follows arcs either way, each read with `Digraph.has_arc`."""
+    seen = {0} if d.order else set()
+    stack = list(seen)
+    while stack:
+        x = stack.pop()
+        for y in range(d.order):
+            if y not in seen and (d.has_arc(x, y) or d.has_arc(y, x)):
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == d.order
+
+
+def wreath_aut_blows_up(outer: Digraph, inner: Digraph) -> bool:
+    """Whether Aut(outer wreath inner) exceeds Aut(outer) wreath Aut(inner),
+    by the condition for loop-free vertex-transitive factors: the inner
+    factor is disconnected and the outer one has two non-adjacent twins, or
+    the inner factor's complement is disconnected and the outer one has two
+    adjacent twins.  Twins come from `transposition_twin_labels`."""
+    labels = transposition_twin_labels(outer)
+    twin_arcs = {
+        outer.has_arc(u, v)
+        for u in range(outer.order)
+        for v in range(u + 1, outer.order)
+        if labels[u] == labels[v]
+    }
+    return (False in twin_arcs and not weakly_connected(inner)) or (
+        True in twin_arcs and not weakly_connected(inner.complement())
     )
 
 

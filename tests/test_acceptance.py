@@ -586,3 +586,49 @@ class TestCriterion10RankFiveCertificates:
             f"slowest {slowest[0]:.2f}s at {slowest[1]}",
             started,
         )
+
+
+C11_SEED = 11
+
+
+class TestCriterion11WreathAutTheorem:
+    def test_seeded_cayley_pairs_follow_the_twin_condition(self):
+        """Sabidussi settled when Aut(X wreath Y) = Aut(X) wreath Aut(Y) for
+        graphs ("The composition of graphs", Duke Math. J. 26, 1959), and
+        Dobson and Morris for vertex-transitive digraphs ("Automorphism groups
+        of wreath product digraphs", Electron. J. Combin. 16, 2009).  The
+        condition tested here, for loop-free vertex-transitive X (outer) and
+        Y (inner), is our reading of those results, not a quotation: equality
+        fails exactly when Y is disconnected and X has two non-adjacent
+        twins, or Y's complement is disconnected and X has two adjacent
+        twins.  Pairs of loop-free Cayley digraphs of the catalog groups with
+        products of at most 40 vertices; every unequal report must explain
+        its order."""
+        started = time.time()
+        rng = Random(C11_SEED)
+        groups = [parse_group_spec(spec) for spec, _ in catalog_specs(12)]
+
+        def random_cayley(group):
+            size = rng.randrange(group.order)
+            return cayley(group, rng.sample(range(1, group.order), size))
+
+        equal_count = blowups = 0
+        for _ in range(400):
+            g1 = rng.choice(groups)
+            g2 = rng.choice([g for g in groups if g1.order * g.order <= 40])
+            outer, inner = random_cayley(g1), random_cayley(g2)
+            pair = (g1.name, outer.out_masks, g2.name, inner.out_masks)
+            reported = verify_wreath_aut_dichotomy(outer, inner)
+            assert reported.equal != oracles.wreath_aut_blows_up(outer, inner), pair
+            if reported.equal:
+                equal_count += 1
+            else:
+                assert reported.dichotomy is not None, pair
+                assert reported.dichotomy.predicted_order == reported.product_aut_order
+                blowups += 1
+        report(
+            "C11 wreath-aut-theorem",
+            f"{equal_count + blowups} seeded pairs (seed {C11_SEED}), "
+            f"{equal_count} equal, {blowups} blow-ups, all as the twin condition says",
+            started,
+        )

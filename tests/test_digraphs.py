@@ -159,7 +159,7 @@ class TestDecomposition:
         assert dec is not None
         assert dec.inner_size == 4
         assert dec.quotient.order == 1
-        assert dec.inner_kind == "complete"
+        assert wreath_product(dec.quotient, Digraph.complete(4)) == Digraph.complete(4)
 
     def test_directed_triangle_has_no_twins(self):
         c3 = directed_cycle(3)
@@ -187,15 +187,14 @@ class TestDecomposition:
     @given(digraphs())
     @settings(max_examples=150, deadline=None)
     def test_reassembly_is_exact(self, d):
-        for dec in (decompose_over_complete(d), decompose_over_empty(d)):
+        for op, inner_of in (
+            (decompose_over_complete, Digraph.complete),
+            (decompose_over_empty, Digraph.empty),
+        ):
+            dec = op(d)
             if dec is None:
                 continue
-            inner = (
-                Digraph.complete(dec.inner_size)
-                if dec.inner_kind == "complete"
-                else Digraph.empty(dec.inner_size)
-            )
-            rebuilt = wreath_product(dec.quotient, inner)
+            rebuilt = wreath_product(dec.quotient, inner_of(dec.inner_size))
             images = [0] * d.order
             for i, cls in enumerate(dec.block_partition.classes):
                 for pos, x in enumerate(cls):

@@ -56,6 +56,27 @@ class TestConstruction:
         assert d4.order == 8
         assert sorted(d4.element_order(x) for x in range(8)) == [1, 2, 2, 2, 2, 2, 4, 4]
 
+    def test_dihedral_labels_name_their_products(self):
+        """Label `r<k>s` is r^k s.  As maps of Z_n, r is x -> x + 1 and s is
+        x -> -x, so r^k s is x -> k - x; every product, read from its
+        label, is the composite of its factors' maps."""
+        d4 = FiniteGroup.dihedral(4)
+        s, r1 = d4.labels.index("s"), d4.labels.index("r1")
+        assert d4.labels[d4.mul(s, r1)] == "r3s"
+        assert d4.labels[d4.mul(r1, s)] == "r1s"
+        for n in range(3, 9):
+            g = FiniteGroup.dihedral(n)
+            maps = []
+            for label in g.labels:
+                k = int(label[1:].rstrip("s")) if label.startswith("r") else 0
+                sign = -1 if label.endswith("s") else 1
+                maps.append(tuple((k + sign * x) % n for x in range(n)))
+            assert len(set(maps)) == 2 * n
+            for x in range(2 * n):
+                for y in range(2 * n):
+                    composite = tuple(maps[x][maps[y][i]] for i in range(n))
+                    assert maps[g.mul(x, y)] == composite, (n, g.labels[x], g.labels[y])
+
     def test_quaternion_structure(self):
         q8 = FiniteGroup.quaternion()
         assert sorted(q8.element_order(x) for x in range(8)) == [1, 2, 4, 4, 4, 4, 4, 4]

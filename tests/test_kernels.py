@@ -1,7 +1,7 @@
-"""The kernel module: hashed twin labels against the pairwise union-find
-oracle and against transpositions, every leaf of the find-all search
-against the automorphism oracle, the backend name, and an import that needs
-only the standard library."""
+"""The kernel module: hashed twin labels against transpositions and, as
+selected by each decomposition kind, against the pairwise union-find
+oracle, every leaf of the find-all search against the automorphism oracle,
+the backend name, and an import that needs only the standard library."""
 
 import json
 import random
@@ -13,14 +13,39 @@ from cig import _kernels
 from cig.digraphs import Digraph, wreath_product
 
 
+def _kind_labels(d: Digraph, complete_kind: bool) -> list[int]:
+    """The kernel's classes that one decomposition kind takes, every other
+    vertex a singleton, numbered by first occurrence.  The complete kind
+    takes the adjacent classes; the empty kind the classes whose adjacency
+    equals their loop flag."""
+    labels = _kernels.twin_labels(d.out_masks, d.in_masks)
+    members: dict[int, list[int]] = {}
+    for v, label in enumerate(labels):
+        members.setdefault(label, []).append(v)
+    taken = set()
+    for label, (m0, *rest) in members.items():
+        if rest:
+            adjacent = d.has_arc(m0, rest[0])
+            if adjacent if complete_kind else adjacent == d.has_loop(m0):
+                taken.add(label)
+    seen: dict = {}
+    return [
+        seen.setdefault(label if label in taken else ("single", v), len(seen))
+        for v, label in enumerate(labels)
+    ]
+
+
 def _assert_labels_agree(d: Digraph) -> None:
     for complete_kind in (True, False):
-        assert _kernels.twin_labels(d.out_masks, d.in_masks, complete_kind) == (
+        assert _kind_labels(d, complete_kind) == (
             oracles.union_find_twin_labels(d.order, d.out_masks, complete_kind)
         ), (d.out_masks, complete_kind)
 
 
 class TestTwinLabelsAgainstUnionFind:
+    """Each decomposition kind's twins are a selection of the transposition-
+    twin classes by their adjacency and loop flags."""
+
     def test_every_looped_four_vertex_digraph(self):
         for d in oracles.all_digraphs(4, loops=True):
             _assert_labels_agree(d)
@@ -38,25 +63,15 @@ class TestTwinLabelsAgainstUnionFind:
             _assert_labels_agree(_relabelled_wreath_product(rng))
 
 
-class TestApartTwinLabelsAgainstTranspositions:
-    """Two vertices share an `apart_twin_labels` label exactly when the
-    transposition swapping them is an automorphism and neither arc between
-    them is present."""
+class TestTwinLabelsAgainstTranspositions:
+    """Two vertices share a `twin_labels` label exactly when the
+    transposition swapping them is an automorphism, and labels are numbered
+    by first occurrence."""
 
     @staticmethod
     def assert_agree(d: Digraph) -> None:
-        labels = _kernels.apart_twin_labels(d.out_masks, d.in_masks)
-        for u in range(d.order):
-            for v in range(u + 1, d.order):
-                swap = list(range(d.order))
-                swap[u], swap[v] = v, u
-                twins = (
-                    not d.has_arc(u, v)
-                    and not d.has_arc(v, u)
-                    and d.relabel(swap) == d
-                )
-                assert (labels[u] == labels[v]) == twins, (d.out_masks, u, v)
-        assert sorted(set(labels), key=labels.index) == list(range(len(set(labels))))
+        labels = _kernels.twin_labels(d.out_masks, d.in_masks)
+        assert labels == oracles.transposition_twin_labels(d), d.out_masks
 
     def test_every_looped_three_vertex_digraph(self):
         for d in oracles.all_digraphs(3, loops=True):
