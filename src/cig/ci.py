@@ -2,9 +2,11 @@
 machine verification of the quotient construction on concrete instances.
 
 Everything here is exhaustive at desk scale: isomorphism verdicts come from
-full backtracking search (CI sweeps first rule out every pair whose rooted
-refinement keys differ, then run `find_isomorphism`, not `ci_pair`, on the
-same-key pairs), automorphism verdicts from generating sets
+full backtracking search (CI sweeps search only loop-free connection sets of
+at most (n-1)/2 elements, since adding the identity loops every vertex and
+the complement in G - {e} complements the digraph; they rule out pairs whose
+rooted refinement keys differ and run `find_isomorphism` on the rest),
+automorphism verdicts from generating sets
 (exact group orders, membership checked on generators), and the quotient
 certificate records one named boolean per verification step.  A
 certificate builds G/H once and checks each side's lift against it in one
@@ -15,7 +17,7 @@ cosets as the only block system of their size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import combinations
 from math import factorial
 from typing import Iterable, Iterator
 
@@ -106,25 +108,6 @@ def ci_pair(
     return CIPairResult("ci_equivalent", alpha, iso)
 
 
-def enumerate_connection_sets(group: FiniteGroup, mode: str) -> list[frozenset[int]]:
-    """All candidate connection sets, ordered by (size, elements): every
-    union of atoms, which are the singletons in digraph mode and the
-    {x, x^-1} pairs in graph mode.  Past 2^16 sets it raises CapExceeded
-    before building any.
-    """
-    _check_mode(mode)
-    atoms = {
-        frozenset({x, group.inv(x)} if mode == "graph" else {x})
-        for x in range(group.order)
-    }
-    if len(atoms) > 16:
-        raise CapExceeded(f"2^{len(atoms)} connection sets is past desk scale")
-    subsets: list[frozenset[int]] = [frozenset()]
-    for atom in atoms:
-        subsets += [s | atom for s in subsets]
-    return sorted(subsets, key=lambda s: (len(s), sorted(s)))
-
-
 @dataclass(frozen=True)
 class CIGroupVerdict:
     """Result of sweeping all connection-set pairs of one group."""
@@ -161,45 +144,60 @@ def _reverify_witness(
         raise AssertionError("witness has an automorphic image after all")
 
 
-def orbit_representatives(
-    group: FiniteGroup, mode: str, limits: Limits = DEFAULT_LIMITS
-) -> list[frozenset[int]]:
-    """The first connection set of every Aut(G)-orbit, in enumeration order.
-
-    The sets are enumerated first, so a sweep past 2^16 sets is refused
-    before Aut(G) is listed."""
-    sets = enumerate_connection_sets(group, mode)
+def _loop_free_representatives(
+    group: FiniteGroup, mode: str, limits: Limits
+) -> list[list[frozenset[int]]]:
+    """The first set of each Aut(G)-orbit of connection sets without the
+    identity and of at most (n-1)/2 elements, one list per size.  A set is
+    a union of atoms: singletons in digraph mode, {x, x^-1} in graph mode.
+    Past 2^16 sets, {e} counted, it refuses before Aut(G) is listed."""
+    _check_mode(mode)
+    atoms = {
+        frozenset({x, group.inv(x)} if mode == "graph" else {x})
+        for x in range(group.order)
+    }
+    if len(atoms) > 16:
+        raise CapExceeded(f"2^{len(atoms)} connection sets is past desk scale")
+    half = (group.order - 1) // 2
+    subsets: list[frozenset[int]] = [frozenset()]
+    for atom in atoms - {frozenset({0})}:
+        subsets += [s | atom for s in subsets if len(s) + len(atom) <= half]
     auts = group.automorphisms(limits)
-    reps: list[frozenset[int]] = []
+    reps: list[list[frozenset[int]]] = [[] for _ in range(half + 1)]
     seen: set[frozenset[int]] = set()
-    for s in sets:
-        if s in seen:
-            continue
-        seen.update(alpha.image_of_set(s) for alpha in auts)
-        reps.append(s)
+    for s in sorted(subsets, key=lambda s: (len(s), sorted(s))):
+        if s not in seen:
+            seen.update(alpha.image_of_set(s) for alpha in auts)
+            reps[len(s)].append(s)
     return reps
 
 
+def _class_sizes(reps: list[list[frozenset[int]]], order: int) -> list[int]:
+    """m_k = L_{k-1} + L_k representatives of each size k = 0..n, where L_k
+    counts the loop-free ones: L_k = L_{n-1-k}, and L_{-1} = L_n = 0."""
+    loop_free = [len(reps[min(k, order - 1 - k)]) for k in range(order)] + [0]
+    return [loop_free[k - 1] + loop_free[k] for k in range(order + 1)]
+
+
 def _same_key_pairs(
-    group: FiniteGroup, classes: list[list[frozenset[int]]], limits: Limits
+    group: FiniteGroup, reps: list[list[frozenset[int]]], sizes: list[int], limits: Limits
 ) -> Iterator[tuple[int, frozenset[int], frozenset[int], Digraph, Digraph]]:
-    """(position, s1, s2, cayley(s1), cayley(s2)) for each same-size pair
-    with equal rooted keys, in scan order; `position` is its 1-based index
-    among all same-size pairs.  Keys are computed one size at a time, as the
-    scan gets there."""
+    """(position, s1, s2, cayley(s1), cayley(s2)) for each same-size pair of
+    loop-free representatives with equal rooted keys, in scan order, keyed
+    one size at a time; `position` is the pair's 1-based index among all
+    same-size pairs, where the looped representatives come first."""
     offset = 0
-    for same_size in classes:
-        m = len(same_size)
-        if m < 2:
-            continue
-        digraphs = [cayley(group, r) for r in same_size]
-        by_key: dict[tuple, list[int]] = {}
-        for i, d in enumerate(digraphs):
-            by_key.setdefault(rooted_key(d, limits), []).append(i)
-        pairs = sorted(p for ids in by_key.values() for p in combinations(ids, 2))
-        for i, j in pairs:
-            position = offset + i * m - i * (i + 1) // 2 + j - i
-            yield position, same_size[i], same_size[j], digraphs[i], digraphs[j]
+    for same_size, m in zip(reps, sizes):
+        if len(same_size) > 1:
+            shift = m - len(same_size)
+            digraphs = [cayley(group, r) for r in same_size]
+            by_key: dict[tuple, list[int]] = {}
+            for i, d in enumerate(digraphs):
+                by_key.setdefault(rooted_key(d, limits), []).append(i)
+            for i, j in sorted(p for ids in by_key.values() for p in combinations(ids, 2)):
+                a, b = i + shift, j + shift
+                position = offset + a * m - a * (a + 1) // 2 + b - a
+                yield position, same_size[i], same_size[j], digraphs[i], digraphs[j]
         offset += m * (m - 1) // 2
 
 
@@ -211,33 +209,41 @@ def is_ci_group(
 ) -> CIGroupVerdict:
     """Exhaustive CI sweep over automorphism-orbit representatives.
 
-    Distinct representatives lie in distinct Aut(G)-orbits, so G is CI
-    exactly when no two of equal size have isomorphic Cayley digraphs.
-    Each gets one `rooted_key` (refinement with the identity individualised,
-    canonical when discrete); pairs with different keys are not isomorphic,
-    so `find_isomorphism` runs only on same-key pairs, in scan order (by
-    size, then index i < j), up to the first isomorphic pair.  No set
-    transporter runs until then: it could only answer "no" on such a pair,
-    and `_reverify_witness` asks it once, for the witness.
+    A representative is the first connection set of its Aut(G)-orbit in
+    (size, elements) order.  G is CI exactly when no two of equal size have
+    isomorphic Cayley digraphs.  Pairs are scanned by size, then i < j, up
+    to the first isomorphic pair, the witness.  Only loop-free
+    representatives of at most (n-1)/2 elements are listed and searched:
 
-    `pairs_checked` counts the pairs decided in that scan order: the
-    witness's 1-based position, or all same-size pairs when there is none,
-    capped at `budget` (at least 1).  `exhaustive` is cleared only when the
-    budget ran out before the scan was decided.  A group past the search
-    cap is refused before any connection set or automorphism is listed.
+    - S -> S + {e} loops every vertex.  The looped representatives of size
+      k are {e} + those of size k-1 and come first in size k; a looped pair
+      is isomorphic iff its pair one size down is, a mixed pair never is.
+    - S -> G - {e} - S complements a loop-free Cayley digraph and keeps
+      inverse-closed sets so.  A witness of size k > (n-1)/2 gives one of
+      size n-1-k < k, scanned earlier.
+
+    So the first witness is a listed pair (i, j) of size k, the full scan's
+    pair (L_{k-1} + i, L_{k-1} + j) with L_k loop-free representatives of
+    size k, and `_class_sizes` gives every size's count.
+
+    Each listed set gets one `rooted_key` (refinement with the identity
+    individualised, canonical when discrete), and `find_isomorphism` runs
+    only on same-key pairs.  No set transporter runs until the witness,
+    which `_reverify_witness` checks once.  `pairs_checked` counts the
+    pairs decided in scan order: the witness's 1-based position, or all
+    same-size pairs when there is none, capped at `budget` (at least 1).
+    `exhaustive` is cleared only when the budget ran out before the scan
+    was decided.  A group past the search cap is refused before any work.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be a positive number of pairs, got {budget}")
     _check_cap(group.order, limits.search)
-    # Representatives come in enumeration order, which is by size first.
-    classes = [
-        list(same_size)
-        for _, same_size in groupby(orbit_representatives(group, mode, limits), len)
-    ]
+    reps = _loop_free_representatives(group, mode, limits)
+    sizes = _class_sizes(reps, group.order)
 
     witness = None
-    decided = sum(len(c) * (len(c) - 1) // 2 for c in classes)
-    for position, s1, s2, d1, d2 in _same_key_pairs(group, classes, limits):
+    decided = sum(m * (m - 1) // 2 for m in sizes)
+    for position, s1, s2, d1, d2 in _same_key_pairs(group, reps, sizes, limits):
         if budget is not None and position > budget:
             break
         iso = find_isomorphism(d1, d2, limits)

@@ -9,7 +9,10 @@ the library itself no longer builds), refinement rounds with tuple
 signatures and a confirming round at a discrete colouring (the rounds the
 library replaced by packed counts and an early exit), one isomorphism
 search per pair of connection sets for the CI sweep (the pair loop the
-library replaced by refinement keys), every vertex pair for the twins of
+library replaced by refinement keys), every connection set and the first of
+each Aut(G)-orbit, looped and large ones included, with the sweep that keys
+them all (the listing the library reduces to loop-free sets of at most
+(n-1)/2 elements), every vertex pair for the twins of
 each decomposition kind (the test the library replaced by one key per
 vertex), for the twin relation itself (by trying each transposition) and
 for arc symmetry (replaced by comparing out- and in-masks), every vertex
@@ -19,23 +22,21 @@ library, holding only generators and an order, never builds) for group
 orders, blocks and invariant partitions, all uniform set partitions for
 wreath-structure questions.  The small constructors and comparisons that only tests need
 live here too: composing and inverting image tuples, a digraph from its
-arc list, the cyclic permutation group, the pair-space fibers and
-partition refinement.  They stay dumb on purpose -- the package is tested
+arc list, the cyclic permutation group, the pair-space fibers,
+partition refinement, a group with its elements renamed and a subgroup's
+own multiplication table.  They stay dumb on purpose -- the package is tested
 against them, never the other way around.
 """
 
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, permutations
 from random import Random
 
-from cig.ci import (
-    CIGroupVerdict,
-    _reverify_witness,
-    ci_pair,
-    enumerate_connection_sets,
-)
-from cig.digraphs import Digraph
-from cig.limits import DEFAULT_LIMITS
+from cig.ci import CIGroupVerdict, _check_mode, _reverify_witness, ci_pair
+from cig.digraphs import Digraph, cayley
+from cig.groups import FiniteGroup
+from cig.iso import _check_cap, find_isomorphism, rooted_key
+from cig.limits import DEFAULT_LIMITS, CapExceeded
 from cig.perms import Perm, PermGroup, PointPartition
 
 
@@ -82,10 +83,31 @@ def _pair_verdict(group, s1, s2, mode, limits):
     return ci_pair(group, s1, s2, mode, limits)
 
 
-def pairwise_ci_sweep(group, mode="digraph", budget=None, limits=DEFAULT_LIMITS):
-    """The CI sweep with one `ci_pair` search per same-size pair of
-    Aut(G)-orbit representatives, in scan order (by size, then i < j),
-    stopping at the first re-verified witness or when `budget` pairs ran."""
+def enumerate_connection_sets(group, mode):
+    """All candidate connection sets, ordered by (size, elements): every
+    union of atoms, which are the singletons in digraph mode and the
+    {x, x^-1} pairs in graph mode.  Past 2^16 sets it raises CapExceeded
+    before building any."""
+    _check_mode(mode)
+    atoms = {
+        frozenset({x, group.inv(x)} if mode == "graph" else {x})
+        for x in range(group.order)
+    }
+    if len(atoms) > 16:
+        raise CapExceeded(f"2^{len(atoms)} connection sets is past desk scale")
+    subsets = [frozenset()]
+    for atom in atoms:
+        subsets += [s | atom for s in subsets]
+    return sorted(subsets, key=lambda s: (len(s), sorted(s)))
+
+
+@lru_cache(maxsize=4)
+def orbit_representatives(group, mode, limits=DEFAULT_LIMITS):
+    """The first connection set of every Aut(G)-orbit, in enumeration order,
+    looped and large sets included: the full listing that the library's
+    sweep reduces to loop-free sets of at most (n-1)/2 elements.  The last
+    few listings are kept, so sweeping one group under many budgets lists
+    it once."""
     auts = group.automorphisms(limits)
     reps = []
     seen = set()
@@ -94,8 +116,61 @@ def pairwise_ci_sweep(group, mode="digraph", budget=None, limits=DEFAULT_LIMITS)
             continue
         seen.update(alpha.image_of_set(s) for alpha in auts)
         reps.append(s)
+    return tuple(reps)
+
+
+def _unreduced_same_key_pairs(group, classes, limits):
+    """(position, s1, s2, cayley(s1), cayley(s2)) for each same-size pair
+    with equal rooted keys, in scan order; `position` is its 1-based index
+    among all same-size pairs.  Keys are computed one size at a time."""
+    offset = 0
+    for same_size in classes:
+        m = len(same_size)
+        digraphs = [cayley(group, r) for r in same_size]
+        by_key = {}
+        for i, d in enumerate(digraphs):
+            by_key.setdefault(rooted_key(d, limits), []).append(i)
+        for i, j in sorted(p for ids in by_key.values() for p in combinations(ids, 2)):
+            position = offset + i * m - i * (i + 1) // 2 + j - i
+            yield position, same_size[i], same_size[j], digraphs[i], digraphs[j]
+        offset += m * (m - 1) // 2
+
+
+def unreduced_ci_sweep(group, mode="digraph", budget=None, limits=DEFAULT_LIMITS):
+    """The CI sweep over every orbit representative, looped and large sets
+    included: one `rooted_key` per representative, `find_isomorphism` on
+    the same-key pairs of each size in scan order (by size, then i < j),
+    stopping at the first re-verified witness or past `budget` pairs.  It
+    uses the library's keys and searches; what it checks is the library's
+    reduction of the listing and its reconstruction of pair positions."""
+    if budget is not None and budget < 1:
+        raise ValueError(f"budget must be a positive number of pairs, got {budget}")
+    _check_cap(group.order, limits.search)
     by_size = {}
-    for r in reps:
+    for r in orbit_representatives(group, mode, limits):
+        by_size.setdefault(len(r), []).append(r)
+    classes = [same_size for _, same_size in sorted(by_size.items())]
+    witness = None
+    decided = sum(len(c) * (len(c) - 1) // 2 for c in classes)
+    for position, s1, s2, d1, d2 in _unreduced_same_key_pairs(group, classes, limits):
+        if budget is not None and position > budget:
+            break
+        iso = find_isomorphism(d1, d2, limits)
+        if iso is not None:
+            _reverify_witness(group, s1, s2, iso)
+            witness, decided = (s1, s2, iso), position
+            break
+    exhaustive = budget is None or decided <= budget
+    pairs_checked = decided if exhaustive else budget
+    return CIGroupVerdict(group, mode, witness is None, witness, pairs_checked, exhaustive)
+
+
+def pairwise_ci_sweep(group, mode="digraph", budget=None, limits=DEFAULT_LIMITS):
+    """The CI sweep with one `ci_pair` search per same-size pair of
+    Aut(G)-orbit representatives, in scan order (by size, then i < j),
+    stopping at the first re-verified witness or when `budget` pairs ran."""
+    by_size = {}
+    for r in orbit_representatives(group, mode, limits):
         by_size.setdefault(len(r), []).append(r)
     pairs = [
         (same_size[i], same_size[j])
@@ -117,6 +192,29 @@ def pairwise_ci_sweep(group, mode="digraph", budget=None, limits=DEFAULT_LIMITS)
             witness = (s1, s2, res.iso)
             break
     return CIGroupVerdict(group, mode, witness is None, witness, pairs_checked, exhaustive)
+
+
+def relabelled_group(group, rng):
+    """The same group with its non-identity elements renamed at random."""
+    pi = [0, *rng.sample(range(1, group.order), group.order - 1)]
+    table = [[0] * group.order for _ in range(group.order)]
+    labels = [""] * group.order
+    for a in range(group.order):
+        labels[pi[a]] = group.labels[a]
+        for b in range(group.order):
+            table[pi[a]][pi[b]] = pi[group.table[a][b]]
+    return FiniteGroup(table, labels=labels, name=group.name)
+
+
+def subgroup_as_group(group, elements):
+    """A subgroup as a group of its own, on its sorted elements: element i is
+    the i-th smallest, so the identity stays at index 0."""
+    elements = sorted(elements)
+    index = {x: i for i, x in enumerate(elements)}
+    table = [[index[group.mul(a, b)] for b in elements] for a in elements]
+    return FiniteGroup(
+        table, labels=[group.labels[x] for x in elements], name=f"{group.name}>{elements}"
+    )
 
 
 def muzychuk_is_ci(n: int, mode: str) -> bool:

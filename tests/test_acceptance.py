@@ -7,6 +7,7 @@ partitions) and never share code with the engine paths they check.
 
 import json
 import time
+from functools import cache
 from itertools import permutations
 from math import factorial
 from pathlib import Path
@@ -464,6 +465,12 @@ C9_SPECS = [s for s, _ in catalog_specs(12)] + [
 ]
 
 
+@cache
+def group_sweep(spec: str, mode: str):
+    """One sweep per C9 group and mode, shared by C9 and C12."""
+    return is_ci_group(parse_group_spec(spec), mode)
+
+
 class TestCriterion9QuotientTheorem:
     def test_quotients_of_ci_groups_sweep_ci(self):
         """The paper's theorem: a quotient of a CI-group is a CI-group, for
@@ -481,8 +488,8 @@ class TestCriterion9QuotientTheorem:
         for mode in ("digraph", "graph"):
             quotients = of_ci = lifted = 0
             for spec in C9_SPECS:
-                group = parse_group_spec(spec)
-                group_ci = is_ci_group(group, mode).is_ci
+                sweep = group_sweep(spec, mode)
+                group, group_ci = sweep.group, sweep.is_ci
                 for kernel in group.normal_subgroups():
                     if not 1 < len(kernel) < group.order:
                         continue
@@ -630,5 +637,63 @@ class TestCriterion11WreathAutTheorem:
             "C11 wreath-aut-theorem",
             f"{equal_count + blowups} seeded pairs (seed {C11_SEED}), "
             f"{equal_count} equal, {blowups} blow-ups, all as the twin condition says",
+            started,
+        )
+
+
+class TestCriterion12SubgroupTheorem:
+    def test_subgroups_of_ci_groups_sweep_ci(self):
+        """Babai and Frankl ("Isomorphisms of Cayley graphs I", Colloq. Math.
+        Soc. Janos Bolyai 18, 1978), as Li's survey states it ("On
+        isomorphisms of finite Cayley graphs -- a survey", Discrete Math.
+        256, 2002), paraphrased: every subgroup of a CI-group is a CI-group,
+        for graphs and for digraphs.
+
+        For every C9 group, mode and proper non-trivial subgroup K: if G
+        sweeps CI, K must sweep CI.  A witness (S, T) of a non-CI K is read
+        as two subsets of G.  Cay(G, S) is |G:K| copies of Cay(K, S), so the
+        two digraphs of G are isomorphic, and (S, T) is a witness for G too
+        exactly when no automorphism of G carries S onto T.  Those are
+        counted, not asserted on.  Equal subgroup tables are swept once."""
+        started = time.time()
+        findings = []
+        counts = {}
+        sweeps = {}
+        for mode in ("digraph", "graph"):
+            subgroups = of_ci = non_ci = for_g = 0
+            for spec in C9_SPECS:
+                sweep = group_sweep(spec, mode)
+                group, group_ci = sweep.group, sweep.is_ci
+                for elements in group.subgroups():
+                    if not 1 < len(elements) < group.order:
+                        continue
+                    subgroups += 1
+                    of_ci += group_ci
+                    members = sorted(elements)
+                    k = oracles.subgroup_as_group(group, members)
+                    if (k.table, mode) not in sweeps:
+                        sweeps[k.table, mode] = is_ci_group(k, mode)
+                    verdict = sweeps[k.table, mode]
+                    if verdict.is_ci:
+                        continue
+                    non_ci += 1
+                    if group_ci:
+                        findings.append(
+                            f"{mode} {spec} K={members}: G sweeps CI but K does not"
+                        )
+                    s, t = ({members[x] for x in side} for side in verdict.witness[:2])
+                    for_g += automorphic_image_search(group, s, t) is None
+            counts[mode] = (subgroups, of_ci, non_ci, for_g)
+        for finding in findings:
+            print(f"  FINDING: {finding}")
+        assert not findings
+        report(
+            "C12 subgroup-theorem",
+            "; ".join(
+                f"{mode}: {k} subgroups of {len(C9_SPECS)} groups, {c} of CI groups "
+                f"and all CI, {w} witnesses of non-CI subgroups, {g} also witnesses of G"
+                for mode, (k, c, w, g) in counts.items()
+            )
+            + f"; {len(sweeps)} distinct subgroup tables swept",
             started,
         )

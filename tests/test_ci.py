@@ -1,6 +1,7 @@
 """CI pairs and groups, lifting, certificates, wreath-aut dichotomy."""
 
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -9,7 +10,6 @@ import cig.ci
 import oracles
 from cig.ci import (
     ci_pair,
-    enumerate_connection_sets,
     is_ci_group,
     lift_connection_set,
     quotient_ci_certificate,
@@ -21,6 +21,7 @@ from cig.groups import FiniteGroup, catalog_specs, parse_group_spec
 from cig.iso import automorphism_group_of, find_isomorphism
 from cig.limits import CapExceeded, Limits
 from cig.perms import Perm, PermGroup, PointPartition, symmetric_group, wreath_product
+from test_acceptance import C9_SPECS
 
 
 def directed_cycle(n):
@@ -72,17 +73,17 @@ class TestCIPair:
 
 class TestConnectionSetEnumeration:
     def test_digraph_mode_counts_all_subsets(self):
-        assert len(enumerate_connection_sets(FiniteGroup.cyclic(4), "digraph")) == 16
+        assert len(oracles.enumerate_connection_sets(FiniteGroup.cyclic(4), "digraph")) == 16
 
     def test_graph_mode_counts_inverse_closed(self):
         # Z4: pairs {0},{2},{1,3} -> 8 inverse-closed subsets.
-        sets = enumerate_connection_sets(FiniteGroup.cyclic(4), "graph")
+        sets = oracles.enumerate_connection_sets(FiniteGroup.cyclic(4), "graph")
         assert len(sets) == 8
         g = FiniteGroup.cyclic(4)
         assert all(g.is_inverse_closed(s) for s in sets)
 
     def test_s3_graph_mode(self):
-        sets = enumerate_connection_sets(FiniteGroup.symmetric(3), "graph")
+        sets = oracles.enumerate_connection_sets(FiniteGroup.symmetric(3), "graph")
         assert len(sets) == 32
 
 
@@ -188,16 +189,94 @@ class TestSweepAgainstPairLoop:
         assert len(calls) == 1
 
 
+# Relabellings of each group: the catalog numbering (None) and two seeds.
+RELABELLINGS = [None, 1, 2]
+
+
+def _labelled(spec, seed):
+    g = parse_group_spec(spec)
+    return g if seed is None else oracles.relabelled_group(g, random.Random(f"{spec}/{seed}"))
+
+
+class TestSweepAgainstUnreduced:
+    """The sweep lists and searches only loop-free connection sets of at
+    most (n-1)/2 elements, and reconstructs the rest of the scan from
+    them; the unreduced sweep lists every orbit representative."""
+
+    @pytest.mark.parametrize("spec", C9_SPECS)
+    @pytest.mark.parametrize("mode", ["digraph", "graph"])
+    def test_same_verdict_witness_and_counts(self, spec, mode):
+        for seed in RELABELLINGS:
+            g = _labelled(spec, seed)
+            full = oracles.unreduced_ci_sweep(g, mode)
+            assert is_ci_group(g, mode).to_json() == full.to_json(), seed
+            if g.order > 12:
+                continue
+            w = full.pairs_checked
+            total = sum(
+                m * (m - 1) // 2
+                for m in Counter(map(len, oracles.orbit_representatives(g, mode))).values()
+            )
+            for budget in sorted(b for b in {1, w - 1, w, w + 1, total} if b >= 1):
+                assert (
+                    is_ci_group(g, mode, budget).to_json()
+                    == oracles.unreduced_ci_sweep(g, mode, budget).to_json()
+                ), (seed, budget)
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    @pytest.mark.parametrize("mode", ["digraph", "graph"])
+    def test_class_sizes_from_loop_free_representatives(self, spec, mode):
+        # The looped representatives of size k are {e} + the loop-free ones
+        # of size k - 1, and complements pair sizes k and n - 1 - k.
+        g = parse_group_spec(spec)
+        n = g.order
+        full = oracles.orbit_representatives(g, mode)
+        reps = cig.ci._loop_free_representatives(g, mode, Limits())
+        assert len(reps) == (n - 1) // 2 + 1
+        for k in range(n + 1):
+            looped = [r for r in full if len(r) == k and 0 in r]
+            loop_free = [r for r in full if len(r) == k and 0 not in r]
+            below = [r for r in full if len(r) == k - 1 and 0 not in r]
+            assert looped == [r | {0} for r in below], k
+            if k < len(reps):
+                assert reps[k] == loop_free, k
+        assert cig.ci._class_sizes(reps, n) == [
+            sum(len(r) == k for r in full) for k in range(n + 1)
+        ]
+
+    def test_no_looped_or_large_set_is_keyed(self, monkeypatch):
+        listed, keyed = [], []
+        cayley_, rooted_key_ = cig.ci.cayley, cig.ci.rooted_key
+
+        def spy_cayley(group, s):
+            listed.append((group.order, frozenset(s)))
+            return cayley_(group, s)
+
+        def spy_key(d, limits):
+            keyed.append((d.order, d.loop_count, d.arc_count // d.order))
+            return rooted_key_(d, limits)
+
+        monkeypatch.setattr(cig.ci, "cayley", spy_cayley)
+        monkeypatch.setattr(cig.ci, "rooted_key", spy_key)
+        for spec in [s for s, _ in catalog_specs(12)] + ["Z16", "D8"]:
+            for mode in ("digraph", "graph"):
+                is_ci_group(parse_group_spec(spec), mode)
+        assert listed and keyed
+        assert all(0 not in s and len(s) <= (n - 1) // 2 for n, s in listed)
+        assert all(loops == 0 and degree <= (n - 1) // 2 for n, loops, degree in keyed)
+
+
 class TestSweepAgainstTheory:
-    # Graph mode runs on to Z24 under the default limits: Z18 is CI for
-    # graphs but not for digraphs, and Z24 is not CI.
+    # Graph mode runs on to Z24 under the default limits, and to Z31 (but
+    # not Z30, which takes seconds) with Aut(G) listed past order 24: Z18 is
+    # CI for graphs but not for digraphs, Z24, Z25 and Z27 are not CI.
     @pytest.mark.parametrize(
         "mode,n",
         [(mode, n) for mode in ("digraph", "graph") for n in range(1, 17)]
-        + [("graph", n) for n in range(17, 25)],
+        + [("graph", n) for n in (*range(17, 30), 31)],
     )
     def test_cyclic_groups_follow_muzychuk(self, n, mode):
-        v = is_ci_group(FiniteGroup.cyclic(n), mode)
+        v = is_ci_group(FiniteGroup.cyclic(n), mode, limits=Limits(aut=max(n, 24)))
         assert v.exhaustive
         assert v.is_ci == oracles.muzychuk_is_ci(n, mode)
 
