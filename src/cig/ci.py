@@ -343,9 +343,13 @@ def verify_lift_structure(
     S_block, acting on the lifted digraph relabelled so that the cosets are
     its fibers, must preserve that digraph's arcs, and each generator of
     Aut(lifted) found by the search must carry cosets onto cosets and
-    induce an automorphism of the quotient digraph.  Both orders are
-    exact: `automorphism_group_of` gives one, and the wreath group's is
-    |Aut(quotient)| * (block size)!^|quotient|.
+    induce an automorphism of the quotient digraph.  Each of these is one
+    `Digraph.is_automorphism` test, with no relabelled digraph built.  Both
+    orders are exact: `automorphism_group_of` gives one, and the wreath
+    group's is |Aut(quotient)| * (block size)!^|quotient|.  The lifted
+    digraph's cosets lie inside its twin classes, so `block_systems` reads
+    the answer off the twin quotient that Aut(lifted) carries: the cosets
+    when they are the twin classes, none when the classes are larger.
     """
     s_quotient = frozenset(s_quotient)
     _check_subset(qmap.target, s_quotient, "quotient connection set")
@@ -368,11 +372,9 @@ def verify_lift_structure(
     wreath = perms.wreath_product(aut_q, perms.symmetric_group(size))
 
     order_equal = aut_lifted.order == wreath.order
-    gens_in_aut = all(
-        relabeled.relabel(g.images) == relabeled for g in wreath.generators
-    )
+    gens_in_aut = all(relabeled.is_automorphism(g.images) for g in wreath.generators)
     aut_in_wreath = all(
-        (bar := cosets.induced(g)) is not None and dq.relabel(bar.images) == dq
+        (bar := cosets.induced(g)) is not None and dq.is_automorphism(bar.images)
         for g in aut_lifted.generators
     )
     checks = {

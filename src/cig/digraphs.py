@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from cig import _kernels
 from cig.perms import PointPartition
@@ -112,6 +112,27 @@ class Digraph:
                 row &= row - 1
             masks[images[u]] = new_row
         return Digraph(self.order, masks)
+
+    def is_automorphism(self, images: Sequence[int]) -> bool:
+        """Whether renaming vertex x to images[x], a permutation, keeps the
+        digraph: `relabel(images) == self` without building the relabelled
+        digraph.  Only the moved points' bits are renamed, row by row, and
+        the first row that breaks ends the check."""
+        masks = self.out_masks
+        moved = 0
+        for x, y in enumerate(images):
+            if x != y:
+                moved |= 1 << x
+        for u, row in enumerate(masks):
+            new_row = row & ~moved
+            row &= moved
+            while row:
+                low = row & -row
+                new_row |= 1 << images[low.bit_length() - 1]
+                row ^= low
+            if masks[images[u]] != new_row:
+                return False
+        return True
 
     def induced(self, vertices: Iterable[int]) -> Digraph:
         keep = sorted(vertices)

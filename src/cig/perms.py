@@ -1,8 +1,10 @@
 """Permutations, permutation groups, block systems, and wreath products.
 
 Points are integers ``0..degree-1``.  A group is its generators and its
-order, which whoever builds it supplies.  Orbits and block systems are
-computed from the generators alone; no element is ever listed.
+order, which whoever builds it supplies.  Orbits are computed from the
+generators; block systems are read off the twin quotient when the group
+carries one (automorphism groups of digraphs with twins) and computed from
+the generators otherwise.  No element is ever listed.
 """
 
 from __future__ import annotations
@@ -155,10 +157,22 @@ class PermGroup:
     automorphism search multiplies its basic-orbit lengths and the
     factorials of the twin-class sizes, and the constructors below give
     their closed formulas.
+
+    `twin_quotient`, when given, is the record of how the automorphism
+    search built the group: the twin classes of its digraph (ordered by
+    least member, each ascending) and the group the classes' permutations
+    form, acting on class indices.  The group is then the product of the
+    classes' symmetric groups, extended by that quotient group, and
+    `block_systems` reads its answers off the record.
     """
 
     def __init__(
-        self, generators: Iterable[Perm], *, order: int, degree: int | None = None
+        self,
+        generators: Iterable[Perm],
+        *,
+        order: int,
+        degree: int | None = None,
+        twin_quotient: tuple[Sequence[Sequence[int]], PermGroup] | None = None,
     ):
         gens = tuple(generators)
         if degree is None:
@@ -171,6 +185,7 @@ class PermGroup:
         self.degree = degree
         self.order = order
         self.generators = gens
+        self.twin_quotient = twin_quotient
 
     def is_transitive(self) -> bool:
         return len(orbit(0, self.generators)) == self.degree
@@ -217,18 +232,45 @@ class PermGroup:
         """All invariant partitions with classes of the given size, sorted by
         the class through 0.
 
-        For a transitive group an invariant partition is the set of images of
-        its class through 0, and every block through 0 other than {0} is the
+        With a `twin_quotient` record the answer is read off the twin
+        classes, the simplest modules (Gallai, "Transitiv orientierbare
+        Graphen", 1967).  In a transitive group they all have one size c.
+        Each class C gives Sym(C) in the group, which is primitive on C, so a
+        block B through 0 is {0}, the class C0 through 0, or a union of
+        whole classes: if B holds y in a class Cj other than C0, then Sym(Cj)
+        fixes 0 and Sym(C0) fixes y, so B contains both classes.  So size 1
+        gives the discrete partition, size c the twin classes, a size that c
+        does not divide none, and any other size the quotient group's block
+        systems of size/c lifted class by class.  The lift keeps their order:
+        classes ascend with their least members, so the least point where two
+        lifted blocks differ lies in the least class where they differ.
+
+        Without a record the answer comes from the generators.  For a
+        transitive group an invariant partition is the set of images of its
+        class through 0, and every block through 0 other than {0} is the
         join of the minimal blocks of the pairs {0, x} in it, which lie inside
         it, as do their joins.  So the blocks through 0 of at most `size`
         points are {0} plus the join closure of the minimal blocks, dropping
-        any set larger than `size`, all computed from the generators.
+        any set larger than `size`.
         """
         n = self.degree
         if not self.is_transitive():
             raise ValueError("block systems are defined for transitive groups")
         if size <= 0 or n % size:
             raise ValueError(f"class size {size} does not divide degree {n}")
+        if self.twin_quotient is not None:
+            classes, quotient = self.twin_quotient
+            c = len(classes[0])
+            if size == 1:
+                return [PointPartition(n, ([x] for x in range(n)))]
+            if size == c:
+                return [PointPartition(n, classes)]
+            if size % c:
+                return []
+            return [
+                PointPartition(n, ([x for i in q for x in classes[i]] for q in p))
+                for p in quotient.block_systems(size // c)
+            ]
         # An element k fixing 0 maps the minimal block of {0, x} onto that
         # of {0, k(x)}, and maps every block through 0 onto itself: x's
         # whole orbit under the 0-fixing generators shares one minimal block.

@@ -5,14 +5,17 @@ failed jobs in a benchmark run.  This builds each workload, runs and checks
 its first job, untraced and under `tracing.Tracer`, and calls the `pin.py`
 helpers that reach into `cig.groups`.  The tracer reads some arguments by
 position (`iso_backtrack`'s sixth), so a kernel signature change that
-breaks it fails here.
+breaks it fails here.  Every pinned certificate variant is recomputed and
+compared with its pinned `to_json`.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
-from cig.groups import FiniteGroup
+from cig.ci import quotient_ci_certificate
+from cig.groups import FiniteGroup, parse_group_spec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -74,3 +77,17 @@ def test_pin_helpers(perfbench):
     z12 = FiniteGroup.cyclic(12)
     qmap = z12.quotient(frozenset({0, 6}))
     assert pin._aut_estimate(z12, qmap, frozenset({1})) == 384
+
+
+def test_every_pinned_certificate_keeps_its_bytes():
+    # Read-only: expected.json is written by pin.py, never by a test.
+    pinned = json.loads((PERFBENCH / "expected.json").read_text())["quotient_cert"]
+    checked = 0
+    for entry in pinned["pool"]:
+        group = parse_group_spec(entry["group"])
+        kernel = frozenset(entry["kernel"])
+        for s1, s2, blob in entry["variants"]:
+            cert = quotient_ci_certificate(group, kernel, s1, s2)
+            assert cert.to_json() == blob, (entry["group"], entry["kernel"], s1, s2)
+            checked += 1
+    assert checked == 344

@@ -14,7 +14,7 @@ from cig.digraphs import (
     wreath_product,
 )
 from cig.groups import FiniteGroup
-from cig.iso import find_isomorphism
+from cig.iso import automorphism_group_of, find_isomorphism
 
 
 def directed_cycle(n):
@@ -232,6 +232,42 @@ class TestDecomposition:
                 assert (mine is None) == (theirs is None)
                 if mine is not None:
                     assert mine.inner_size == theirs.inner_size
+
+
+class TestIsAutomorphism:
+    """`is_automorphism(p)` is `relabel(p) == d`, built row by row with an
+    early exit instead of as a whole digraph."""
+
+    def test_matches_relabel_on_random_digraphs(self):
+        rng = random.Random(2301)
+        seen = set()
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            d = oracles.random_digraph(rng, n)
+            identity = list(range(n))
+            perms = [identity, rng.sample(identity, n)]
+            pairs = [(m[0], m[-1]) for m in d.twin_classes() if len(m) > 1]
+            pairs += [rng.sample(identity, 2) for _ in range(3 if n > 1 else 0)]
+            twin = oracles.transposition_twin_labels(d)
+            for u, v in pairs:
+                swap = list(identity)
+                swap[u], swap[v] = v, u
+                perms.append(swap)
+                assert d.is_automorphism(swap) == (twin[u] == twin[v])
+            for images in perms:
+                expected = d.relabel(images) == d
+                assert d.is_automorphism(images) == expected
+                seen.add(expected)
+            assert all(
+                d.is_automorphism(g.images) for g in automorphism_group_of(d).generators
+            )
+        assert seen == {True, False}
+
+    def test_first_broken_row_decides(self):
+        c4 = cayley(FiniteGroup.cyclic(4), {1})
+        assert c4.is_automorphism([1, 2, 3, 0])
+        assert not c4.is_automorphism([0, 3, 2, 1])
+        assert cayley(FiniteGroup.cyclic(4), {1, 3}).is_automorphism([0, 3, 2, 1])
 
 
 class TestSerialization:

@@ -2,11 +2,13 @@
 
 import random
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
 import oracles
 from oracles import cyclic_group, fiber_partition
+from cig import digraphs
 from cig.ci import verify_lift_structure
 from cig.digraphs import Digraph, cayley
 from cig.groups import FiniteGroup, catalog_specs, parse_group_spec
@@ -381,6 +383,48 @@ class TestBlockSystemsFromStabiliserOrbits:
             if aut.order <= 2000:
                 _assert_block_systems_match_oracle(aut)
                 checked += 1
+
+
+class TestBlockSystemsFromTwinQuotient:
+    """An automorphism group built through the twin quotient reads its block
+    systems off that record.  At every class size, and in list order, they
+    must equal both the generators' union-find (the same group rebuilt
+    without the record) and the element scan."""
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_lifts_match_union_find_and_oracle(self, spec):
+        g = parse_group_spec(spec)
+        n = g.order
+        rng = random.Random(spec)
+        sets = [set(), set(range(1, n))]
+        sets += [{x for x in range(n) if rng.random() < 0.4} for _ in range(2)]
+        proper = sorted(sorted(h) for h in g.subgroups() if 1 < len(h) < n)
+        if proper:
+            # Over K_r, H - {0} gives twin classes of |H| * r points; over the
+            # empty digraph, G - H does.  Neither has a block system of size r.
+            h = set(rng.choice(proper))
+            sets += [h - {0}, set(range(n)) - h]
+        wider = 0
+        for s in sets:
+            for r in (2, 3):
+                for inner in (Digraph.complete(r), Digraph.empty(r)):
+                    d = digraphs.wreath_product(cayley(g, s), inner)
+                    d = d.relabel(rng.sample(range(d.order), d.order))
+                    aut = automorphism_group_of(d)
+                    classes, _ = aut.twin_quotient
+                    if len(classes[0]) > r:
+                        assert aut.block_systems(r) == []
+                        wider += 1
+                    generic = PermGroup(aut.generators, order=aut.order, degree=aut.degree)
+                    assert generic.twin_quotient is None
+                    for size in range(1, d.order + 1):
+                        if d.order % size:
+                            continue
+                        found = aut.block_systems(size)
+                        assert found == generic.block_systems(size), (s, r, size)
+                        if aut.order <= 2000 and comb(d.order - 1, size - 1) <= 1000:
+                            assert found == oracles.brute_block_systems(aut, size)
+        assert wider > 0 or n == 1
 
 
 class TestWreathProduct:
