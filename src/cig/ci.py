@@ -11,7 +11,8 @@ automorphism verdicts from generating sets
 certificate records one named boolean per verification step.  A
 certificate builds G/H once and checks each side's lift against it in one
 `verify_lift_structure` pass: arcs, the wreath automorphism group, and the
-cosets as the only block system of their size.
+cosets as the only block system of their size, which holds exactly when
+they are the lifted digraph's twin classes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from cig.digraphs import (
 from cig.groups import FiniteGroup, QuotientMap, automorphic_image_search
 from cig.iso import _check_cap, automorphism_group_of, find_isomorphism, rooted_key
 from cig.limits import DEFAULT_LIMITS, CapExceeded, Limits
-from cig.perms import Perm, PermGroup, PointPartition
+from cig.perms import Perm, PointPartition
 
 MODES = ("digraph", "graph")
 
@@ -321,10 +322,6 @@ class LiftStructureReport:
     """Arc-level, automorphism-level and block-level verification of one lift."""
 
     lift: LiftResult
-    quotient_digraph: Digraph
-    lifted_digraph: Digraph
-    aut_group: PermGroup
-    expected_aut_order: int
     checks: dict[str, bool]
 
 
@@ -346,10 +343,21 @@ def verify_lift_structure(
     induce an automorphism of the quotient digraph.  Each of these is one
     `Digraph.is_automorphism` test, with no relabelled digraph built.  Both
     orders are exact: `automorphism_group_of` gives one, and the wreath
-    group's is |Aut(quotient)| * (block size)!^|quotient|.  The lifted
-    digraph's cosets lie inside its twin classes, so `block_systems` reads
-    the answer off the twin quotient that Aut(lifted) carries: the cosets
-    when they are the twin classes, none when the classes are larger.
+    group's is |Aut(quotient)| * (block size)!^|quotient|.
+
+    The block check reads the lifted digraph's twin classes.  The connection
+    set is a union of H-cosets (plus H - {e} for the complete kind, which
+    joins each coset into a clique), so two points of one coset have the
+    same neighbours and the cosets lie inside twin classes.  Each twin class
+    C gives Sym(C) in Aut(lifted), which is primitive on C: twin classes are
+    the simplest modules (Gallai, "Transitiv orientierbare Graphen", 1967).
+    So in the transitive group Aut(lifted) a block B through 0 is {0}, the
+    class C0 through 0, or a union of whole classes: if B holds y in a class
+    Cj other than C0, then Sym(Cj) fixes 0 and Sym(C0) fixes y, so B
+    contains both classes.  With |H| >= 2 the one block of |H| points
+    through 0 there can be is C0, so the cosets are the unique block system
+    of size |H| exactly when they are the twin classes; with |H| = 1 the
+    discrete partition always is.
     """
     s_quotient = frozenset(s_quotient)
     _check_subset(qmap.target, s_quotient, "quotient connection set")
@@ -377,21 +385,15 @@ def verify_lift_structure(
         (bar := cosets.induced(g)) is not None and dq.is_automorphism(bar.images)
         for g in aut_lifted.generators
     )
+    twins = PointPartition(lifted.order, lifted.twin_classes())
     checks = {
         "arc_identity": arc_identity,
         "aut_order_equal": order_equal,
         "wreath_generators_in_aut": gens_in_aut,
         "aut_inside_wreath": aut_in_wreath,
-        "unique_block_system": aut_lifted.block_systems(size) == [cosets],
+        "unique_block_system": size == 1 or twins == cosets,
     }
-    return LiftStructureReport(
-        lift=lift,
-        quotient_digraph=dq,
-        lifted_digraph=lifted,
-        aut_group=aut_lifted,
-        expected_aut_order=wreath.order,
-        checks=checks,
-    )
+    return LiftStructureReport(lift=lift, checks=checks)
 
 
 # ---------------------------------------------------------------------------

@@ -254,11 +254,11 @@ def wreath_product(outer: Digraph, inner: Digraph) -> Digraph:
 
 @dataclass(frozen=True)
 class WreathDecomposition:
-    """Witness that a digraph is quotient-wreath-inner under a block partition."""
+    """Witness that a digraph is quotient-wreath-inner: the quotient on the
+    least vertices of its fibers, and the fiber size."""
 
     quotient: Digraph
     inner_size: int
-    block_partition: PointPartition
 
 
 def _decompose(d: Digraph, kind: str) -> WreathDecomposition | None:
@@ -285,7 +285,7 @@ def _decompose(d: Digraph, kind: str) -> WreathDecomposition | None:
     rebuilt = wreath_product(quotient, inner)
     if d.relabel(partition.fiber_images()) != rebuilt:
         raise RuntimeError("twin decomposition failed to reassemble")  # unreachable
-    return WreathDecomposition(quotient, r, partition)
+    return WreathDecomposition(quotient, r)
 
 
 def decompose_over_complete(d: Digraph) -> WreathDecomposition | None:

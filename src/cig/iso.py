@@ -173,10 +173,8 @@ def automorphism_group_of(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> PermGr
     order, and one class per orbit of Aut(Q) adds a transposition and a
     cycle of its members (the lifted generators conjugate its Sym(C) onto
     the others).  The order is |Aut(Q)| times the product of the class
-    sizes' factorials.  The group keeps the classes and Aut(Q) as its
-    `twin_quotient`, from which `PermGroup.block_systems` reads its block
-    systems.  A digraph without twins is searched as it is, from the
-    uniform colouring.
+    sizes' factorials.  A digraph without twins is searched as it is, from
+    the uniform colouring.
     """
     _check_cap(d.order, limits.search)
     n = d.order
@@ -204,7 +202,7 @@ def automorphism_group_of(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> PermGr
             generators.append(Perm.from_cycles(n, members[:2]))
         if len(members) > 2:
             generators.append(Perm.from_cycles(n, members))
-    return PermGroup(generators, degree=n, order=order, twin_quotient=(classes, aut_q))
+    return PermGroup(generators, degree=n, order=order)
 
 
 def _search_automorphisms(d: Digraph, initial: Sequence) -> PermGroup:

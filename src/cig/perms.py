@@ -1,10 +1,8 @@
-"""Permutations, permutation groups, block systems, and wreath products.
+"""Permutations, point partitions, permutation groups, and wreath products.
 
 Points are integers ``0..degree-1``.  A group is its generators and its
 order, which whoever builds it supplies.  Orbits are computed from the
-generators; block systems are read off the twin quotient when the group
-carries one (automorphism groups of digraphs with twins) and computed from
-the generators otherwise.  No element is ever listed.
+generators, and no element is ever listed.
 """
 
 from __future__ import annotations
@@ -90,13 +88,6 @@ class PointPartition:
                 index[x] = i
         self._class_index = tuple(index)
 
-    @classmethod
-    def from_labels(cls, labels: Sequence[int]) -> PointPartition:
-        groups: dict[int, list[int]] = {}
-        for x, lab in enumerate(labels):
-            groups.setdefault(lab, []).append(x)
-        return cls(len(labels), groups.values())
-
     def class_of(self, x: int) -> tuple[int, ...]:
         return self.classes[self._class_index[x]]
 
@@ -157,22 +148,10 @@ class PermGroup:
     automorphism search multiplies its basic-orbit lengths and the
     factorials of the twin-class sizes, and the constructors below give
     their closed formulas.
-
-    `twin_quotient`, when given, is the record of how the automorphism
-    search built the group: the twin classes of its digraph (ordered by
-    least member, each ascending) and the group the classes' permutations
-    form, acting on class indices.  The group is then the product of the
-    classes' symmetric groups, extended by that quotient group, and
-    `block_systems` reads its answers off the record.
     """
 
     def __init__(
-        self,
-        generators: Iterable[Perm],
-        *,
-        order: int,
-        degree: int | None = None,
-        twin_quotient: tuple[Sequence[Sequence[int]], PermGroup] | None = None,
+        self, generators: Iterable[Perm], *, order: int, degree: int | None = None
     ):
         gens = tuple(generators)
         if degree is None:
@@ -185,116 +164,9 @@ class PermGroup:
         self.degree = degree
         self.order = order
         self.generators = gens
-        self.twin_quotient = twin_quotient
 
     def is_transitive(self) -> bool:
         return len(orbit(0, self.generators)) == self.degree
-
-    def _minimal_partition(self, points: Iterable[int]) -> list[int]:
-        """Class label per point of the finest invariant partition that puts
-        the given points in one class (Atkinson's union-find, 1975).
-
-        Every merged pair's images under every generator are merged too, so
-        the partition is invariant under the whole group.
-        """
-        gens = [g.images for g in self.generators]
-        parent = list(range(self.degree))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> bool:
-            x, y = find(x), find(y)
-            if x == y:
-                return False
-            parent[max(x, y)] = min(x, y)
-            return True
-
-        points = list(points)
-        merged = [(points[0], y) for y in points[1:] if union(points[0], y)]
-        while merged:
-            x, y = merged.pop()
-            for g in gens:
-                if union(g[x], g[y]):
-                    merged.append((g[x], g[y]))
-        return [find(x) for x in range(self.degree)]
-
-    def _block_of(self, points: frozenset[int] | tuple[int, ...]) -> frozenset[int]:
-        """The smallest block containing the given points."""
-        labels = self._minimal_partition(points)
-        label = labels[min(points)]
-        return frozenset(x for x, lab in enumerate(labels) if lab == label)
-
-    def block_systems(self, size: int) -> list[PointPartition]:
-        """All invariant partitions with classes of the given size, sorted by
-        the class through 0.
-
-        With a `twin_quotient` record the answer is read off the twin
-        classes, the simplest modules (Gallai, "Transitiv orientierbare
-        Graphen", 1967).  In a transitive group they all have one size c.
-        Each class C gives Sym(C) in the group, which is primitive on C, so a
-        block B through 0 is {0}, the class C0 through 0, or a union of
-        whole classes: if B holds y in a class Cj other than C0, then Sym(Cj)
-        fixes 0 and Sym(C0) fixes y, so B contains both classes.  So size 1
-        gives the discrete partition, size c the twin classes, a size that c
-        does not divide none, and any other size the quotient group's block
-        systems of size/c lifted class by class.  The lift keeps their order:
-        classes ascend with their least members, so the least point where two
-        lifted blocks differ lies in the least class where they differ.
-
-        Without a record the answer comes from the generators.  For a
-        transitive group an invariant partition is the set of images of its
-        class through 0, and every block through 0 other than {0} is the
-        join of the minimal blocks of the pairs {0, x} in it, which lie inside
-        it, as do their joins.  So the blocks through 0 of at most `size`
-        points are {0} plus the join closure of the minimal blocks, dropping
-        any set larger than `size`.
-        """
-        n = self.degree
-        if not self.is_transitive():
-            raise ValueError("block systems are defined for transitive groups")
-        if size <= 0 or n % size:
-            raise ValueError(f"class size {size} does not divide degree {n}")
-        if self.twin_quotient is not None:
-            classes, quotient = self.twin_quotient
-            c = len(classes[0])
-            if size == 1:
-                return [PointPartition(n, ([x] for x in range(n)))]
-            if size == c:
-                return [PointPartition(n, classes)]
-            if size % c:
-                return []
-            return [
-                PointPartition(n, ([x for i in q for x in classes[i]] for q in p))
-                for p in quotient.block_systems(size // c)
-            ]
-        # An element k fixing 0 maps the minimal block of {0, x} onto that
-        # of {0, k(x)}, and maps every block through 0 onto itself: x's
-        # whole orbit under the 0-fixing generators shares one minimal block.
-        stab = [g for g in self.generators if g.images[0] == 0]
-        minimal = set()
-        covered = {0}
-        for x in range(1, n):
-            if x not in covered:
-                covered |= orbit(x, stab)
-                minimal.add(self._block_of((0, x)))
-        blocks = {frozenset({0})} | {b for b in minimal if len(b) <= size}
-        todo = list(blocks)
-        while todo:
-            a = todo.pop()
-            # A join is larger than both parts unless one holds the other.
-            for b in [b for b in blocks if max(len(a), len(b)) < len(a | b) <= size]:
-                join = self._block_of(a | b)
-                if len(join) <= size and join not in blocks:
-                    blocks.add(join)
-                    todo.append(join)
-        return [
-            PointPartition.from_labels(self._minimal_partition(block))
-            for block in sorted(tuple(sorted(b)) for b in blocks if len(b) == size)
-        ]
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"

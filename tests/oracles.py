@@ -19,13 +19,16 @@ for arc symmetry (replaced by comparing out- and in-masks), every vertex
 pair in a depth-first search for connectivity (the library walks masks),
 the breadth-first element closure of a permutation group (which the
 library, holding only generators and an order, never builds) for group
-orders, blocks and invariant partitions, all uniform set partitions for
-wreath-structure questions.  The small constructors and comparisons that only tests need
-live here too: composing and inverting image tuples, a digraph from its
-arc list, the cyclic permutation group, the pair-space fibers,
+orders, blocks and invariant partitions, Atkinson's union-find with its
+join closure for the block systems of a transitive group (which the library
+no longer computes: its one block check reads twin classes), all uniform
+set partitions for wreath-structure questions.  The small constructors
+and comparisons that only tests need live here too: composing and
+inverting image tuples, a digraph from its arc list, the cyclic
+permutation group, the pair-space fibers, a partition from class labels,
 partition refinement, a group with its elements renamed and a subgroup's
-own multiplication table.  They stay dumb on purpose -- the package is tested
-against them, never the other way around.
+own multiplication table.  They stay dumb on purpose -- the package is
+tested against them, never the other way around.
 """
 
 from functools import cache, lru_cache
@@ -37,7 +40,7 @@ from cig.digraphs import Digraph, cayley
 from cig.groups import FiniteGroup
 from cig.iso import _check_cap, find_isomorphism, rooted_key
 from cig.limits import DEFAULT_LIMITS, CapExceeded
-from cig.perms import Perm, PermGroup, PointPartition
+from cig.perms import Perm, PermGroup, PointPartition, orbit
 
 
 def brute_isomorphism(a: Digraph, b: Digraph):
@@ -522,6 +525,95 @@ def brute_block_systems(group: PermGroup, size: int) -> list[PointPartition]:
             classes = {tuple(sorted(raw[x] for x in block)) for raw in elements}
             systems.append(PointPartition(n, classes))
     return systems
+
+
+def partition_from_labels(labels) -> PointPartition:
+    """The partition whose classes are the points sharing a label."""
+    groups: dict[int, list[int]] = {}
+    for x, lab in enumerate(labels):
+        groups.setdefault(lab, []).append(x)
+    return PointPartition(len(labels), groups.values())
+
+
+def minimal_partition(group: PermGroup, points) -> list[int]:
+    """Class label per point of the finest invariant partition that puts
+    the given points in one class (Atkinson's union-find, 1975).
+
+    Every merged pair's images under every generator are merged too, so
+    the partition is invariant under the whole group.
+    """
+    gens = [g.images for g in group.generators]
+    parent = list(range(group.degree))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> bool:
+        x, y = find(x), find(y)
+        if x == y:
+            return False
+        parent[max(x, y)] = min(x, y)
+        return True
+
+    points = list(points)
+    merged = [(points[0], y) for y in points[1:] if union(points[0], y)]
+    while merged:
+        x, y = merged.pop()
+        for g in gens:
+            if union(g[x], g[y]):
+                merged.append((g[x], g[y]))
+    return [find(x) for x in range(group.degree)]
+
+
+def block_of(group: PermGroup, points) -> frozenset[int]:
+    """The smallest block containing the given points."""
+    labels = minimal_partition(group, points)
+    label = labels[min(points)]
+    return frozenset(x for x, lab in enumerate(labels) if lab == label)
+
+
+def union_find_block_systems(group: PermGroup, size: int) -> list[PointPartition]:
+    """All invariant partitions of a transitive group with classes of the
+    given size, sorted by the class through 0, from the generators alone.
+
+    An invariant partition is the set of images of its class through 0, and
+    every block through 0 other than {0} is the join of the minimal blocks
+    of the pairs {0, x} in it, which lie inside it, as do their joins.  So
+    the blocks through 0 of at most `size` points are {0} plus the join
+    closure of the minimal blocks, dropping any set larger than `size`.
+    """
+    n = group.degree
+    if not group.is_transitive():
+        raise ValueError("block systems are defined for transitive groups")
+    if size <= 0 or n % size:
+        raise ValueError(f"class size {size} does not divide degree {n}")
+    # An element k fixing 0 maps the minimal block of {0, x} onto that of
+    # {0, k(x)}, and maps every block through 0 onto itself: x's whole orbit
+    # under the 0-fixing generators shares one minimal block.
+    stab = [g for g in group.generators if g.images[0] == 0]
+    minimal = set()
+    covered = {0}
+    for x in range(1, n):
+        if x not in covered:
+            covered |= orbit(x, stab)
+            minimal.add(block_of(group, (0, x)))
+    blocks = {frozenset({0})} | {b for b in minimal if len(b) <= size}
+    todo = list(blocks)
+    while todo:
+        a = todo.pop()
+        # A join is larger than both parts unless one holds the other.
+        for b in [b for b in blocks if max(len(a), len(b)) < len(a | b) <= size]:
+            join = block_of(group, a | b)
+            if len(join) <= size and join not in blocks:
+                blocks.add(join)
+                todo.append(join)
+    return [
+        partition_from_labels(minimal_partition(group, block))
+        for block in sorted(tuple(sorted(b)) for b in blocks if len(b) == size)
+    ]
 
 
 def invariant_partitions(group: PermGroup) -> list[PointPartition]:

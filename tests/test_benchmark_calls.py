@@ -42,7 +42,7 @@ def test_first_job_runs_and_checks(perfbench, workload):
 
 
 # Targets that `tracing.py` still names although the library deleted them.
-DELETED_TARGETS = {"kernels.perm_closure", "perms.from_elements"}
+DELETED_TARGETS = {"kernels.perm_closure", "perms.from_elements", "perms.block_systems"}
 
 
 def test_first_jobs_run_and_check_under_the_tracer(perfbench):

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from functools import lru_cache
+from math import factorial
 
 import pytest
 
@@ -465,21 +466,28 @@ class TestLift:
                     assert len(arcs) == 1
 
 
+def lifted_aut_order(group, report) -> int:
+    return automorphism_group_of(cayley(group, report.lift.connection)).order
+
+
 class TestLiftStructure:
     def test_z6_wreath_identity(self):
-        report = verify_lift_structure(FiniteGroup.cyclic(6).quotient({0, 3}), {1})
+        z6 = FiniteGroup.cyclic(6)
+        report = verify_lift_structure(z6.quotient({0, 3}), {1})
         assert all(report.checks.values())
-        assert report.aut_group.order == 24
+        assert lifted_aut_order(z6, report) == 24
 
     def test_z4_empty_set_structure(self):
-        report = verify_lift_structure(FiniteGroup.cyclic(4).quotient({0, 2}), set())
+        z4 = FiniteGroup.cyclic(4)
+        report = verify_lift_structure(z4.quotient({0, 2}), set())
         assert all(report.checks.values())
-        assert report.aut_group.order == 8
+        assert lifted_aut_order(z4, report) == 8
 
     def test_z4_full_coset_structure(self):
-        report = verify_lift_structure(FiniteGroup.cyclic(4).quotient({0, 2}), {1})
+        z4 = FiniteGroup.cyclic(4)
+        report = verify_lift_structure(z4.quotient({0, 2}), {1})
         assert all(report.checks.values())
-        assert report.aut_group.order == 8
+        assert lifted_aut_order(z4, report) == 8
 
 
 @lru_cache(maxsize=None)
@@ -488,11 +496,10 @@ def automorphism_set(d: Digraph) -> frozenset[tuple[int, ...]]:
     return frozenset(oracles.enumerated_automorphisms(d))
 
 
-def wreath_closure(report) -> set[tuple[int, ...]]:
-    """Every element of Aut(quotient) wr S_block, with Aut(quotient) from
-    enumeration, as image tuples on the group's elements: each acts on the
-    pair space, whose fibers are the cosets in rank order."""
-    dq = report.quotient_digraph
+def wreath_closure(report, dq) -> set[tuple[int, ...]]:
+    """Every element of Aut(dq) wr S_block, with Aut(dq) from enumeration,
+    as image tuples on the group's elements: each acts on the pair space,
+    whose fibers are the cosets in rank order."""
     aut_q = [Perm(p) for p in oracles.enumerated_automorphisms(dq)]
     outer = PermGroup(aut_q, order=len(aut_q), degree=dq.order)
     pairs = wreath_product(outer, symmetric_group(report.lift.block_size))
@@ -511,15 +518,22 @@ class TestLiftStructureAgainstClosures:
 
     @staticmethod
     def assert_checks_are_set_relations(group, kernel, s_quotient):
-        report = verify_lift_structure(group.quotient(kernel), s_quotient)
-        aut = automorphism_set(report.lifted_digraph)
-        wreath = wreath_closure(report)
-        assert report.aut_group.order == len(aut)
-        assert report.expected_aut_order == len(wreath)
+        qmap = group.quotient(kernel)
+        report = verify_lift_structure(qmap, s_quotient)
+        dq = cayley(qmap.target, s_quotient)
+        lifted = cayley(group, report.lift.connection)
+        aut = automorphism_set(lifted)
+        wreath = wreath_closure(report, dq)
+        expected_order = (
+            automorphism_group_of(dq).order
+            * factorial(report.lift.block_size) ** dq.order
+        )
+        assert automorphism_group_of(lifted).order == len(aut)
+        assert expected_order == len(wreath)
         assert report.checks["aut_order_equal"] == (len(aut) == len(wreath))
         assert report.checks["wreath_generators_in_aut"] == (wreath <= aut)
         assert report.checks["aut_inside_wreath"] == (aut <= wreath)
-        return report
+        return report, len(aut), len(wreath)
 
     @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(8)])
     def test_every_kernel_and_quotient_set(self, spec):
@@ -534,10 +548,10 @@ class TestLiftStructureAgainstClosures:
     def test_looped_quotient_outgrows_the_wreath_group(self):
         # Z4 over {0, 2} with S = {0, 1}: the lift is K4 with every loop,
         # whose 24 automorphisms are more than the wreath group's 8.
-        report = self.assert_checks_are_set_relations(
+        report, aut_order, wreath_order = self.assert_checks_are_set_relations(
             FiniteGroup.cyclic(4), {0, 2}, {0, 1}
         )
-        assert (report.aut_group.order, report.expected_aut_order) == (24, 8)
+        assert (aut_order, wreath_order) == (24, 8)
         assert report.checks["wreath_generators_in_aut"]
         assert not report.checks["aut_order_equal"]
         assert not report.checks["aut_inside_wreath"]
@@ -547,22 +561,25 @@ class TestUniqueBlockPartition:
     def test_z6_cosets(self):
         aut = automorphism_group_of(cayley(FiniteGroup.cyclic(6), {1, 3, 4}))
         cosets = PointPartition(6, [[0, 3], [1, 4], [2, 5]])
-        assert aut.block_systems(2) == [cosets]
+        assert oracles.brute_block_systems(aut, 2) == [cosets]
 
     def test_z4_cosets(self):
         aut = automorphism_group_of(cayley(FiniteGroup.cyclic(4), {2}))
         cosets = PointPartition(4, [[0, 2], [1, 3]])
-        assert aut.block_systems(2) == [cosets]
+        assert oracles.brute_block_systems(aut, 2) == [cosets]
 
     def test_primitive_group_fails(self):
-        assert symmetric_group(4).block_systems(2) != [PointPartition(4, [[0, 1], [2, 3]])]
+        assert oracles.brute_block_systems(symmetric_group(4), 2) != [
+            PointPartition(4, [[0, 1], [2, 3]])
+        ]
 
     def test_multiple_systems_fail(self):
         # The regular Klein four-group has one size-2 system per order-2
         # subgroup, so uniqueness fails even though the expected one exists.
         klein = oracles.regular_representation(parse_group_spec("Z2xZ2"))
-        assert len(klein.block_systems(2)) == 3
-        assert klein.block_systems(2) != [PointPartition(4, [[0, 1], [2, 3]])]
+        systems = oracles.brute_block_systems(klein, 2)
+        assert len(systems) == 3
+        assert systems != [PointPartition(4, [[0, 1], [2, 3]])]
 
     def test_structural_wreath_membership(self):
         def in_wreath(images, partition, quotient):
@@ -581,6 +598,69 @@ class TestUniqueBlockPartition:
         # Class-preserving but quotient-arc-breaking maps are not, either.
         path = oracles.from_arcs(2, [(0, 1)])
         assert not in_wreath((2, 3, 0, 1), cosets, path)
+
+
+def oracle_says_unique(group, report) -> bool:
+    """Whether the cosets are the only block system of their size of
+    Aut(lifted): by the element scan for groups of at most 5000 elements,
+    by the union-find on the generators past that."""
+    aut = automorphism_group_of(cayley(group, report.lift.connection))
+    size = report.lift.block_size
+    if aut.order <= 5000:
+        systems = oracles.brute_block_systems(aut, size)
+    else:
+        systems = oracles.union_find_block_systems(aut, size)
+    return systems == [report.lift.coset_partition]
+
+
+class TestUniqueBlockSystemAgainstOracles:
+    """`unique_block_system` reads the lifted digraph's twin classes; it must
+    say what the block systems of Aut(lifted) say."""
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_every_kernel_with_seeded_sets(self, spec):
+        # The empty set lifts to disjoint cliques on the cosets (unique),
+        # the whole quotient to the looped complete digraph (not unique).
+        g = parse_group_spec(spec)
+        rng = random.Random(spec)
+        outcomes, cases = set(), set()
+        for h in g.normal_subgroups():
+            if not 1 < len(h) < g.order:
+                continue
+            qmap = g.quotient(h)
+            q = qmap.target.order
+            sets = [set(), set(range(q))]
+            for looped in (True, True, False, False):
+                s = {x for x in range(1, q) if rng.random() < 0.5}
+                sets.append(s | {0} if looped else s)
+            for s in sets:
+                report = verify_lift_structure(qmap, s)
+                unique = oracle_says_unique(g, report)
+                assert report.checks["unique_block_system"] == unique, (
+                    spec, sorted(h), sorted(s),
+                )
+                outcomes.add(unique)
+                cases.add(report.lift.case)
+        if outcomes:
+            assert outcomes == {True, False}
+            assert cases == {"decomposable", "non_decomposable"}
+
+    def test_looped_complete_lift_is_not_unique(self):
+        # Z4 over {0, 2} with S = {0, 1}: the lift is K4 with every loop,
+        # one twin class, and Sym(4) has three block systems of size 2.
+        z4 = FiniteGroup.cyclic(4)
+        report = verify_lift_structure(z4.quotient({0, 2}), {0, 1})
+        assert not oracle_says_unique(z4, report)
+        assert not report.checks["unique_block_system"]
+
+    def test_trivial_kernel_is_unique_whatever_the_twins(self):
+        # Certificates short-circuit a trivial kernel, but the check stays
+        # exact: the discrete partition is the one block system of size 1,
+        # although the empty Z4 digraph has a single twin class.
+        z4 = FiniteGroup.cyclic(4)
+        report = verify_lift_structure(z4.quotient({0}), set())
+        assert oracle_says_unique(z4, report)
+        assert report.checks["unique_block_system"]
 
 
 class TestQuotientCertificate:

@@ -15,6 +15,7 @@ from cig.digraphs import (
 )
 from cig.groups import FiniteGroup
 from cig.iso import automorphism_group_of, find_isomorphism
+from cig.perms import PointPartition
 
 
 def directed_cycle(n):
@@ -195,10 +196,16 @@ class TestDecomposition:
             if dec is None:
                 continue
             rebuilt = wreath_product(dec.quotient, inner_of(dec.inner_size))
+            # The fibers: each twin class cut into runs of the inner size.
+            r = dec.inner_size
+            twins = oracles.partition_from_labels(oracles.transposition_twin_labels(d))
+            fibers = PointPartition(
+                d.order, (c[i : i + r] for c in twins.classes for i in range(0, len(c), r))
+            )
             images = [0] * d.order
-            for i, cls in enumerate(dec.block_partition.classes):
+            for i, cls in enumerate(fibers.classes):
                 for pos, x in enumerate(cls):
-                    images[x] = i * dec.inner_size + pos
+                    images[x] = i * r + pos
             assert d.relabel(images) == rebuilt
 
     def test_agrees_with_partition_oracle_small(self):

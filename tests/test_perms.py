@@ -2,14 +2,14 @@
 
 import random
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial
 
 import pytest
 
 import oracles
-from oracles import cyclic_group, fiber_partition
+from oracles import block_of, cyclic_group, fiber_partition, union_find_block_systems
 from cig import digraphs
-from cig.ci import verify_lift_structure
+from cig.ci import lift_connection_set
 from cig.digraphs import Digraph, cayley
 from cig.groups import FiniteGroup, catalog_specs, parse_group_spec
 from cig.iso import automorphism_group_of
@@ -182,38 +182,40 @@ class TestOrbitsAndTransitivity:
 
 
 class TestBlocks:
-    """`_block_of(s)` is the smallest block holding s, so s is a block
-    exactly when it is its own."""
+    """The union-find oracle: `block_of(g, s)` is the smallest block
+    holding s, so s is a block exactly when it is its own."""
 
     def test_full_set_is_block(self):
-        assert cyclic_group(4)._block_of(frozenset(range(4))) == frozenset(range(4))
+        assert block_of(cyclic_group(4), frozenset(range(4))) == frozenset(range(4))
 
     def test_alternate_pair_is_block(self):
-        assert cyclic_group(4)._block_of(frozenset({0, 2})) == {0, 2}
+        assert block_of(cyclic_group(4), frozenset({0, 2})) == {0, 2}
 
     def test_adjacent_pair_is_not_block(self):
-        assert cyclic_group(4)._block_of(frozenset({0, 1})) == frozenset(range(4))
+        assert block_of(cyclic_group(4), frozenset({0, 1})) == frozenset(range(4))
 
     def test_block_images_partition_points(self):
         g = cyclic_group(6)
         block = frozenset({0, 3})
-        assert g._block_of(block) == block
+        assert block_of(g, block) == block
         images = {tuple(sorted(raw[x] for x in block)) for raw in oracles.closure(g)}
         assert PointPartition(6, images)  # constructor validates partition
         for img in images:
-            assert g._block_of(frozenset(img)) == frozenset(img)
+            assert block_of(g, frozenset(img)) == frozenset(img)
 
     def test_block_systems_trivial_sizes(self):
         g = cyclic_group(6)
-        assert g.block_systems(1) == [singletons(6)]
-        assert g.block_systems(6) == [single_class(6)]
+        assert union_find_block_systems(g, 1) == [singletons(6)]
+        assert union_find_block_systems(g, 6) == [single_class(6)]
 
     def test_block_systems_size_two_of_c4(self):
-        assert cyclic_group(4).block_systems(2) == [PointPartition(4, [[0, 2], [1, 3]])]
+        assert union_find_block_systems(cyclic_group(4), 2) == [
+            PointPartition(4, [[0, 2], [1, 3]])
+        ]
 
     def test_block_systems_requires_divisor(self):
         with pytest.raises(ValueError):
-            cyclic_group(4).block_systems(3)
+            union_find_block_systems(cyclic_group(4), 3)
 
     def test_primitivity(self):
         # Primitive: the two trivial partitions are the only invariant ones.
@@ -223,11 +225,11 @@ class TestBlocks:
 
     def test_primitivity_rejects_intransitive(self):
         with pytest.raises(ValueError):
-            trivial_group(2).block_systems(2)
+            union_find_block_systems(trivial_group(2), 2)
 
     def test_block_search_past_twenty_four_points(self):
         g = cyclic_group(30)
-        assert g.block_systems(2) == oracles.brute_block_systems(g, 2)
+        assert union_find_block_systems(g, 2) == oracles.brute_block_systems(g, 2)
 
 
 def _invariant_partitions(g):
@@ -236,14 +238,20 @@ def _invariant_partitions(g):
         partition
         for size in range(1, g.degree + 1)
         if g.degree % size == 0
-        for partition in g.block_systems(size)
+        for partition in union_find_block_systems(g, size)
     ]
     assert found == oracles.invariant_partitions(g)
     return found
 
 
+def _lift_aut(group, kernel, s_quotient):
+    """Aut of the lifted Cayley digraph that a certificate checks."""
+    lift = lift_connection_set(group, kernel, s_quotient)
+    return automorphism_group_of(cayley(group, lift.connection))
+
+
 def _z6_snapshot_lift_aut():
-    return verify_lift_structure(FiniteGroup.cyclic(6).quotient({0, 3}), {1}).aut_group
+    return _lift_aut(FiniteGroup.cyclic(6), {0, 3}, {1})
 
 
 _WREATHS = [
@@ -289,7 +297,9 @@ class TestBlocksAgainstElementScan:
         g = make()
         for size in range(1, g.degree + 1):
             if g.degree % size == 0:
-                assert g.block_systems(size) == oracles.brute_block_systems(g, size)
+                assert union_find_block_systems(g, size) == oracles.brute_block_systems(
+                    g, size
+                )
 
     @pytest.mark.parametrize("spec", ["Z2xZ2xZ2", "Q8"])
     def test_lifted_digraph_block_systems_match_oracle_in_order(self, spec):
@@ -299,14 +309,16 @@ class TestBlocksAgainstElementScan:
         g = parse_group_spec(spec)
         auts = {}
         for kernel in (h for h in g.normal_subgroups() if len(h) == 2):
-            qmap = g.quotient(kernel)
-            for bits in range(1 << qmap.target.order):
-                s = {x for x in range(qmap.target.order) if bits >> x & 1}
-                aut = verify_lift_structure(qmap, s).aut_group
+            q = g.order // len(kernel)
+            for bits in range(1 << q):
+                s = {x for x in range(q) if bits >> x & 1}
+                aut = _lift_aut(g, kernel, s)
                 auts.setdefault(aut.generators, aut)
         for aut in auts.values():
             for size in (1, 2, 4, 8):
-                assert aut.block_systems(size) == oracles.brute_block_systems(aut, size)
+                assert union_find_block_systems(aut, size) == oracles.brute_block_systems(
+                    aut, size
+                )
 
     @pytest.mark.parametrize("make", _WREATHS)
     def test_closure_joins_no_pair_past_the_size(self, make, monkeypatch):
@@ -314,17 +326,16 @@ class TestBlocksAgainstElementScan:
         # joined is a pair {0, x} or a union of at most `size` points.
         g = make()
         joined = []
-        block_of = PermGroup._block_of
 
-        def recording(self, points):
+        def recording(group, points):
             joined.append(len(points))
-            return block_of(self, points)
+            return block_of(group, points)
 
-        monkeypatch.setattr(PermGroup, "_block_of", recording)
+        monkeypatch.setattr(oracles, "block_of", recording)
         for size in range(1, g.degree + 1):
             if g.degree % size == 0:
                 joined.clear()
-                g.block_systems(size)
+                union_find_block_systems(g, size)
                 assert max(joined) <= max(size, 2), size
 
     def test_is_block_matches_oracle_on_small_subsets(self):
@@ -333,13 +344,15 @@ class TestBlocksAgainstElementScan:
         for size in (2, 3):
             for points in combinations(range(9), size):
                 s = frozenset(points)
-                assert (g._block_of(s) == s) == oracles.brute_is_block(g, points)
+                assert (block_of(g, s) == s) == oracles.brute_is_block(g, points)
 
 
 def _assert_block_systems_match_oracle(g):
     for size in range(1, g.degree + 1):
         if g.degree % size == 0:
-            assert g.block_systems(size) == oracles.brute_block_systems(g, size), size
+            assert union_find_block_systems(g, size) == oracles.brute_block_systems(
+                g, size
+            ), size
 
 
 def _relabelled(g, rng):
@@ -354,8 +367,9 @@ def _relabelled(g, rng):
 
 
 class TestBlockSystemsFromStabiliserOrbits:
-    """`block_systems` takes one union-find per orbit of the group K that the
-    0-fixing generators generate, whatever part of the stabiliser of 0 K is."""
+    """The union-find oracle takes one union-find per orbit of the group K
+    that the 0-fixing generators generate, whatever part of the stabiliser
+    of 0 K is."""
 
     @pytest.mark.parametrize("n", [9, 10, 16, 18])
     def test_no_generator_fixes_zero(self, n):
@@ -386,10 +400,14 @@ class TestBlockSystemsFromStabiliserOrbits:
 
 
 class TestBlockSystemsFromTwinQuotient:
-    """An automorphism group built through the twin quotient reads its block
-    systems off that record.  At every class size, and in list order, they
-    must equal both the generators' union-find (the same group rebuilt
-    without the record) and the element scan."""
+    """In a vertex-transitive digraph each twin class C gives Sym(C), which
+    is primitive on C, so a block through 0 is {0}, the class through 0 or
+    a union of classes (Gallai 1967).  At every class size, and in list
+    order, the block systems the twin classes predict must equal both the
+    generators' union-find and the element scan: size 1 the discrete
+    partition, the class size c the twin classes, a size that c does not
+    divide none, and any other size the block systems of the group induced
+    on the classes, lifted class by class."""
 
     @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
     def test_lifts_match_union_find_and_oracle(self, spec):
@@ -411,17 +429,35 @@ class TestBlockSystemsFromTwinQuotient:
                     d = digraphs.wreath_product(cayley(g, s), inner)
                     d = d.relabel(rng.sample(range(d.order), d.order))
                     aut = automorphism_group_of(d)
-                    classes, _ = aut.twin_quotient
-                    if len(classes[0]) > r:
-                        assert aut.block_systems(r) == []
+                    twins = PointPartition(d.order, d.twin_classes())
+                    c = len(twins.classes[0])
+                    if c > r:
+                        assert union_find_block_systems(aut, r) == []
                         wider += 1
-                    generic = PermGroup(aut.generators, order=aut.order, degree=aut.degree)
-                    assert generic.twin_quotient is None
+                    on_classes = PermGroup(
+                        (twins.induced(x) for x in aut.generators),
+                        order=aut.order // factorial(c) ** len(twins),
+                        degree=len(twins),
+                    )
                     for size in range(1, d.order + 1):
                         if d.order % size:
                             continue
-                        found = aut.block_systems(size)
-                        assert found == generic.block_systems(size), (s, r, size)
+                        if size == 1:
+                            predicted = [singletons(d.order)]
+                        elif size == c:
+                            predicted = [twins]
+                        elif size % c:
+                            predicted = []
+                        else:
+                            predicted = [
+                                PointPartition(
+                                    d.order,
+                                    ([x for i in q for x in twins.classes[i]] for q in p),
+                                )
+                                for p in union_find_block_systems(on_classes, size // c)
+                            ]
+                        found = union_find_block_systems(aut, size)
+                        assert found == predicted, (s, r, size)
                         if aut.order <= 2000 and comb(d.order - 1, size - 1) <= 1000:
                             assert found == oracles.brute_block_systems(aut, size)
         assert wider > 0 or n == 1
@@ -459,7 +495,7 @@ class TestWreathProduct:
 
     def test_fiber_system_is_unique_at_inner_degree(self):
         w = wreath_product(cyclic_group(3), symmetric_group(2))
-        assert w.block_systems(2) == [fiber_partition(3, 2)]
+        assert union_find_block_systems(w, 2) == [fiber_partition(3, 2)]
 
     def test_z3_wr_s2_partition_inventory(self):
         w = wreath_product(cyclic_group(3), symmetric_group(2))
