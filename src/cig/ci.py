@@ -163,13 +163,17 @@ def _loop_free_representatives(
     subsets: list[frozenset[int]] = [frozenset()]
     for atom in atoms - {frozenset({0})}:
         subsets += [s | atom for s in subsets if len(s) + len(atom) <= half]
-    auts = group.automorphisms(limits)
+    maps = [alpha.images.__getitem__ for alpha in group.automorphisms(limits)]
+    by_size: list[list[frozenset[int]]] = [[] for _ in range(half + 1)]
+    for s in subsets:
+        by_size[len(s)].append(s)
     reps: list[list[frozenset[int]]] = [[] for _ in range(half + 1)]
     seen: set[frozenset[int]] = set()
-    for s in sorted(subsets, key=lambda s: (len(s), sorted(s))):
-        if s not in seen:
-            seen.update(alpha.image_of_set(s) for alpha in auts)
-            reps[len(s)].append(s)
+    for same_size, kept in zip(by_size, reps):
+        for s in sorted(same_size, key=sorted):
+            if s not in seen:
+                seen.update(frozenset(map(image, s)) for image in maps)
+                kept.append(s)
     return reps
 
 

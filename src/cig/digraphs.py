@@ -20,7 +20,7 @@ if TYPE_CHECKING:
 class Digraph:
     """A directed graph on vertices 0..order-1; loops allowed."""
 
-    __slots__ = ("order", "out_masks", "_in_masks")
+    __slots__ = ("order", "out_masks", "_in_masks", "_twin_classes")
 
     def __init__(self, order: int, out_masks: Iterable[int]):
         masks = tuple(out_masks)
@@ -32,6 +32,7 @@ class Digraph:
         self.order = order
         self.out_masks = masks
         self._in_masks: tuple[int, ...] | None = None
+        self._twin_classes: tuple[tuple[int, ...], ...] | None = None
 
     # -- constructors -----------------------------------------------------
 
@@ -173,15 +174,18 @@ class Digraph:
             comps.append(sorted(comp))
         return comps
 
-    def twin_classes(self) -> list[list[int]]:
+    def twin_classes(self) -> tuple[tuple[int, ...], ...]:
         """The twin classes, ordered by least member, each ascending: u and v
-        share a class when the transposition (u v) is an automorphism."""
-        classes: list[list[int]] = []
-        for v, label in enumerate(_kernels.twin_labels(self.out_masks, self.in_masks)):
-            if label == len(classes):
-                classes.append([])
-            classes[label].append(v)
-        return classes
+        share a class when the transposition (u v) is an automorphism.
+        Computed once per digraph, like `in_masks`."""
+        if self._twin_classes is None:
+            classes: list[list[int]] = []
+            for v, label in enumerate(_kernels.twin_labels(self.out_masks, self.in_masks)):
+                if label == len(classes):
+                    classes.append([])
+                classes[label].append(v)
+            self._twin_classes = tuple(map(tuple, classes))
+        return self._twin_classes
 
     # -- serialization ---------------------------------------------------------
 

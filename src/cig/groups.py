@@ -59,32 +59,33 @@ class FiniteGroup:
         Associativity uses Light's test on the greedy generating set: the
         elements g with (x*g)*y == x*(g*y) for all x, y are closed under
         products, so passing on generators covers the whole table in
-        O(n^2 * |gens|).  A failure is reported at the first failing
+        O(n^2 * |gens|), one row at a time: the row of x*g against x's row
+        read through g's row.  A failure is reported at the first failing
         (x, g, y) of that scan.
         """
         table, n = self.table, self.order
         for row in table:
             if len(row) != n:
                 raise ValueError(f"table must be square, got shape ({n}, {len(row)})")
-        if any(type(x) is not int or not 0 <= x < n for row in table for x in row):
+        if any(set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n for row in table):
             raise ValueError("table entries must be element indices")
         identity = list(range(n))
         if list(table[0]) != identity or [row[0] for row in table] != identity:
             raise ValueError("element 0 must be the identity")
-        for i in range(n):
-            if sorted(table[i]) != identity:
+        for i, (row, column) in enumerate(zip(table, zip(*table))):
+            if len(set(row)) != n:
                 raise ValueError(f"row {i} is not a permutation (not a Latin square)")
-            if sorted(row[i] for row in table) != identity:
+            if len(set(column)) != n:
                 raise ValueError(f"column {i} is not a permutation (not a Latin square)")
         for g in self.generating_set():
-            for x in range(n):
-                for y in range(n):
-                    left, right = table[table[x][g]][y], table[x][table[g][y]]
-                    if left != right:
-                        raise ValueError(
-                            f"table is not associative: ({x}*{g})*{y} = {left} "
-                            f"but {x}*({g}*{y}) = {right}"
-                        )
+            for x, row in enumerate(table):
+                left, right = table[row[g]], tuple(map(row.__getitem__, table[g]))
+                if left != right:
+                    y = next(y for y in range(n) if left[y] != right[y])
+                    raise ValueError(
+                        f"table is not associative: ({x}*{g})*{y} = {left[y]} "
+                        f"but {x}*({g}*{y}) = {right[y]}"
+                    )
 
     # -- basic arithmetic ------------------------------------------------
 
@@ -187,11 +188,13 @@ class FiniteGroup:
         index = cosets.class_index
         reps = [c[0] for c in cosets.classes]
         table = [[index(self.mul(a, b)) for b in reps] for a in reps]
-        # Well-definedness across all coset members, not just representatives.
-        for a in range(self.order):
-            for b in range(self.order):
-                if index(self.mul(a, b)) != table[index(a)][index(b)]:
-                    raise RuntimeError("coset product is not well-defined")
+        # Well-definedness across all coset members, not just representatives:
+        # a's row read as cosets is a's coset's row expanded over the elements.
+        coset_of = [index(x) for x in range(self.order)]
+        expanded = [tuple(map(row.__getitem__, coset_of)) for row in table]
+        for a, row in enumerate(self.table):
+            if tuple(map(coset_of.__getitem__, row)) != expanded[coset_of[a]]:
+                raise RuntimeError("coset product is not well-defined")
         labels = self.coset_labels(cosets)
         target = FiniteGroup(table, labels=labels, name=f"{self.name}/H")
         return QuotientMap(source=self, kernel=h, target=target, cosets=cosets)
@@ -406,59 +409,85 @@ def _automorphism_images(
     """Images of each automorphism carrying `s` onto `t` (all, by default), by
     backtracking over generator images: Leon's set transporter.
 
-    Candidate images must match element order; partial assignments are
-    extended over the generated subgroup and pruned on any conflict, sending a
-    point of `s` outside `t` or one outside `s` into `t` included.  That drops
-    no solution, so leaves come in listing order: generators and candidates ascend."""
+    Level k chooses the image c_k of g_k, the k-th element of the greedy
+    generating set, among the elements of g_k's order.  The search runs on
+    a schedule built once: for each level the Cayley-graph edges
+    (x, i, y = x*g_i) that <g_1..g_k> adds to <g_1..g_{k-1}>, old members
+    against g_k and new members against g_1..g_k, in breadth-first order.
+    Each candidate copies its parent's images and walks only its level's
+    edges: the first edge into a new y assigns f(y) = f(x)*c_i, which must
+    be unused (injectivity) and transport (y in s exactly when f(y) in t);
+    every other edge must agree with f(y) already assigned (relations).
+    Together the levels check every edge of <g_1..g_k>, so a partial map
+    survives exactly when a homomorphism-compatible injective transporting
+    map on <g_1..g_k> extends it; pruning on that drops no solution.  The
+    generating set generates the group, so the last level's maps are the
+    leaves: total, injective and with f(x*g) = f(x)*f(g) for every x and
+    every generator g, hence homomorphisms by induction on word length.
+    Generators and candidates ascend, so leaves come in listing order."""
     n = group.order
     if (0 in s) != (0 in t):
         return  # every automorphism fixes the identity
-    orders = [group.element_order(x) for x in range(n)]
     gens = group.generating_set()
+    if not gens:
+        yield (0,)
+        return
+    table = group.table
+    orders = [group.element_order(x) for x in range(n)]
     candidates = [[c for c in range(n) if orders[c] == orders[g]] for g in gens]
-    chosen: list[int] = []
+    columns = list(zip(*table))  # columns[c][z] = z*c
+    s_mask = sum(1 << x for x in s)
+    t_mask = sum(1 << x for x in t)
+    schedule = _edge_schedule(table, gens)
+    cols = [columns[0]] * len(gens)  # cols[i]: right multiplication by c_i
+    last = len(gens) - 1
 
-    def consistent_map() -> list[int] | None:
-        """Partial homomorphism on the subgroup generated by assigned gens."""
-        images = [-1] * n
-        images[0] = 0
-        used = {0}
-        frontier = [0]
-        pairs = list(zip(gens[: len(chosen)], chosen))
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for g, c in pairs:
-                    y = group.mul(x, g)
-                    fy = group.mul(images[x], c)
-                    if images[y] == -1:
-                        if fy in used or (y in s) != (fy in t):
-                            return None  # not injective, or not transporting
-                        images[y] = fy
-                        used.add(fy)
-                        fresh.append(y)
-                    elif images[y] != fy:
-                        return None  # relation violated
-            frontier = fresh
-        return images
+    def descend(k: int, parent: list[int], parent_used: int) -> Iterator[tuple[int, ...]]:
+        edges = schedule[k]
+        for c in candidates[k]:
+            cols[k] = columns[c]
+            images = parent[:]
+            used = parent_used
+            for x, i, y, assign in edges:
+                fy = cols[i][images[x]]
+                if assign:
+                    if used >> fy & 1 or (s_mask >> y & 1) != (t_mask >> fy & 1):
+                        break  # not injective, or not transporting
+                    images[y] = fy
+                    used |= 1 << fy
+                elif images[y] != fy:
+                    break  # relation violated
+            else:
+                if k == last:
+                    yield tuple(images)
+                else:
+                    yield from descend(k + 1, images, used)
 
-    def descend() -> Iterator[tuple[int, ...]]:
-        depth = len(chosen)
-        if depth == len(gens):
-            images = consistent_map()
-            # A total, injective map with f(x*g) = f(x)*f(g) for every x and
-            # every generator g is a homomorphism, by induction on word
-            # length: no whole-table check is needed.
-            if images is not None and -1 not in images:
-                yield tuple(images)
-            return
-        for c in candidates[depth]:
-            chosen.append(c)
-            if consistent_map() is not None:
-                yield from descend()
-            chosen.pop()
+    yield from descend(0, [0] + [-1] * (n - 1), 1)
 
-    yield from descend()
+
+def _edge_schedule(
+    table: Sequence[Sequence[int]], gens: Sequence[int]
+) -> list[list[tuple[int, int, int, bool]]]:
+    """Per level k, the edges (x, i, y = x*g_i, y first reached) that
+    <g_1..g_k> adds to <g_1..g_{k-1}>: old members against g_k, then, in
+    breadth-first order, each new member against g_1..g_k."""
+    members = [0]
+    reached = {0}
+    schedule = []
+    for k in range(len(gens)):
+        edges = []
+        queue = [(x, k) for x in members]  # (member, its first generator)
+        for x, first in queue:
+            for i in range(first, k + 1):
+                y = table[x][gens[i]]
+                edges.append((x, i, y, y not in reached))
+                if y not in reached:
+                    reached.add(y)
+                    members.append(y)
+                    queue.append((y, 0))
+        schedule.append(edges)
+    return schedule
 
 
 def automorphic_image_search(

@@ -42,6 +42,8 @@ def _signatures(d: Digraph, colors: Sequence[int]) -> list[tuple]:
     Each count vector is packed into one int, colour c's count in the slot
     of weight 2**(w*(k-1-c)), w = n.bit_length(): counts are at most n, so
     no slot overflows and integer order is the vector's lexicographic order.
+    A vertex whose out- and in-neighbours agree (every vertex of an
+    undirected digraph) reuses its out vector as its in vector.
     """
     k = max(colors, default=-1) + 1
     w = d.order.bit_length()
@@ -50,15 +52,19 @@ def _signatures(d: Digraph, colors: Sequence[int]) -> list[tuple]:
     for v, (row, col) in enumerate(zip(d.out_masks, d.in_masks)):
         loop = row >> v & 1
         out = 0
-        while row:
-            low = row & -row
+        bits = row
+        while bits:
+            low = bits & -bits
             out += weight[low.bit_length() - 1]
-            row ^= low
-        into = 0
-        while col:
-            low = col & -col
-            into += weight[low.bit_length() - 1]
-            col ^= low
+            bits ^= low
+        if col == row:
+            into = out
+        else:
+            into = 0
+            while col:
+                low = col & -col
+                into += weight[low.bit_length() - 1]
+                col ^= low
         signatures.append((colors[v], loop, out, into))
     return signatures
 

@@ -3,7 +3,9 @@
 Everything here enumerates: all bijections for isomorphism questions and
 for group automorphisms, the whole automorphism list for the first
 automorphism carrying one set onto another (the scan the library replaced
-by a set transporter), every automorphism of a digraph by placing its
+by a set transporter), the generator-image backtrack that rebuilds each
+node's partial map from the identity (the walk the library replaced by a
+precomputed edge schedule), every automorphism of a digraph by placing its
 vertices in index order within their stable colours (the element listing
 the library itself no longer builds), refinement rounds with tuple
 signatures and a confirming round at a discrete colouring (the rounds the
@@ -78,6 +80,58 @@ def first_automorphic_image(group, s, t, limits=DEFAULT_LIMITS):
         if alpha.image_of_set(s) == t:
             return alpha
     return None
+
+
+def rebuilt_automorphism_images(group, s=frozenset(), t=frozenset()):
+    """The generator-image backtrack the library replaced by a precomputed
+    edge schedule: every node rebuilds its partial homomorphism from the
+    identity by a breadth-first walk over the subgroup the assigned
+    generators generate, and the leaf walks once more.  Yields the images of
+    each automorphism carrying s onto t, in the library's listing order."""
+    n = group.order
+    if (0 in s) != (0 in t):
+        return
+    orders = [group.element_order(x) for x in range(n)]
+    gens = group.generating_set()
+    candidates = [[c for c in range(n) if orders[c] == orders[g]] for g in gens]
+    chosen = []
+
+    def consistent_map():
+        images = [-1] * n
+        images[0] = 0
+        used = {0}
+        frontier = [0]
+        pairs = list(zip(gens[: len(chosen)], chosen))
+        while frontier:
+            fresh = []
+            for x in frontier:
+                for g, c in pairs:
+                    y = group.mul(x, g)
+                    fy = group.mul(images[x], c)
+                    if images[y] == -1:
+                        if fy in used or (y in s) != (fy in t):
+                            return None
+                        images[y] = fy
+                        used.add(fy)
+                        fresh.append(y)
+                    elif images[y] != fy:
+                        return None
+            frontier = fresh
+        return images
+
+    def descend():
+        if len(chosen) == len(gens):
+            images = consistent_map()
+            if images is not None and -1 not in images:
+                yield tuple(images)
+            return
+        for c in candidates[len(chosen)]:
+            chosen.append(c)
+            if consistent_map() is not None:
+                yield from descend()
+            chosen.pop()
+
+    yield from descend()
 
 
 @cache

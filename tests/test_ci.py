@@ -8,6 +8,7 @@ from math import factorial
 import pytest
 
 import cig.ci
+import cig.digraphs
 import oracles
 from cig.ci import (
     ci_pair,
@@ -488,6 +489,22 @@ class TestLiftStructure:
         report = verify_lift_structure(z4.quotient({0, 2}), {1})
         assert all(report.checks.values())
         assert lifted_aut_order(z4, report) == 8
+
+    def test_one_twin_pass_per_digraph(self, monkeypatch):
+        # The quotient digraph's decomposition and automorphism group, and
+        # the lifted digraph's automorphism group and block check, read
+        # classes computed once per digraph.
+        calls = []
+        twin_labels = cig.digraphs._kernels.twin_labels
+        monkeypatch.setattr(
+            cig.digraphs._kernels,
+            "twin_labels",
+            lambda out, into: calls.append(out) or twin_labels(out, into),
+        )
+        z6 = FiniteGroup.cyclic(6)
+        report = verify_lift_structure(z6.quotient({0, 3}), {1})
+        assert all(report.checks.values())
+        assert len(calls) == len(set(calls)) == 2
 
 
 @lru_cache(maxsize=None)

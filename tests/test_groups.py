@@ -425,6 +425,35 @@ class TestSetTransporter:
                 assert found == expected, (s, target)
 
 
+class TestScheduleAgainstRebuiltSearch:
+    """The edge-schedule search yields the very sequence of the backtrack it
+    replaced, which rebuilds each node's map from the identity
+    (`oracles.rebuilt_automorphism_images`): same leaves, same order.
+    `TestSetTransporter` cannot see an order change, since the listing it
+    compares with runs the same search.  In S4, Z3xS3 and Q8xZ2 some maps
+    that are total and injective on the edges that reach new elements break
+    a relation, so there the relation checks decide leaves."""
+
+    @pytest.mark.parametrize(
+        "spec", _TRANSPORTER_SPECS + ["Z2xZ2xZ2xZ2", "S4", "Z3xS3", "Q8xZ2"]
+    )
+    def test_listing(self, spec):
+        g = parse_group_spec(spec)
+        expected = list(oracles.rebuilt_automorphism_images(g))
+        assert list(_automorphism_images(g)) == expected
+        assert [a.images for a in g.automorphisms()] == expected
+
+    @pytest.mark.parametrize("spec", _TRANSPORTER_SPECS)
+    def test_transporter_leaves(self, spec):
+        g = parse_group_spec(spec)
+        rng = random.Random(f"schedule {spec}")
+        for s, t in _transporter_pairs(g, rng):
+            s = frozenset(s)
+            for target in (frozenset(t), frozenset(t) ^ {rng.randrange(g.order)}):
+                expected = list(oracles.rebuilt_automorphism_images(g, s, target))
+                assert list(_automorphism_images(g, s, target)) == expected, (s, target)
+
+
 class TestLeftRegularRepresentation:
     def test_z3_translations(self):
         rep = oracles.regular_representation(FiniteGroup.cyclic(3))

@@ -74,6 +74,16 @@ def _sparse_or_dense_digraph(rng, n):
     )
 
 
+def _undirected_graph(rng, n, loops):
+    masks = [0] * n
+    for u in range(n):
+        for v in range(u if loops else u + 1, n):
+            if rng.random() < 0.4:
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
+    return Digraph(n, masks)
+
+
 class TestRefineAgainstRounds:
     """`_refine_colors` returns exactly the colour indices of the tuple-signature
     rounds in `oracles.round_refinement`: packing the counts and stopping at
@@ -97,6 +107,42 @@ class TestRefineAgainstRounds:
         g = parse_group_spec(spec)
         for s in _all_connection_sets(g):
             self.assert_same(cayley(g, s), [min(v, 1) for v in range(8)])
+
+    def test_random_undirected_graphs(self):
+        # Every row equals its column, so every in vector is the out vector.
+        rng = random.Random(19)
+        for n in range(1, 13):
+            for loops in (False, True):
+                for _ in range(25):
+                    d = _undirected_graph(rng, n, loops)
+                    assert d.is_undirected
+                    self.assert_same(d, [0] * n)
+                    self.assert_same(d, [min(v, 1) for v in range(n)])
+                    self.assert_same(d, [rng.randrange(-2, 3) for _ in range(n)])
+
+    def test_digraphs_with_some_symmetric_rows(self):
+        # One-way arcs added to an undirected graph leave the vertices they
+        # do not touch with equal out- and in-masks.
+        rng = random.Random(20)
+        mixed = 0
+        for n in range(3, 13):
+            for _ in range(30):
+                masks = list(_undirected_graph(rng, n, rng.random() < 0.5).out_masks)
+                for _ in range(rng.randrange(1, 3)):
+                    u, v = rng.sample(range(n), 2)
+                    masks[u] ^= 1 << v
+                d = Digraph(n, masks)
+                rows = [row == col for row, col in zip(d.out_masks, d.in_masks)]
+                mixed += any(rows) and not all(rows)
+                self.assert_same(d, [0] * n)
+                self.assert_same(d, [min(v, 1) for v in range(n)])
+        assert mixed > 200
+
+    @pytest.mark.parametrize("spec", [s for s, n in catalog_specs(12) if n >= 9])
+    def test_graph_mode_cayley_digraphs_with_zero_individualised(self, spec):
+        g = parse_group_spec(spec)
+        for s in oracles.enumerate_connection_sets(g, "graph"):
+            self.assert_same(cayley(g, s), [min(v, 1) for v in range(g.order)])
 
     def test_counts_past_six_bit_slots(self):
         # From 64 vertices a count can be 64, one bit past a 6-bit slot.  In
