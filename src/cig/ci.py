@@ -32,7 +32,7 @@ from cig.digraphs import (
 )
 from cig.groups import FiniteGroup, QuotientMap, automorphic_image_search
 from cig.iso import _check_cap, automorphism_group_of, find_isomorphism, rooted_key
-from cig.limits import DEFAULT_LIMITS, CapExceeded, Limits
+from cig.limits import DEFAULT_LIMITS, SWEEP_SET_CAP, CapExceeded, Limits
 from cig.perms import Perm, PointPartition
 
 MODES = ("digraph", "graph")
@@ -151,29 +151,44 @@ def _loop_free_representatives(
     """The first set of each Aut(G)-orbit of connection sets without the
     identity and of at most (n-1)/2 elements, one list per size.  A set is
     a union of atoms: singletons in digraph mode, {x, x^-1} in graph mode.
-    Past 2^16 sets, {e} counted, it refuses before Aut(G) is listed."""
+
+    The sets are counted before any is listed: the coefficients up to
+    (n-1)/2 of the product of (1 + x^|atom|) over the non-identity atoms.
+    Past SWEEP_SET_CAP it refuses before Aut(G) is listed.  Sets are ints
+    with element x at bit n-1-x, so within one size descending ints are
+    ascending element tuples.  Each kept set is imaged under every
+    automorphism at once: its elements' columns of image bits, summed."""
     _check_mode(mode)
-    atoms = {
-        frozenset({x, group.inv(x)} if mode == "graph" else {x})
-        for x in range(group.order)
-    }
-    if len(atoms) > 16:
-        raise CapExceeded(f"2^{len(atoms)} connection sets is past desk scale")
-    half = (group.order - 1) // 2
-    subsets: list[frozenset[int]] = [frozenset()]
-    for atom in atoms - {frozenset({0})}:
-        subsets += [s | atom for s in subsets if len(s) + len(atom) <= half]
-    maps = [alpha.images.__getitem__ for alpha in group.automorphisms(limits)]
-    by_size: list[list[frozenset[int]]] = [[] for _ in range(half + 1)]
-    for s in subsets:
-        by_size[len(s)].append(s)
-    reps: list[list[frozenset[int]]] = [[] for _ in range(half + 1)]
-    seen: set[frozenset[int]] = set()
-    for same_size, kept in zip(by_size, reps):
-        for s in sorted(same_size, key=sorted):
+    n, half = group.order, (group.order - 1) // 2
+    bit = [1 << n - 1 - x for x in range(n)]
+    atoms = {bit[x] | bit[group.inv(x)] if mode == "graph" else bit[x] for x in range(1, n)}
+    counts = [1] + [0] * half
+    for atom in atoms:
+        size = atom.bit_count()
+        for k in range(half, size - 1, -1):
+            counts[k] += counts[k - size]
+    if (total := sum(counts)) > SWEEP_SET_CAP:
+        raise CapExceeded(
+            f"{total} connection sets to list is past the sweep bound of {SWEEP_SET_CAP}"
+        )
+    images = [alpha.images for alpha in group.automorphisms(limits)]
+    by_size: list[list[int]] = [[0]] + [[] for _ in range(half)]
+    for atom in atoms:
+        size = atom.bit_count()
+        for k in range(half - size, -1, -1):
+            by_size[k + size] += [s | atom for s in by_size[k]]
+    columns = [[bit[image[x]] for image in images] for x in range(n)]
+    reps: list[list[frozenset[int]]] = []
+    for same_size in by_size:
+        kept: list[frozenset[int]] = []
+        seen: set[int] = set()
+        same_size.sort(reverse=True)
+        for s in same_size:
             if s not in seen:
-                seen.update(frozenset(map(image, s)) for image in maps)
-                kept.append(s)
+                elements = [x for x in range(n) if s & bit[x]]
+                seen.update(map(sum, zip(*(columns[x] for x in elements))))
+                kept.append(frozenset(elements))
+        reps.append(kept)
     return reps
 
 
@@ -238,7 +253,9 @@ def is_ci_group(
     pairs decided in scan order: the witness's 1-based position, or all
     same-size pairs when there is none, capped at `budget` (at least 1).
     `exhaustive` is cleared only when the budget ran out before the scan
-    was decided.  A group past the search cap is refused before any work.
+    was decided.  A group past the search cap is refused before any work,
+    and one with more than SWEEP_SET_CAP sets to list before Aut(G) is
+    listed.
     """
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be a positive number of pairs, got {budget}")

@@ -69,18 +69,21 @@ def _signatures(d: Digraph, colors: Sequence[int]) -> list[tuple]:
     return signatures
 
 
-def _refine_colors(d: Digraph, colors: Sequence[int]) -> list[int]:
+def _refine_colors(
+    d: Digraph, colors: Sequence[int]
+) -> tuple[list[int], list[tuple] | None]:
     """The stable colouring that refines `colors`, one colour index 0..k-1 per
-    vertex; distinct initial colours are never merged."""
+    vertex (distinct initial colours are never merged), and the signatures
+    of its stable round, or None when it is discrete."""
     colors = _normalize(colors)
     while True:
         k = max(colors, default=-1) + 1
         if k == d.order:
-            return colors  # discrete, hence stable
+            return colors, None  # discrete, hence stable
         signatures = _signatures(d, colors)
         ranking = {s: i for i, s in enumerate(sorted(set(signatures)))}
         if len(ranking) == k:
-            return colors  # stable: every class kept its colour index
+            return colors, signatures  # stable: every class kept its colour index
         colors = [ranking[s] for s in signatures]
 
 
@@ -95,10 +98,10 @@ def rooted_key(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> tuple:
     the sorted stable signatures, which can only rule isomorphism out.
     """
     _check_cap(d.order, limits.search)
-    colors = _refine_colors(d, [min(v, 1) for v in range(d.order)])
-    if len(set(colors)) == d.order:
+    colors, signatures = _refine_colors(d, [min(v, 1) for v in range(d.order)])
+    if signatures is None:
         return (True, d.relabel(colors).out_masks)
-    return (False, tuple(sorted(_signatures(d, colors))))
+    return (False, tuple(sorted(signatures)))
 
 
 def _search_order(colors: Sequence[int]) -> list[int]:
@@ -135,7 +138,7 @@ def find_isomorphism(
         return Perm(())
     if a.arc_count != b.arc_count or a.loop_count != b.loop_count:
         return None
-    joint = _refine_colors(a.disjoint_union(b), [0] * (2 * n))
+    joint, _ = _refine_colors(a.disjoint_union(b), [0] * (2 * n))
     colors_a, colors_b = joint[:n], joint[n:]
     if Counter(colors_a) != Counter(colors_b):
         return None
@@ -232,7 +235,7 @@ def _search_automorphisms(d: Digraph, initial: Sequence) -> PermGroup:
     """
     n = d.order
     masks = d.out_masks
-    path = [_refine_colors(d, initial)]
+    path = [_refine_colors(d, initial)[0]]
     base = []
     while len(set(path[-1])) < n:
         colors = list(path[-1])
@@ -240,7 +243,7 @@ def _search_automorphisms(d: Digraph, initial: Sequence) -> PermGroup:
         _, _, b = min((sizes[c], c, v) for v, c in enumerate(colors) if sizes[c] > 1)
         base.append(b)
         colors[b] = -1  # a colour of its own
-        path.append(_refine_colors(d, colors))
+        path.append(_refine_colors(d, colors)[0])
 
     if 2 * d.arc_count <= n * n:
         adj = [row | col for row, col in zip(masks, d.in_masks)]

@@ -6,6 +6,10 @@ from dataclasses import dataclass
 GROUP_ORDER_CAP = 200
 """Maximum order for multiplication-table construction."""
 
+SWEEP_SET_CAP = 2**18
+"""Maximum number of connection sets a CI sweep lists: every group of order
+at most 20 in both modes, but not the Z21 digraph sweep (616,666 sets)."""
+
 
 @dataclass(frozen=True)
 class Limits:

@@ -14,7 +14,11 @@ search per pair of connection sets for the CI sweep (the pair loop the
 library replaced by refinement keys), every connection set and the first of
 each Aut(G)-orbit, looped and large ones included, with the sweep that keys
 them all (the listing the library reduces to loop-free sets of at most
-(n-1)/2 elements), every vertex pair for the twins of
+(n-1)/2 elements), those loop-free sets listed and imaged as frozensets
+(the listing the library replaced by int bitmasks), the orbits of sets of
+each size counted by the Cauchy-Frobenius lemma over the whole
+automorphism list (which checks the listings' counts without listing a
+set), every vertex pair for the twins of
 each decomposition kind (the test the library replaced by one key per
 vertex), for the twin relation itself (by trying each transposition) and
 for arc symmetry (replaced by comparing out- and in-masks), every vertex
@@ -33,6 +37,7 @@ own multiplication table.  They stay dumb on purpose -- the package is
 tested against them, never the other way around.
 """
 
+from collections import Counter
 from functools import cache, lru_cache
 from itertools import combinations, permutations
 from random import Random
@@ -174,6 +179,72 @@ def orbit_representatives(group, mode, limits=DEFAULT_LIMITS):
         seen.update(alpha.image_of_set(s) for alpha in auts)
         reps.append(s)
     return tuple(reps)
+
+
+def frozenset_loop_free_representatives(group, mode, limits=DEFAULT_LIMITS):
+    """The first set of each Aut(G)-orbit of loop-free connection sets of at
+    most (n-1)/2 elements, one list per size, listed and imaged as
+    frozensets and ordered by their sorted elements: the listing the
+    library replaced by int bitmasks."""
+    _check_mode(mode)
+    atoms = {
+        frozenset({x, group.inv(x)} if mode == "graph" else {x})
+        for x in range(group.order)
+    }
+    half = (group.order - 1) // 2
+    subsets = [frozenset()]
+    for atom in atoms - {frozenset({0})}:
+        subsets += [s | atom for s in subsets if len(s) + len(atom) <= half]
+    maps = [alpha.images.__getitem__ for alpha in group.automorphisms(limits)]
+    by_size = [[] for _ in range(half + 1)]
+    for s in subsets:
+        by_size[len(s)].append(s)
+    reps = [[] for _ in range(half + 1)]
+    seen = set()
+    for same_size, kept in zip(by_size, reps):
+        for s in sorted(same_size, key=sorted):
+            if s not in seen:
+                seen.update(frozenset(map(image, s)) for image in maps)
+                kept.append(s)
+    return reps
+
+
+def burnside_class_sizes(group, mode, limits=DEFAULT_LIMITS, loop_free=False):
+    """The number of Aut(G)-orbits of connection sets of each size k = 0..n
+    (0..n-1 with `loop_free`, which counts only sets without the identity),
+    by the Cauchy-Frobenius lemma in Polya's form: the mean over the
+    automorphisms alpha of the k-sets alpha fixes, the x^k coefficient of
+    the product over alpha's cycles on the atoms of (1 + x^(cycle length *
+    atom size)).  No set is listed; automorphisms with one cycle type share
+    one product."""
+    _check_mode(mode)
+    n = group.order
+    atom_of = [min(x, group.inv(x)) if mode == "graph" else x for x in range(n)]
+    atoms = sorted(set(atom_of[1:] if loop_free else atom_of))
+    atom_size = Counter(atom_of)
+    cycle_types = Counter()
+    for alpha in group.automorphisms(limits):
+        cycle_type, done = [], set()
+        for a in atoms:
+            length = 0
+            while a not in done:
+                done.add(a)
+                length += 1
+                a = atom_of[alpha(a)]
+            if length:
+                cycle_type.append(length * atom_size[a])
+        cycle_types[tuple(sorted(cycle_type))] += 1
+    fixed = [0] * (n + 1)
+    for cycle_type, count in cycle_types.items():
+        product = [1] + [0] * n
+        for width in cycle_type:
+            for k in range(n, width - 1, -1):
+                product[k] += product[k - width]
+        fixed = [f + count * p for f, p in zip(fixed, product)]
+    automorphisms = sum(cycle_types.values())
+    assert all(f % automorphisms == 0 for f in fixed)
+    sizes = [f // automorphisms for f in fixed]
+    return sizes[:n] if loop_free else sizes
 
 
 def _unreduced_same_key_pairs(group, classes, limits):

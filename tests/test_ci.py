@@ -23,7 +23,7 @@ from cig.groups import FiniteGroup, catalog_specs, parse_group_spec
 from cig.iso import automorphism_group_of, find_isomorphism
 from cig.limits import CapExceeded, Limits
 from cig.perms import Perm, PermGroup, PointPartition, symmetric_group, wreath_product
-from test_acceptance import C9_SPECS
+from test_acceptance import C9_SPECS, group_sweep
 
 
 def directed_cycle(n):
@@ -268,13 +268,66 @@ class TestSweepAgainstUnreduced:
         assert all(loops == 0 and degree <= (n - 1) // 2 for n, loops, degree in keyed)
 
 
+# The groups whose representative listings are compared with the oracles:
+# the catalog to order 12 and seven groups of order 16.
+LISTING_SPECS = [s for s, _ in catalog_specs(12)] + [
+    "Z16", "Z2xZ8", "Z4xZ4", "D8", "Q8xZ2", "Z2xD4", "Z2xZ2xZ2xZ2",
+]
+# Digraph sweeps past order 16, inside the sweep bound.
+PAST_SIXTEEN_SPECS = ["Z17", "Z18", "D9", "S3xZ3", "Z3xZ6"]
+
+
+class TestRepresentativeListing:
+    """The sweep lists its sets as int bitmasks; the frozenset listing it
+    replaced gives the same representatives in the same order."""
+
+    @pytest.mark.parametrize("spec", LISTING_SPECS)
+    @pytest.mark.parametrize("mode", ["digraph", "graph"])
+    def test_bitmask_listing_matches_frozenset_listing(self, monkeypatch, spec, mode):
+        for seed in RELABELLINGS:
+            g = _labelled(spec, seed)
+            # Both listings image their sets under one listing of Aut(G).
+            automorphisms = g.automorphisms()
+            monkeypatch.setattr(g, "automorphisms", lambda limits: automorphisms)
+            assert cig.ci._loop_free_representatives(
+                g, mode, Limits()
+            ) == oracles.frozenset_loop_free_representatives(g, mode), seed
+
+
+class TestRepresentativeCounts:
+    """The representative counts against the Cauchy-Frobenius lemma, which
+    counts orbits without listing a set."""
+
+    @pytest.mark.parametrize(
+        "spec,mode",
+        [(s, mode) for s in LISTING_SPECS for mode in ("digraph", "graph")]
+        + [(s, "digraph") for s in PAST_SIXTEEN_SPECS],
+    )
+    def test_class_sizes_follow_the_lemma(self, spec, mode):
+        g = parse_group_spec(spec)
+        reps = cig.ci._loop_free_representatives(g, mode, Limits())
+        loop_free = oracles.burnside_class_sizes(g, mode, loop_free=True)
+        assert [len(r) for r in reps] == loop_free[: len(reps)]
+        sizes = oracles.burnside_class_sizes(g, mode)
+        assert cig.ci._class_sizes(reps, g.order) == sizes
+        total = sum(m * (m - 1) // 2 for m in sizes)
+        v = group_sweep(spec, mode)
+        assert v.exhaustive
+        if v.is_ci:
+            assert v.pairs_checked == total
+        else:
+            assert v.pairs_checked < total
+
+
 class TestSweepAgainstTheory:
-    # Graph mode runs on to Z24 under the default limits, and to Z31 (but
-    # not Z30, which takes seconds) with Aut(G) listed past order 24: Z18 is
-    # CI for graphs but not for digraphs, Z24, Z25 and Z27 are not CI.
+    # Digraph mode runs to Z18, past which a sweep takes seconds.  Graph
+    # mode runs on to Z24 under the default limits, and to Z31 (but not Z30,
+    # which takes seconds) with Aut(G) listed past order 24: Z18 is CI for
+    # graphs but not for digraphs, Z24, Z25 and Z27 are not CI.
     @pytest.mark.parametrize(
         "mode,n",
         [(mode, n) for mode in ("digraph", "graph") for n in range(1, 17)]
+        + [("digraph", 17), ("digraph", 18)]
         + [("graph", n) for n in (*range(17, 30), 31)],
     )
     def test_cyclic_groups_follow_muzychuk(self, n, mode):
@@ -339,15 +392,45 @@ class TestLimits:
             is_ci_group(FiniteGroup.cyclic(6), limits=Limits(aut=5))
 
     def test_sweep_refuses_before_listing_automorphisms(self, monkeypatch):
-        # Graph mode on Z2^5 has 2^32 connection sets, and listing its
-        # 9,999,360 automorphisms first would take minutes.
+        # Graph mode on Z2^5 would list 2^30 loop-free connection sets of at
+        # most 15 elements, and listing its 9,999,360 automorphisms first
+        # would take minutes.
         def listing(*args):
             raise AssertionError("Aut(G) listed before the refusal")
 
         monkeypatch.setattr(FiniteGroup, "automorphisms", listing)
         g = parse_group_spec("Z2xZ2xZ2xZ2xZ2")
-        with pytest.raises(CapExceeded, match="2\\^32 connection sets is past desk scale"):
+        with pytest.raises(
+            CapExceeded,
+            match="1073741824 connection sets to list is past the sweep bound of 262144",
+        ):
             is_ci_group(g, "graph", limits=Limits(aut=40))
+
+    @pytest.mark.parametrize("spec", ["Z20", "D10", "Z2xZ10"])
+    @pytest.mark.parametrize("mode", ["digraph", "graph"])
+    def test_order_twenty_sweeps_pass_the_set_count(self, monkeypatch, spec, mode):
+        # A digraph sweep of order 20 lists 2^18 sets, exactly the bound,
+        # so it goes on to list Aut(G).
+        class Reached(Exception):
+            pass
+
+        def listing(*args):
+            raise Reached
+
+        monkeypatch.setattr(FiniteGroup, "automorphisms", listing)
+        with pytest.raises(Reached):
+            is_ci_group(parse_group_spec(spec), mode)
+
+    def test_order_twenty_one_digraph_sweep_is_refused(self, monkeypatch):
+        def listing(*args):
+            raise AssertionError("Aut(G) listed before the refusal")
+
+        monkeypatch.setattr(FiniteGroup, "automorphisms", listing)
+        with pytest.raises(
+            CapExceeded,
+            match="616666 connection sets to list is past the sweep bound of 262144",
+        ):
+            is_ci_group(FiniteGroup.cyclic(21), "digraph")
 
     def test_sweep_refuses_past_the_search_cap_before_any_work(self, monkeypatch):
         # Z2^4 has 2^16 connection sets and 20,160 automorphisms to list

@@ -67,6 +67,18 @@ class TestExitCodes:
         assert len(s1) == len(s2) and s1 != s2
         assert sorted(iso) == list(range(16))
 
+    def test_order_seventeen_digraph_sweep_answers(self, capsys):
+        # 39,203 connection sets to list, inside the sweep bound.
+        code, out, _ = run_cli(capsys, "--format", "json", "ci", "group", "--group", "Z17")
+        assert code == 0
+        assert json.loads(out)["result"]["is_ci"] is True
+
+    def test_order_twenty_one_digraph_sweep_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "ci", "group", "--group", "Z21")
+        assert code == 2
+        assert "past the sweep bound of 262144" in err
+        assert out == ""
+
     def test_rejected_certificate_exits_one(self, capsys):
         code, out, _ = run_cli(
             capsys, "quotient", "verify", "--group", "Z4",

@@ -13,6 +13,7 @@ from cig.groups import FiniteGroup, catalog_specs, parse_group_spec
 from cig.iso import (
     _refine_colors,
     _search_automorphisms,
+    _signatures,
     automorphism_group_of,
     find_isomorphism,
     rooted_key,
@@ -31,7 +32,7 @@ def directed_cycle(n):
 
 def refine(d):
     """The stable colouring below the uniform one."""
-    return _refine_colors(d, [0] * d.order)
+    return _refine_colors(d, [0] * d.order)[0]
 
 
 class TestRefine:
@@ -47,7 +48,7 @@ class TestRefine:
 
     def test_initial_colors_never_merge(self):
         d = Digraph.complete(4)
-        coloring = _refine_colors(d, [0, 0, 1, 1])
+        coloring, _ = _refine_colors(d, [0, 0, 1, 1])
         assert coloring[0] == coloring[1]
         assert coloring[2] == coloring[3]
         assert coloring[0] != coloring[2]
@@ -87,11 +88,18 @@ def _undirected_graph(rng, n, loops):
 class TestRefineAgainstRounds:
     """`_refine_colors` returns exactly the colour indices of the tuple-signature
     rounds in `oracles.round_refinement`: packing the counts and stopping at
-    a discrete colouring renumber nothing."""
+    a discrete colouring renumber nothing.  With a colouring that is not
+    discrete it returns its stable round's signatures, the ones a fresh
+    `_signatures` call would compute."""
 
     @staticmethod
     def assert_same(d, initial):
-        assert _refine_colors(d, initial) == oracles.round_refinement(d, initial)
+        colors, signatures = _refine_colors(d, initial)
+        assert colors == oracles.round_refinement(d, initial)
+        if len(set(colors)) == d.order:
+            assert signatures is None
+        else:
+            assert signatures == _signatures(d, colors)
 
     def test_random_small_digraphs(self):
         rng = random.Random(12)
@@ -473,7 +481,7 @@ class TestRootedKey:
         d = cayley(FiniteGroup.cyclic(5), {1, 2})
         discrete, masks = rooted_key(d)
         assert discrete
-        assert masks == d.relabel(_refine_colors(d, [0, 1, 1, 1, 1])).out_masks
+        assert masks == d.relabel(_refine_colors(d, [0, 1, 1, 1, 1])[0]).out_masks
 
     def test_order_cap(self):
         with pytest.raises(CapExceeded):
