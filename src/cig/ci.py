@@ -31,7 +31,13 @@ from cig.digraphs import (
     wreath_product,
 )
 from cig.groups import FiniteGroup, QuotientMap, automorphic_image_search
-from cig.iso import _check_cap, automorphism_group_of, find_isomorphism, rooted_key
+from cig.iso import (
+    _check_cap,
+    _lift_over_classes,
+    automorphism_group_of,
+    find_isomorphism,
+    rooted_key,
+)
 from cig.limits import DEFAULT_LIMITS, SWEEP_SET_CAP, CapExceeded, Limits
 from cig.perms import Perm, PointPartition
 
@@ -363,8 +369,33 @@ def verify_lift_structure(
     Aut(lifted) found by the search must carry cosets onto cosets and
     induce an automorphism of the quotient digraph.  Each of these is one
     `Digraph.is_automorphism` test, with no relabelled digraph built.  Both
-    orders are exact: `automorphism_group_of` gives one, and the wreath
-    group's is |Aut(quotient)| * (block size)!^|quotient|.
+    orders are exact: the wreath group's is |Aut(quotient)| * (block
+    size)!^|quotient|, and Aut(lifted) comes from `automorphism_group_of`.
+
+    The quotient digraph dq is searched once.  Let r_i be the least element
+    of coset i, which is element i of G/H, so the r_i ascend with i.  The
+    arc r_i -> r_j is there when r_i^-1 r_j is in the lifted set, and
+    r_i^-1 r_j lies in coset i^-1 j.  For i != j that coset is not H, and
+    outside H the lifted set is the union of the cosets named by the
+    quotient set, so the arc is there exactly when dq has i -> j.  For
+    i = j, r_i^-1 r_i = e, which the lifted set holds exactly when the
+    quotient set names H (H - {e} never holds e), that is when dq loops at
+    i.  So the lifted digraph induces dq on the coset minima, loops
+    included, and inside every coset it has the same arcs (those of H or of
+    H - {e} in the lifted set).  When the twin classes are the cosets, the
+    twin quotient is therefore dq in a single colour, and Aut(lifted) is
+    Aut(dq) lifted over the cosets (see `automorphism_group_of`): it is
+    built from the Aut(dq) already found, without a second search.  No
+    evidence about the lift is lost.  `automorphism_group_of(lifted)` rests
+    on the same twin decomposition, so a second search could only find
+    Aut(dq) again: from an equal input where dq has no twins, so that the
+    order check compared one number with itself, and by a second route
+    (dq searched as it is, not through its own twin quotient) where dq has
+    twins.  Whether the two routes agree is a property of the search, which
+    tests/test_iso.py checks against the unreduced search and enumeration.
+    The arc identity, the two generator memberships (each tested against
+    arcs) and the block check stay.  When the twin classes are not the
+    cosets, the lifted digraph is searched as usual.
 
     The block check reads the lifted digraph's twin classes.  The connection
     set is a union of H-cosets (plus H - {e} for the complete kind, which
@@ -382,6 +413,7 @@ def verify_lift_structure(
     """
     s_quotient = frozenset(s_quotient)
     _check_subset(qmap.target, s_quotient, "quotient connection set")
+    _check_cap(qmap.source.order, limits.search)
     dq = cayley(qmap.target, s_quotient)
     lift = _lift(qmap, s_quotient, dq)
     cosets, size = lift.coset_partition, lift.block_size
@@ -396,8 +428,12 @@ def verify_lift_structure(
     relabeled = lifted.relabel(cosets.fiber_images())
     arc_identity = relabeled == expected
 
-    aut_lifted = automorphism_group_of(lifted, limits)
     aut_q = automorphism_group_of(dq, limits)
+    twins = PointPartition(lifted.order, lifted.twin_classes())
+    if twins == cosets:
+        aut_lifted = _lift_over_classes(aut_q, cosets.classes, lifted.order)
+    else:
+        aut_lifted = automorphism_group_of(lifted, limits)
     wreath = perms.wreath_product(aut_q, perms.symmetric_group(size))
 
     order_equal = aut_lifted.order == wreath.order
@@ -406,7 +442,6 @@ def verify_lift_structure(
         (bar := cosets.induced(g)) is not None and dq.is_automorphism(bar.images)
         for g in aut_lifted.generators
     )
-    twins = PointPartition(lifted.order, lifted.twin_classes())
     checks = {
         "arc_identity": arc_identity,
         "aut_order_equal": order_equal,

@@ -219,17 +219,25 @@ def cayley(group: FiniteGroup, connection: Iterable[int]) -> Digraph:
     """Cayley digraph: an arc x -> x*s for every x and s in the connection set.
 
     The identity is allowed in the connection set and contributes loops.
+    The in-masks are filled in the same pass: the in-neighbours of y are
+    y*t^-1 for t in the connection set.
     """
     s = frozenset(connection)
     for x in s:
         if not 0 <= x < group.order:
             raise ValueError(f"connection element {x} out of range")
-    masks = [0] * group.order
-    for x in range(group.order):
-        row = group.table[x]
-        for t in s:
-            masks[x] |= 1 << row[t]
-    return Digraph(group.order, masks)
+    pairs = [(t, group.inv(t)) for t in s]
+    out_masks, in_masks = [], []
+    for row in group.table:
+        out = into = 0
+        for t, t_inv in pairs:
+            out |= 1 << row[t]
+            into |= 1 << row[t_inv]
+        out_masks.append(out)
+        in_masks.append(into)
+    d = Digraph(group.order, out_masks)
+    d._in_masks = tuple(in_masks)
+    return d
 
 
 def wreath_product(outer: Digraph, inner: Digraph) -> Digraph:

@@ -172,6 +172,10 @@ class FiniteGroup:
         h = frozenset(subgroup)
         if not self.is_subgroup(h):
             raise ValueError("not a subgroup")
+        return self._cosets(h)
+
+    def _cosets(self, h: frozenset[int]) -> PointPartition:
+        """`cosets` of a subgroup the caller has already checked."""
         cosets = {frozenset(self.table[x][b] for b in h) for x in range(self.order)}
         return PointPartition(self.order, cosets)
 
@@ -184,7 +188,7 @@ class FiniteGroup:
         h = frozenset(kernel)
         if not self.is_normal(h):
             raise ValueError("subgroup is not normal: products of cosets are ill-defined")
-        cosets = self.cosets(h)
+        cosets = self._cosets(h)  # is_normal has checked that h is a subgroup
         index = cosets.class_index
         reps = [c[0] for c in cosets.classes]
         table = [[index(self.mul(a, b)) for b in reps] for a in reps]

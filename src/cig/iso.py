@@ -93,14 +93,23 @@ def rooted_key(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> tuple:
 
     Any isomorphism composed with an automorphism fixes 0, and colours are
     numbered from signatures alone, so isomorphic digraphs get equal keys.
-    A discrete colouring gives the digraph relabelled by colour, a canonical
-    form (McKay, "Practical graph isomorphism", 1981); otherwise the key is
+    A discrete colouring gives the out-masks of the digraph relabelled by
+    colour, a canonical form (McKay, "Practical graph isomorphism", 1981),
+    written straight from the colouring; otherwise the key is
     the sorted stable signatures, which can only rule isomorphism out.
     """
     _check_cap(d.order, limits.search)
     colors, signatures = _refine_colors(d, [min(v, 1) for v in range(d.order)])
     if signatures is None:
-        return (True, d.relabel(colors).out_masks)
+        masks = [0] * d.order
+        for u, row in enumerate(d.out_masks):
+            canonical = 0
+            while row:
+                low = row & -row
+                canonical |= 1 << colors[low.bit_length() - 1]
+                row ^= low
+            masks[colors[u]] = canonical
+        return (True, tuple(masks))
     return (False, tuple(sorted(signatures)))
 
 
@@ -178,12 +187,9 @@ def automorphism_group_of(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> PermGr
     `Digraph.twin_classes` and coloured by class size and whether the
     class's members are adjacent.  Twin classes are the simplest modules
     (Gallai, "Transitiv orientierbare Graphen", 1967).  `_search_automorphisms`
-    finds Aut(Q); each of its generators is lifted class onto class in rank
-    order, and one class per orbit of Aut(Q) adds a transposition and a
-    cycle of its members (the lifted generators conjugate its Sym(C) onto
-    the others).  The order is |Aut(Q)| times the product of the class
-    sizes' factorials.  A digraph without twins is searched as it is, from
-    the uniform colouring.
+    finds Aut(Q) and `_lift_over_classes` lifts it: its order is |Aut(Q)|
+    times the product of the class sizes' factorials.  A digraph without
+    twins is searched as it is, from the uniform colouring.
     """
     _check_cap(d.order, limits.search)
     n = d.order
@@ -192,7 +198,22 @@ def automorphism_group_of(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> PermGr
         return _search_automorphisms(d, [0] * n)
     quotient = d.induced(members[0] for members in classes)
     colours = [(len(m), len(m) > 1 and d.has_arc(m[0], m[1])) for m in classes]
-    aut_q = _search_automorphisms(quotient, colours)
+    return _lift_over_classes(_search_automorphisms(quotient, colours), classes, n)
+
+
+def _lift_over_classes(
+    aut_q: PermGroup, classes: Sequence[Sequence[int]], n: int
+) -> PermGroup:
+    """The group on n points that permutes `classes` as `aut_q` permutes
+    their indices and acts as Sym(C) inside each class C, which must be
+    ascending and of one size wherever `aut_q` maps one onto another.
+
+    Each generator of `aut_q` is lifted class onto class in rank order; one
+    class per orbit of `aut_q` adds a transposition and a cycle of its
+    members, which the lifted generators conjugate onto the rest of the
+    orbit.  The order is |aut_q| times the product of the class sizes'
+    factorials.
+    """
     generators = []
     for g in aut_q.generators:
         images = [0] * n

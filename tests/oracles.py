@@ -28,8 +28,10 @@ library, holding only generators and an order, never builds) for group
 orders, blocks and invariant partitions, Atkinson's union-find with its
 join closure for the block systems of a transitive group (which the library
 no longer computes: its one block check reads twin classes), all uniform
-set partitions for wreath-structure questions.  The small constructors
-and comparisons that only tests need live here too: composing and
+set partitions for wreath-structure questions, and the lift check that
+searches the lifted digraph as well as the quotient digraph (the library
+lifts Aut(quotient) when the lifted twin classes are the cosets).  The
+small constructors and comparisons that only tests need live here too: composing and
 inverting image tuples, a digraph from its arc list, the cyclic
 permutation group, the pair-space fibers, a partition from class labels,
 partition refinement, a group with its elements renamed and a subgroup's
@@ -42,10 +44,11 @@ from functools import cache, lru_cache
 from itertools import combinations, permutations
 from random import Random
 
-from cig.ci import CIGroupVerdict, _check_mode, _reverify_witness, ci_pair
+from cig.ci import CIGroupVerdict, _check_mode, _lift, _reverify_witness, ci_pair
+from cig import digraphs, perms
 from cig.digraphs import Digraph, cayley
 from cig.groups import FiniteGroup
-from cig.iso import _check_cap, find_isomorphism, rooted_key
+from cig.iso import _check_cap, automorphism_group_of, find_isomorphism, rooted_key
 from cig.limits import DEFAULT_LIMITS, CapExceeded
 from cig.perms import Perm, PermGroup, PointPartition, orbit
 
@@ -845,3 +848,34 @@ def all_digraphs(n: int, loops: bool = True):
                     pos += 1
                 masks.append(row)
             yield Digraph(n, masks)
+
+
+def two_search_lift_structure(qmap, s_quotient, limits=DEFAULT_LIMITS):
+    """`verify_lift_structure` with Aut(lifted) always from
+    `automorphism_group_of(lifted)`, never lifted from Aut(quotient) (the
+    check the library replaced by one search of the quotient digraph when
+    the twin classes are the cosets).  Returns the checks and Aut(lifted)."""
+    s_quotient = frozenset(s_quotient)
+    dq = cayley(qmap.target, s_quotient)
+    lift = _lift(qmap, s_quotient, dq)
+    cosets, size = lift.coset_partition, lift.block_size
+    lifted = cayley(qmap.source, lift.connection)
+    inner = Digraph.complete(size) if lift.case == "non_decomposable" else Digraph.empty(size)
+    relabeled = lifted.relabel(cosets.fiber_images())
+    aut_lifted = automorphism_group_of(lifted, limits)
+    aut_q = automorphism_group_of(dq, limits)
+    wreath = perms.wreath_product(aut_q, perms.symmetric_group(size))
+    twins = PointPartition(lifted.order, lifted.twin_classes())
+    checks = {
+        "arc_identity": relabeled == digraphs.wreath_product(dq, inner),
+        "aut_order_equal": aut_lifted.order == wreath.order,
+        "wreath_generators_in_aut": all(
+            relabeled.is_automorphism(g.images) for g in wreath.generators
+        ),
+        "aut_inside_wreath": all(
+            (bar := cosets.induced(g)) is not None and dq.is_automorphism(bar.images)
+            for g in aut_lifted.generators
+        ),
+        "unique_block_system": size == 1 or twins == cosets,
+    }
+    return checks, aut_lifted

@@ -9,6 +9,7 @@ import pytest
 
 import cig.ci
 import cig.digraphs
+import cig.iso
 import oracles
 from cig.ci import (
     ci_pair,
@@ -588,6 +589,151 @@ class TestLiftStructure:
         report = verify_lift_structure(z6.quotient({0, 3}), {1})
         assert all(report.checks.values())
         assert len(calls) == len(set(calls)) == 2
+
+
+def lift_check(qmap, s_quotient):
+    """`verify_lift_structure`'s checks and the Aut(lifted) it built: the
+    last group returned by either call that builds one."""
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_lift_over_classes", "automorphism_group_of"):
+            real = getattr(cig.ci, name)
+            mp.setattr(cig.ci, name, lambda *a, real=real: built.append(real(*a)) or built[-1])
+        report = verify_lift_structure(qmap, s_quotient)
+    return report.checks, built[-1]
+
+
+def lift_sample(spec):
+    """Each proper non-trivial normal subgroup of the group with every
+    quotient set, or 64 seeded ones where the quotient has more than 6
+    elements; with each, whether the two-search check searched dq twice
+    from equal inputs or the lifted twin classes are not the cosets, so
+    that both checks run the same searches."""
+    g = parse_group_spec(spec)
+    rng = random.Random(spec)
+    for h in g.normal_subgroups():
+        if not 1 < len(h) < g.order:
+            continue
+        qmap = g.quotient(h)
+        q = qmap.target.order
+        codes = range(1 << q) if q <= 6 else [rng.getrandbits(q) for _ in range(64)]
+        for code in codes:
+            s = {x for x in range(q) if code >> x & 1}
+            dq = cayley(qmap.target, s)
+            lifted = cayley(g, lift_connection_set(g, h, s).connection)
+            reused = PointPartition(g.order, lifted.twin_classes()) == qmap.cosets
+            yield qmap, s, not reused or len(dq.twin_classes()) == dq.order
+
+
+def same_group_over(a, b, cosets) -> bool:
+    """Whether two generating sets of permutations that keep `cosets`, each
+    with Sym of one coset per orbit among its generators, generate the same
+    group: the same action on the cosets, by closure, and the same
+    generators that fix every coset.  Each group then holds Sym of every
+    coset and is the whole preimage of that action."""
+
+    def on_cosets(group):
+        bars = [cosets.induced(g) for g in group.generators]
+        return oracles.closure(PermGroup(bars, degree=len(cosets), order=1))
+
+    def fixing_cosets(group):
+        identity = tuple(range(len(cosets)))
+        return [g for g in group.generators if cosets.induced(g).images == identity]
+
+    return on_cosets(a) == on_cosets(b) and fixing_cosets(a) == fixing_cosets(b)
+
+
+def search_dropping_its_last_generator(search):
+    """`_search_automorphisms` broken on purpose: its last generator goes,
+    and the order shrinks to that of the generators left."""
+
+    def broken(d, initial):
+        found = search(d, initial)
+        if not found.generators:
+            return found
+        kept = found.generators[:-1]
+        order = len(oracles.closure(PermGroup(kept, degree=d.order, order=1)))
+        return PermGroup(kept, degree=d.order, order=order)
+
+    return broken
+
+
+class TestOneSearchOfTheQuotient:
+    """When the lifted twin classes are the cosets, Aut(lifted) lifts the
+    Aut(dq) already found over the cosets instead of searching dq again."""
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_same_checks_and_group_as_two_searches(self, spec):
+        for qmap, s, same_searches in lift_sample(spec):
+            checks, aut = lift_check(qmap, s)
+            two_checks, two_aut = oracles.two_search_lift_structure(qmap, s)
+            instance = (spec, sorted(qmap.kernel), sorted(s))
+            assert checks == two_checks, instance
+            assert aut.order == two_aut.order, instance
+            if same_searches:
+                assert aut.generators == two_aut.generators, instance
+            else:
+                # dq with twins: Aut(dq) through its twin quotient, lifted,
+                # against dq searched as it is, lifted.
+                assert same_group_over(aut, two_aut, qmap.cosets), instance
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_a_broken_search_reads_as_before_or_fails_the_route_comparison(
+        self, spec, monkeypatch
+    ):
+        # Where the two-search check ran equal searches, one search sees
+        # what two saw.  Elsewhere the two-search check also compared two
+        # routes to Aut(dq); where that alone caught the broken search, the
+        # route comparison of tests/test_iso.py catches it.
+        search = search_dropping_its_last_generator(cig.iso._search_automorphisms)
+        monkeypatch.setattr(cig.iso, "_search_automorphisms", search)
+        for qmap, s, same_searches in lift_sample(spec):
+            checks, aut = lift_check(qmap, s)
+            two_checks, two_aut = oracles.two_search_lift_structure(qmap, s)
+            instance = (spec, sorted(qmap.kernel), sorted(s))
+            if same_searches:
+                assert checks == two_checks, instance
+                assert aut.generators == two_aut.generators, instance
+                assert aut.order == two_aut.order, instance
+            elif checks != two_checks:
+                dq = cayley(qmap.target, s)
+                unreduced = cig.iso._search_automorphisms(dq, [0] * dq.order)
+                assert automorphism_group_of(dq).order != unreduced.order, instance
+
+    @pytest.mark.parametrize(
+        "n, kernel, s, searches",
+        [
+            (6, {0, 3}, {1}, 1),  # twin classes are the cosets
+            (4, {0, 2}, {1}, 1),  # the same, and dq = K2 has twins of its own
+            (4, {0, 2}, {0, 1}, 2),  # the looped K4: one twin class
+        ],
+    )
+    def test_search_count(self, n, kernel, s, searches, monkeypatch):
+        calls = []
+        search = cig.iso._search_automorphisms
+        monkeypatch.setattr(
+            cig.iso,
+            "_search_automorphisms",
+            lambda d, initial: calls.append(d) or search(d, initial),
+        )
+        verify_lift_structure(FiniteGroup.cyclic(n).quotient(kernel), s)
+        assert len(calls) == searches
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_lifted_digraph_induces_dq_on_the_coset_minima(self, spec):
+        # The lemma behind the reuse, which holds for every lift: with the
+        # twin classes the cosets, the twin quotient is dq in one colour.
+        sides = reused = 0
+        for qmap, s, _ in lift_sample(spec):
+            sides += 1
+            dq = cayley(qmap.target, s)
+            lift = lift_connection_set(qmap.source, qmap.kernel, s)
+            lifted = cayley(qmap.source, lift.connection)
+            cosets = lift.coset_partition
+            assert lifted.induced(c[0] for c in cosets.classes) == dq
+            assert len({lifted.has_arc(c[0], c[1]) for c in cosets.classes}) == 1
+            reused += PointPartition(lifted.order, lifted.twin_classes()) == cosets
+        assert reused or not sides
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,7 @@ from cig.digraphs import (
     decompose_over_empty,
     wreath_product,
 )
-from cig.groups import FiniteGroup
+from cig.groups import FiniteGroup, catalog_specs, parse_group_spec
 from cig.iso import automorphism_group_of, find_isomorphism
 from cig.perms import PointPartition
 
@@ -63,6 +64,22 @@ class TestCayley:
             if rng.random() < 0.5:  # symmetrise, loops kept
                 d = Digraph(d.order, (r | c for r, c in zip(d.out_masks, d.in_masks)))
             assert d.is_undirected == oracles.pairwise_undirected(d)
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    @pytest.mark.parametrize("mode", ["digraph", "graph"])
+    def test_in_masks_are_the_rebuilt_ones(self, spec, mode):
+        # `cayley` fills the in-masks itself; they must be the ones
+        # `Digraph.in_masks` rebuilds from the out-masks.
+        g = parse_group_spec(spec)
+        rng = random.Random(f"{spec}:{mode}")
+        for looped in (False, True) * 4:
+            s = {x for x in range(1, g.order) if rng.random() < 0.4}
+            if mode == "graph":
+                s |= {g.inv(x) for x in s}
+            if looped:
+                s.add(0)
+            d = cayley(g, s)
+            assert d.in_masks == Digraph(d.order, d.out_masks).in_masks, sorted(s)
 
     def test_left_translations_are_automorphisms(self):
         g = FiniteGroup.symmetric(3)

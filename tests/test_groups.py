@@ -252,6 +252,10 @@ class TestCosets:
         cosets = FiniteGroup.symmetric(3).cosets({0})
         assert cosets.classes == tuple((x,) for x in range(6))
 
+    def test_non_subgroup_rejected(self):
+        with pytest.raises(ValueError, match="^not a subgroup$"):
+            FiniteGroup.cyclic(4).cosets({0, 1})
+
 
 class TestQuotients:
     def test_z4_mod_z2(self):
@@ -268,6 +272,26 @@ class TestQuotients:
         transposition = next(x for x in range(6) if s3.element_order(x) == 2)
         with pytest.raises(ValueError, match="not normal"):
             s3.quotient(s3.subgroup_generated([transposition]))
+
+    def test_non_subgroup_rejected(self):
+        with pytest.raises(ValueError, match="^not a subgroup$"):
+            FiniteGroup.cyclic(4).quotient({0, 1})
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_subgroup_checked_once(self, spec, monkeypatch):
+        # `is_normal` checks that the kernel is a subgroup; the cosets are
+        # then built without checking again, and they are `cosets`' own.
+        g = parse_group_spec(spec)
+        calls = []
+        is_subgroup = FiniteGroup.is_subgroup
+        monkeypatch.setattr(
+            FiniteGroup, "is_subgroup", lambda self, s: calls.append(s) or is_subgroup(self, s)
+        )
+        for h in g.normal_subgroups():
+            calls.clear()
+            q = g.quotient(h)
+            assert len(calls) == 1
+            assert q.cosets == g.cosets(h)
 
     def test_projection_fibers_are_cosets(self):
         g = parse_group_spec("Z2xZ4")

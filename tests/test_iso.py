@@ -483,6 +483,31 @@ class TestRootedKey:
         assert discrete
         assert masks == d.relabel(_refine_colors(d, [0, 1, 1, 1, 1])[0]).out_masks
 
+    @staticmethod
+    def assert_discrete_keys_relabel(digraphs):
+        discrete = 0
+        for d in digraphs:
+            key = rooted_key(d)
+            if key[0]:
+                colors = _refine_colors(d, [min(v, 1) for v in range(d.order)])[0]
+                assert key[1] == d.relabel(colors).out_masks, d.out_masks
+                discrete += 1
+        return discrete
+
+    def test_discrete_keys_of_random_digraphs(self):
+        rng = random.Random(2027)
+        digraphs = [oracles.random_digraph(rng, rng.randrange(1, 13)) for _ in range(300)]
+        assert self.assert_discrete_keys_relabel(digraphs) > 250
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_discrete_keys_of_catalog_cayley_digraphs(self, spec):
+        g = parse_group_spec(spec)
+        rng = random.Random(spec)
+        digraphs = [
+            cayley(g, {x for x in range(g.order) if rng.random() < 0.4}) for _ in range(20)
+        ]
+        self.assert_discrete_keys_relabel(digraphs)
+
     def test_order_cap(self):
         with pytest.raises(CapExceeded):
             rooted_key(Digraph.empty(41))
