@@ -5,7 +5,8 @@ Everything here is exhaustive at desk scale: isomorphism verdicts come from
 full backtracking search (CI sweeps search only loop-free connection sets of
 at most (n-1)/2 elements, since adding the identity loops every vertex and
 the complement in G - {e} complements the digraph; they rule out pairs whose
-rooted refinement keys differ and run `find_isomorphism` on the rest),
+neighbourhood keys differ, then those whose rooted refinement keys differ,
+and run `find_isomorphism` on the rest),
 automorphism verdicts from generating sets
 (exact group orders, membership checked on generators), and the quotient
 certificate records one named boolean per verification step.  A
@@ -17,6 +18,7 @@ they are the lifted digraph's twin classes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import factorial
@@ -36,6 +38,7 @@ from cig.iso import (
     _lift_over_classes,
     automorphism_group_of,
     find_isomorphism,
+    neighbourhood_key,
     rooted_key,
 )
 from cig.limits import DEFAULT_LIMITS, SWEEP_SET_CAP, CapExceeded, Limits
@@ -209,17 +212,23 @@ def _same_key_pairs(
     group: FiniteGroup, reps: list[list[frozenset[int]]], sizes: list[int], limits: Limits
 ) -> Iterator[tuple[int, frozenset[int], frozenset[int], Digraph, Digraph]]:
     """(position, s1, s2, cayley(s1), cayley(s2)) for each same-size pair of
-    loop-free representatives with equal rooted keys, in scan order, keyed
-    one size at a time; `position` is the pair's 1-based index among all
-    same-size pairs, where the looped representatives come first."""
+    loop-free representatives with equal neighbourhood keys and equal rooted
+    keys, in scan order, keyed one size at a time; `position` is the pair's
+    1-based index among all same-size pairs, where the looped
+    representatives come first.  A size's representatives are grouped by
+    `neighbourhood_key`, and only those in a group of two or more get a
+    `rooted_key`, which groups them further."""
     offset = 0
     for same_size, m in zip(reps, sizes):
         if len(same_size) > 1:
             shift = m - len(same_size)
             digraphs = [cayley(group, r) for r in same_size]
+            profiles = [neighbourhood_key(d) for d in digraphs]
+            ties = Counter(profiles)
             by_key: dict[tuple, list[int]] = {}
-            for i, d in enumerate(digraphs):
-                by_key.setdefault(rooted_key(d, limits), []).append(i)
+            for i, (d, profile) in enumerate(zip(digraphs, profiles)):
+                if ties[profile] > 1:
+                    by_key.setdefault((profile, rooted_key(d, limits)), []).append(i)
             for i, j in sorted(p for ids in by_key.values() for p in combinations(ids, 2)):
                 a, b = i + shift, j + shift
                 position = offset + a * m - a * (a + 1) // 2 + b - a
@@ -252,12 +261,16 @@ def is_ci_group(
     pair (L_{k-1} + i, L_{k-1} + j) with L_k loop-free representatives of
     size k, and `_class_sizes` gives every size's count.
 
-    Each listed set gets one `rooted_key` (refinement with the identity
-    individualised, canonical when discrete), and `find_isomorphism` runs
-    only on same-key pairs.  No set transporter runs until the witness,
-    which `_reverify_witness` checks once.  `pairs_checked` counts the
-    pairs decided in scan order: the witness's 1-based position, or all
-    same-size pairs when there is none, capped at `budget` (at least 1).
+    Each listed set gets one `neighbourhood_key` (popcounts over the
+    identity's neighbourhood), and each set whose neighbourhood key another
+    set of its size shares gets one `rooted_key` (refinement with the
+    identity individualised, canonical when discrete).  Isomorphic sets
+    share both keys, so `find_isomorphism` runs only on pairs that do, and
+    the first isomorphic pair in scan order is among them.  No set
+    transporter runs until the witness, which `_reverify_witness` checks
+    once.  `pairs_checked` counts the pairs decided in scan order: the
+    witness's 1-based position, or all same-size pairs when there is none,
+    capped at `budget` (at least 1).
     `exhaustive` is cleared only when the budget ran out before the scan
     was decided.  A group past the search cap is refused before any work,
     and one with more than SWEEP_SET_CAP sets to list before Aut(G) is

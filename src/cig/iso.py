@@ -12,11 +12,13 @@ come back as a generating set with their order; the elements are never
 listed.  The search first takes out the twin classes, the simplest modules
 (Gallai, "Transitiv orientierbare Graphen", 1967), then runs one first-hit
 search per basic-orbit point of the digraph induced on the class minima.
-`rooted_key` gives vertex-transitive digraphs an isomorphism invariant
-from one refinement rooted at vertex 0: a canonical form when that
-colouring is discrete, a signature multiset otherwise.  There is no full
-canonical labelling: digraphs whose keys agree but are not discrete still
-need a pairwise search.
+Vertex-transitive digraphs get two isomorphism invariants rooted at vertex
+0.  `neighbourhood_key` counts, for each neighbour of 0, its arcs into 0's
+out- and in-neighbourhoods: a few popcounts, no refinement.
+`rooted_key` runs one refinement with 0 individualised: a canonical form
+when that colouring is discrete, a signature multiset otherwise.  There is
+no full canonical labelling: digraphs whose keys agree but are not discrete
+still need a pairwise search.
 """
 
 from __future__ import annotations
@@ -85,6 +87,43 @@ def _refine_colors(
         if len(ranking) == k:
             return colors, signatures  # stable: every class kept its colour index
         colors = [ranking[s] for s in signatures]
+
+
+def neighbourhood_key(d: Digraph) -> tuple:
+    """An isomorphism invariant of a vertex-transitive digraph, read off the
+    neighbourhood of vertex 0 without refinement or search.
+
+    With N the out-mask of 0 and M its in-mask (S and S^-1 for a Cayley
+    digraph), the key is the sorted tuple, over every s in N | M, of
+    (s in N, s in M, |out(s) & N|, |out(s) & M|, |in(s) & N|, |in(s) & M|),
+    each packed into one int: the two flags above four count slots of
+    w = n.bit_length() bits.  Counts are at most n, so integer order is the
+    tuple's lexicographic order, and an int takes a fraction of a tuple's
+    memory in a sweep that keeps one key per representative.
+
+    An isomorphism phi of vertex-transitive digraphs can be composed with
+    an automorphism so that it fixes 0.  It then maps N onto N' and M onto
+    M', and the out- and in-neighbours of each s onto those of phi(s), so s
+    and phi(s) have equal entries and isomorphic digraphs get equal keys
+    (the argument behind `rooted_key`).  Equal keys do not prove
+    isomorphism.
+    """
+    out, into = d.out_masks, d.in_masks
+    n_mask, m_mask = out[0], into[0]
+    w = d.order.bit_length()
+    entries = []
+    rest = n_mask | m_mask
+    while rest:
+        low = rest & -rest
+        s = low.bit_length() - 1
+        row, col = out[s], into[s]
+        entries.append(
+            (n_mask >> s & 1) << 4 * w + 1 | (m_mask >> s & 1) << 4 * w
+            | (row & n_mask).bit_count() << 3 * w | (row & m_mask).bit_count() << 2 * w
+            | (col & n_mask).bit_count() << w | (col & m_mask).bit_count()
+        )
+        rest ^= low
+    return tuple(sorted(entries))
 
 
 def rooted_key(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> tuple:

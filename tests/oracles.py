@@ -250,6 +250,14 @@ def burnside_class_sizes(group, mode, limits=DEFAULT_LIMITS, loop_free=False):
     return sizes[:n] if loop_free else sizes
 
 
+def representative_classes(group, mode, limits=DEFAULT_LIMITS):
+    """`orbit_representatives`, one list per size, by ascending size."""
+    by_size = {}
+    for r in orbit_representatives(group, mode, limits):
+        by_size.setdefault(len(r), []).append(r)
+    return [same_size for _, same_size in sorted(by_size.items())]
+
+
 def _unreduced_same_key_pairs(group, classes, limits):
     """(position, s1, s2, cayley(s1), cayley(s2)) for each same-size pair
     with equal rooted keys, in scan order; `position` is its 1-based index
@@ -277,10 +285,7 @@ def unreduced_ci_sweep(group, mode="digraph", budget=None, limits=DEFAULT_LIMITS
     if budget is not None and budget < 1:
         raise ValueError(f"budget must be a positive number of pairs, got {budget}")
     _check_cap(group.order, limits.search)
-    by_size = {}
-    for r in orbit_representatives(group, mode, limits):
-        by_size.setdefault(len(r), []).append(r)
-    classes = [same_size for _, same_size in sorted(by_size.items())]
+    classes = representative_classes(group, mode, limits)
     witness = None
     decided = sum(len(c) * (len(c) - 1) // 2 for c in classes)
     for position, s1, s2, d1, d2 in _unreduced_same_key_pairs(group, classes, limits):
@@ -300,12 +305,9 @@ def pairwise_ci_sweep(group, mode="digraph", budget=None, limits=DEFAULT_LIMITS)
     """The CI sweep with one `ci_pair` search per same-size pair of
     Aut(G)-orbit representatives, in scan order (by size, then i < j),
     stopping at the first re-verified witness or when `budget` pairs ran."""
-    by_size = {}
-    for r in orbit_representatives(group, mode, limits):
-        by_size.setdefault(len(r), []).append(r)
     pairs = [
         (same_size[i], same_size[j])
-        for _, same_size in sorted(by_size.items())
+        for same_size in representative_classes(group, mode, limits)
         for i in range(len(same_size))
         for j in range(i + 1, len(same_size))
     ]
@@ -453,6 +455,26 @@ def round_rooted_key(d: Digraph) -> tuple:
     if len(set(colors)) == d.order:
         return (True, d.relabel(colors).out_masks)
     return (False, tuple(sorted(round_signatures(d, colors))))
+
+
+def arc_neighbourhood_key(d: Digraph) -> tuple:
+    """`iso.neighbourhood_key` from arc tests: for each out- or in-neighbour
+    s of vertex 0, whether it is an out- and an in-neighbour, and how many
+    arcs run from s into, and into s from, 0's out- and in-neighbours; the
+    two flags and then each count shifted in, n.bit_length() bits apiece."""
+    w = d.order.bit_length()
+    out = {v for v in range(d.order) if d.has_arc(0, v)}
+    into = {v for v in range(d.order) if d.has_arc(v, 0)}
+    entries = []
+    for s in out | into:
+        entry = int(s in out) << 1 | int(s in into)
+        for count in (
+            sum(d.has_arc(s, t) for t in out), sum(d.has_arc(s, t) for t in into),
+            sum(d.has_arc(t, s) for t in out), sum(d.has_arc(t, s) for t in into),
+        ):
+            entry = entry << w | count
+        entries.append(entry)
+    return tuple(sorted(entries))
 
 
 def pairwise_undirected(d: Digraph) -> bool:

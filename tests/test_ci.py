@@ -21,7 +21,7 @@ from cig.ci import (
 )
 from cig.digraphs import Digraph, cayley
 from cig.groups import FiniteGroup, catalog_specs, parse_group_spec
-from cig.iso import automorphism_group_of, find_isomorphism
+from cig.iso import automorphism_group_of, find_isomorphism, neighbourhood_key
 from cig.limits import CapExceeded, Limits
 from cig.perms import Perm, PermGroup, PointPartition, symmetric_group, wreath_product
 from test_acceptance import C9_SPECS, group_sweep
@@ -269,6 +269,62 @@ class TestSweepAgainstUnreduced:
         assert all(loops == 0 and degree <= (n - 1) // 2 for n, loops, degree in keyed)
 
 
+class TestNeighbourhoodBucketing:
+    """Each size's representatives are grouped by `neighbourhood_key`, and
+    only a group of two or more is split further by `rooted_key`."""
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    @pytest.mark.parametrize("mode", ["digraph", "graph"])
+    def test_pairs_are_the_unreduced_pairs_sharing_both_keys(self, spec, mode):
+        for seed in RELABELLINGS[:2]:
+            g = _labelled(spec, seed)
+            n = g.order
+            classes = oracles.representative_classes(g, mode)
+            expected = [
+                (position, s1, s2)
+                for position, s1, s2, d1, d2 in oracles._unreduced_same_key_pairs(
+                    g, classes, Limits()
+                )
+                if 0 not in s1 | s2
+                and len(s1) <= (n - 1) // 2
+                and neighbourhood_key(d1) == neighbourhood_key(d2)
+            ]
+            reps = cig.ci._loop_free_representatives(g, mode, Limits())
+            sizes = cig.ci._class_sizes(reps, n)
+            assert [
+                (position, s1, s2)
+                for position, s1, s2, _, _ in cig.ci._same_key_pairs(g, reps, sizes, Limits())
+            ] == expected, seed
+
+    def test_rooted_keys_only_where_neighbourhood_keys_tie(self, monkeypatch):
+        keyed = []
+        rooted_key_ = cig.ci.rooted_key
+
+        def spy_key(d, limits):
+            keyed.append(d.out_masks)
+            return rooted_key_(d, limits)
+
+        monkeypatch.setattr(cig.ci, "rooted_key", spy_key)
+        skipped = 0
+        for spec in [s for s, _ in catalog_specs(12)] + ["Z16", "D8"]:
+            for mode in ("digraph", "graph"):
+                g = parse_group_spec(spec)
+                reps = cig.ci._loop_free_representatives(g, mode, Limits())
+                keyed.clear()
+                sizes = cig.ci._class_sizes(reps, g.order)
+                for _ in cig.ci._same_key_pairs(g, reps, sizes, Limits()):
+                    pass
+                tied = []
+                for same_size in reps:
+                    digraphs = [cayley(g, r) for r in same_size]
+                    profiles = Counter(map(neighbourhood_key, digraphs))
+                    tied += [d.out_masks for d in digraphs if profiles[neighbourhood_key(d)] > 1]
+                    if len(same_size) > 1:
+                        skipped += sum(c == 1 for c in profiles.values())
+                assert sorted(keyed) == sorted(tied), (spec, mode)
+        assert skipped > 0
+
+
 # The groups whose representative listings are compared with the oracles:
 # the catalog to order 12 and seven groups of order 16.
 LISTING_SPECS = [s for s, _ in catalog_specs(12)] + [
@@ -321,14 +377,14 @@ class TestRepresentativeCounts:
 
 
 class TestSweepAgainstTheory:
-    # Digraph mode runs to Z18, past which a sweep takes seconds.  Graph
-    # mode runs on to Z24 under the default limits, and to Z31 (but not Z30,
-    # which takes seconds) with Aut(G) listed past order 24: Z18 is CI for
-    # graphs but not for digraphs, Z24, Z25 and Z27 are not CI.
+    # Digraph mode runs to Z20; past it the sweep refuses to list the sets.
+    # Graph mode runs on to Z24 under the default limits, and to Z31 (but
+    # not Z30, which takes seconds) with Aut(G) listed past order 24: Z18 is
+    # CI for graphs but not for digraphs, Z24, Z25 and Z27 are not CI.
     @pytest.mark.parametrize(
         "mode,n",
         [(mode, n) for mode in ("digraph", "graph") for n in range(1, 17)]
-        + [("digraph", 17), ("digraph", 18)]
+        + [("digraph", n) for n in (17, 18, 19, 20)]
         + [("graph", n) for n in (*range(17, 30), 31)],
     )
     def test_cyclic_groups_follow_muzychuk(self, n, mode):

@@ -16,9 +16,10 @@ from cig.iso import (
     _signatures,
     automorphism_group_of,
     find_isomorphism,
+    neighbourhood_key,
     rooted_key,
 )
-from cig.limits import CapExceeded
+from cig.limits import CapExceeded, Limits
 from cig.perms import PointPartition
 
 
@@ -430,20 +431,22 @@ def _all_connection_sets(group):
 
 
 class TestRootedKey:
-    """Isomorphic Cayley digraphs get equal keys, and equal discrete keys
-    mean isomorphic.  Only same-size connection sets are paired, as in the
-    CI sweep."""
+    """Isomorphic Cayley digraphs get equal keys (rooted and neighbourhood),
+    and equal discrete keys mean isomorphic.  Only same-size connection sets
+    are paired, as in the CI sweep."""
 
     @staticmethod
     def assert_sound(group, sets, isomorphic):
         digraphs = [cayley(group, s) for s in sets]
         keys = [rooted_key(d) for d in digraphs]
+        profiles = [neighbourhood_key(d) for d in digraphs]
         for i, j in combinations(range(len(sets)), 2):
             if len(sets[i]) != len(sets[j]):
                 continue
             iso = isomorphic(digraphs[i], digraphs[j]) is not None
             if iso:
                 assert keys[i] == keys[j], (sets[i], sets[j])
+                assert profiles[i] == profiles[j], (sets[i], sets[j])
             elif keys[i] == keys[j]:
                 assert not keys[i][0], (sets[i], sets[j])
 
@@ -511,3 +514,50 @@ class TestRootedKey:
     def test_order_cap(self):
         with pytest.raises(CapExceeded):
             rooted_key(Digraph.empty(41))
+
+
+# The catalog to order 12 and three groups of order 16.
+NEIGHBOURHOOD_SPECS = [s for s, _ in catalog_specs(12)] + ["Z16", "D8", "Z2xZ8"]
+
+
+class TestNeighbourhoodKey:
+    """The key counts what its definition counts, and isomorphic Cayley
+    digraphs get equal keys."""
+
+    @pytest.mark.parametrize("spec", NEIGHBOURHOOD_SPECS)
+    @pytest.mark.parametrize("mode", ["digraph", "graph"])
+    def test_equal_under_every_group_automorphism(self, spec, mode):
+        # S and alpha(S) give isomorphic Cayley digraphs for every alpha in
+        # Aut(G); the catalog numbering and one relabelling of each group.
+        for seed in (None, 1):
+            g = parse_group_spec(spec)
+            if seed is not None:
+                g = oracles.relabelled_group(g, random.Random(f"{spec}/{seed}"))
+            rng = random.Random(f"{spec}/{mode}/{seed}")
+            automorphisms = g.automorphisms()
+            for _ in range(6):
+                s = {x for x in range(g.order) if rng.random() < 0.4}
+                if mode == "graph":
+                    s |= {g.inv(x) for x in s}
+                d = cayley(g, s)
+                key = neighbourhood_key(d)
+                assert key == oracles.arc_neighbourhood_key(d), (seed, sorted(s))
+                for alpha in automorphisms:
+                    image = cayley(g, alpha.image_of_set(frozenset(s)))
+                    assert neighbourhood_key(image) == key, (seed, sorted(s), alpha)
+
+    @pytest.mark.parametrize("spec", NEIGHBOURHOOD_SPECS)
+    @pytest.mark.parametrize("mode", ["digraph", "graph"])
+    def test_equal_on_every_isomorphic_pair_of_representatives(self, spec, mode):
+        # The unreduced sweep's same-rooted-key pairs, searched past its
+        # first witness: every isomorphic pair of loop-free representatives,
+        # the first of which is the witness.
+        g = parse_group_spec(spec)
+        classes = oracles.representative_classes(g, mode)
+        found = []
+        for _, s1, s2, d1, d2 in oracles._unreduced_same_key_pairs(g, classes, Limits()):
+            if 0 not in s1 and find_isomorphism(d1, d2) is not None:
+                assert neighbourhood_key(d1) == neighbourhood_key(d2), (s1, s2)
+                found.append((s1, s2))
+        witness = oracles.unreduced_ci_sweep(g, mode).witness
+        assert found[:1] == ([witness[:2]] if witness else [])
