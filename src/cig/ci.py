@@ -10,7 +10,9 @@ and run `find_isomorphism` on the rest),
 automorphism verdicts from generating sets
 (exact group orders, membership checked on generators), and the quotient
 certificate records one named boolean per verification step.  A
-certificate builds G/H once and checks each side's lift against it in one
+certificate builds G/H and the two quotient digraphs once and runs one
+automorphism search of a quotient digraph: Aut(dq2) is Aut(dq1) carried
+over by the quotient isomorphism.  It checks each side's lift in one
 `verify_lift_structure` pass: arcs, the wreath automorphism group, and the
 cosets as the only block system of their size, which holds exactly when
 they are the lifted digraph's twin classes.
@@ -24,7 +26,6 @@ from itertools import combinations
 from math import factorial
 from typing import Iterable, Iterator
 
-from cig import perms
 from cig.digraphs import (
     Digraph,
     cayley,
@@ -42,7 +43,7 @@ from cig.iso import (
     rooted_key,
 )
 from cig.limits import DEFAULT_LIMITS, SWEEP_SET_CAP, CapExceeded, Limits
-from cig.perms import Perm, PointPartition
+from cig.perms import Perm, PermGroup, PointPartition
 
 MODES = ("digraph", "graph")
 
@@ -368,43 +369,49 @@ class LiftStructureReport:
 def verify_lift_structure(
     qmap: QuotientMap,
     s_quotient: Iterable[int],
+    dq: Digraph,
+    aut_q: PermGroup,
     limits: Limits = DEFAULT_LIMITS,
 ) -> LiftStructureReport:
     """Check that the lifted Cayley digraph is exactly the expected wreath
     product, that its automorphism group is the expected wreath group, and
     that the cosets are that group's only block system of their size.
 
+    `dq` is Cay(G/H, s_quotient) and `aut_q` is Aut(dq), both from the
+    caller.  `quotient_ci_certificate` searches one side's dq and conjugates
+    its group onto the other's, which is exactly that side's Aut(dq) (see
+    there), so each side checks the groups a search of its own would give.
+
     Group equality is order equality plus two-way generator membership.
     Both groups are subgroups of Sym(n), so each lies inside the other
     exactly when its generators do: the generators of Aut(quotient) wr
     S_block, acting on the lifted digraph relabelled so that the cosets are
     its fibers, must preserve that digraph's arcs, and each generator of
-    Aut(lifted) found by the search must carry cosets onto cosets and
-    induce an automorphism of the quotient digraph.  Each of these is one
-    `Digraph.is_automorphism` test, with no relabelled digraph built.  Both
-    orders are exact: the wreath group's is |Aut(quotient)| * (block
-    size)!^|quotient|, and Aut(lifted) comes from `automorphism_group_of`.
+    Aut(lifted) must carry cosets onto cosets and induce an automorphism of
+    the quotient digraph.  Each of these is one `Digraph.is_automorphism`
+    test, with no relabelled digraph built.  The wreath group is `aut_q`
+    lifted over the fibers by `_lift_over_classes`: fibers move whole, and
+    Sym(block) on one fiber per orbit is conjugated onto the rest of the
+    orbit, so it is Aut(quotient) wr S_block, of order |Aut(quotient)| *
+    (block size)!^|quotient|.  Aut(lifted) and its order come from the lift
+    described next or from `automorphism_group_of`.
 
-    The quotient digraph dq is searched once.  Let r_i be the least element
-    of coset i, which is element i of G/H, so the r_i ascend with i.  The
-    arc r_i -> r_j is there when r_i^-1 r_j is in the lifted set, and
-    r_i^-1 r_j lies in coset i^-1 j.  For i != j that coset is not H, and
-    outside H the lifted set is the union of the cosets named by the
-    quotient set, so the arc is there exactly when dq has i -> j.  For
-    i = j, r_i^-1 r_i = e, which the lifted set holds exactly when the
-    quotient set names H (H - {e} never holds e), that is when dq loops at
-    i.  So the lifted digraph induces dq on the coset minima, loops
-    included, and inside every coset it has the same arcs (those of H or of
-    H - {e} in the lifted set).  When the twin classes are the cosets, the
-    twin quotient is therefore dq in a single colour, and Aut(lifted) is
-    Aut(dq) lifted over the cosets (see `automorphism_group_of`): it is
-    built from the Aut(dq) already found, without a second search.  No
-    evidence about the lift is lost.  `automorphism_group_of(lifted)` rests
-    on the same twin decomposition, so a second search could only find
-    Aut(dq) again: from an equal input where dq has no twins, so that the
-    order check compared one number with itself, and by a second route
-    (dq searched as it is, not through its own twin quotient) where dq has
-    twins.  Whether the two routes agree is a property of the search, which
+    Let r_i be the least element of coset i, which is element i of G/H, so
+    the r_i ascend with i.  The arc r_i -> r_j is there when r_i^-1 r_j is
+    in the lifted set, and r_i^-1 r_j lies in coset i^-1 j.  For i != j
+    that coset is not H, and outside H the lifted set is the union of the
+    cosets named by the quotient set, so the arc is there exactly when dq
+    has i -> j.  For i = j, r_i^-1 r_i = e, which the lifted set holds
+    exactly when the quotient set names H (H - {e} never holds e), that is
+    when dq loops at i.  So the lifted digraph induces dq on the coset
+    minima, loops included, and inside every coset it has the same arcs
+    (those of H or of H - {e} in the lifted set).  When the twin classes
+    are the cosets, the twin quotient is therefore dq in a single colour,
+    and Aut(lifted) is Aut(dq) lifted over the cosets (see
+    `automorphism_group_of`): it is built from `aut_q`, without a search.
+    `automorphism_group_of(lifted)` rests on the same twin decomposition,
+    so a search could only find Aut(dq) again.  Whether the twin quotient's
+    route and the unreduced search agree is a property of the search, which
     tests/test_iso.py checks against the unreduced search and enumeration.
     The arc identity, the two generator memberships (each tested against
     arcs) and the block check stay.  When the twin classes are not the
@@ -427,7 +434,6 @@ def verify_lift_structure(
     s_quotient = frozenset(s_quotient)
     _check_subset(qmap.target, s_quotient, "quotient connection set")
     _check_cap(qmap.source.order, limits.search)
-    dq = cayley(qmap.target, s_quotient)
     lift = _lift(qmap, s_quotient, dq)
     cosets, size = lift.coset_partition, lift.block_size
     lifted = cayley(qmap.source, lift.connection)
@@ -441,13 +447,13 @@ def verify_lift_structure(
     relabeled = lifted.relabel(cosets.fiber_images())
     arc_identity = relabeled == expected
 
-    aut_q = automorphism_group_of(dq, limits)
-    twins = PointPartition(lifted.order, lifted.twin_classes())
-    if twins == cosets:
+    twins_are_cosets = lifted.twin_classes() == cosets.classes
+    if twins_are_cosets:
         aut_lifted = _lift_over_classes(aut_q, cosets.classes, lifted.order)
     else:
         aut_lifted = automorphism_group_of(lifted, limits)
-    wreath = perms.wreath_product(aut_q, perms.symmetric_group(size))
+    fibers = [range(i * size, i * size + size) for i in range(dq.order)]
+    wreath = _lift_over_classes(aut_q, fibers, lifted.order)
 
     order_equal = aut_lifted.order == wreath.order
     gens_in_aut = all(relabeled.is_automorphism(g.images) for g in wreath.generators)
@@ -460,9 +466,19 @@ def verify_lift_structure(
         "aut_order_equal": order_equal,
         "wreath_generators_in_aut": gens_in_aut,
         "aut_inside_wreath": aut_in_wreath,
-        "unique_block_system": size == 1 or twins == cosets,
+        "unique_block_system": size == 1 or twins_are_cosets,
     }
     return LiftStructureReport(lift=lift, checks=checks)
+
+
+def _conjugated(group: PermGroup, phi: Perm) -> PermGroup:
+    """phi group phi^-1, the order kept: g becomes y -> phi(g(phi^-1(y)))."""
+    back = sorted(range(group.degree), key=phi.images.__getitem__)  # phi^-1
+    return PermGroup(
+        [Perm(phi(g(x)) for x in back) for g in group.generators],
+        order=group.order,
+        degree=group.degree,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +541,12 @@ def quotient_ci_certificate(
     group not being CI at this instance, not as a pipeline error.  Trivial
     kernels (size 1 or the whole group) short-circuit to a direct
     quotient-level verification.
+
+    Only dq1 is searched, once |G| has passed ``limits.search``.  With phi:
+    dq1 -> dq2 from `find_isomorphism` (checked arc by arc), g preserves
+    dq1's arcs exactly when phi g phi^-1 preserves dq2's, and conjugation
+    by phi is a bijection of Sym(G/H), so phi Aut(dq1) phi^-1 = Aut(dq2),
+    of the same order, generated by the conjugated generators.
     """
     h = frozenset(subgroup)
     qmap = group.quotient(h)  # validates normality
@@ -562,8 +584,10 @@ def quotient_ci_certificate(
         status = "accepted" if accepted else "hypothesis_not_ci"
         return certificate(status, accepted, degenerate=True, alpha_bar=beta)
 
-    report1 = verify_lift_structure(qmap, s1, limits)
-    report2 = verify_lift_structure(qmap, s2, limits)
+    _check_cap(group.order, limits.search)
+    aut_q1 = automorphism_group_of(dq1, limits)
+    report1 = verify_lift_structure(qmap, s1, dq1, aut_q1, limits)
+    report2 = verify_lift_structure(qmap, s2, dq2, _conjugated(aut_q1, iso_q), limits)
     lift1, lift2 = report1.lift, report2.lift
     checks["lift_cases_agree"] = lift1.case == lift2.case
     per_side = {

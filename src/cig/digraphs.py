@@ -26,8 +26,7 @@ class Digraph:
         masks = tuple(out_masks)
         if len(masks) != order:
             raise ValueError("mask count does not match order")
-        limit = 1 << order
-        if any(m < 0 or m >= limit for m in masks):
+        if masks and (min(masks) < 0 or max(masks) >= 1 << order):
             raise ValueError("adjacency mask out of range")
         self.order = order
         self.out_masks = masks

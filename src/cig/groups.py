@@ -61,7 +61,8 @@ class FiniteGroup:
         products, so passing on generators covers the whole table in
         O(n^2 * |gens|), one row at a time: the row of x*g against x's row
         read through g's row.  A failure is reported at the first failing
-        (x, g, y) of that scan.
+        (x, g, y) of that scan.  The generating set is kept for
+        `generating_set`.
         """
         table, n = self.table, self.order
         for row in table:
@@ -77,7 +78,16 @@ class FiniteGroup:
                 raise ValueError(f"row {i} is not a permutation (not a Latin square)")
             if len(set(column)) != n:
                 raise ValueError(f"column {i} is not a permutation (not a Latin square)")
-        for g in self.generating_set():
+        gens: list[int] = []
+        closure = frozenset({0})
+        for x in range(n):
+            if x not in closure:
+                gens.append(x)
+                closure = self.subgroup_generated(gens)
+                if len(closure) == n:
+                    break
+        self._generating_set = tuple(gens)
+        for g in gens:
             for x, row in enumerate(table):
                 left, right = table[row[g]], tuple(map(row.__getitem__, table[g]))
                 if left != right:
@@ -140,7 +150,8 @@ class FiniteGroup:
         h = frozenset(subgroup)
         if not self.is_subgroup(h):
             raise ValueError("not a subgroup")
-        return all(self.conjugate(g, x) in h for g in range(self.order) for x in h)
+        # The g with g H g^-1 = H form a subgroup, so generators decide.
+        return all(self.conjugate(g, x) in h for g in self.generating_set() for x in h)
 
     def subgroups(self, limits: Limits = DEFAULT_LIMITS) -> list[frozenset[int]]:
         """Every subgroup, grown by adjoining single elements."""
@@ -210,16 +221,9 @@ class FiniteGroup:
     # -- automorphisms -----------------------------------------------------
 
     def generating_set(self) -> tuple[int, ...]:
-        """Greedy small generating set (ascending element scan)."""
-        gens: list[int] = []
-        closure = frozenset({0})
-        for x in range(self.order):
-            if x not in closure:
-                gens.append(x)
-                closure = self.subgroup_generated(gens)
-                if len(closure) == self.order:
-                    break
-        return tuple(gens)
+        """Greedy small generating set (ascending element scan), found once
+        by `_validate_table`."""
+        return self._generating_set
 
     def automorphisms(self, limits: Limits = DEFAULT_LIMITS) -> tuple[Perm, ...]:
         """All automorphisms, by backtracking over generator images.
@@ -369,9 +373,11 @@ def group_automorphism(group: FiniteGroup, images: Iterable[int]) -> Perm:
     alpha = Perm(images)
     if alpha.degree != group.order:
         raise ValueError(f"{alpha.degree} images for a group of order {group.order}")
-    for a in range(group.order):
-        for b in range(group.order):
-            if alpha(group.mul(a, b)) != group.mul(alpha(a), alpha(b)):
+    table, images = group.table, alpha.images
+    for a, row in enumerate(table):
+        image_row = table[images[a]]
+        for b, ab in enumerate(row):
+            if images[ab] != image_row[images[b]]:
                 raise ValueError(f"not multiplicative at ({a},{b})")
     return alpha
 

@@ -1,4 +1,4 @@
-"""Permutations, point partitions, permutation groups, and wreath products.
+"""Permutations, point partitions and permutation groups.
 
 Points are integers ``0..degree-1``.  A group is its generators and its
 order, which whoever builds it supplies.  Orbits are computed from the
@@ -7,7 +7,6 @@ generators, and no element is ever listed.
 
 from __future__ import annotations
 
-from math import factorial
 from typing import Iterable, Sequence
 
 
@@ -88,9 +87,6 @@ class PointPartition:
                 index[x] = i
         self._class_index = tuple(index)
 
-    def class_of(self, x: int) -> tuple[int, ...]:
-        return self.classes[self._class_index[x]]
-
     def class_index(self, x: int) -> int:
         return self._class_index[x]
 
@@ -109,16 +105,21 @@ class PointPartition:
 
     def induced(self, perm: Perm) -> Perm | None:
         """The permutation of class indices that `perm` induces, or None
-        unless every class maps onto a class (of the same size)."""
+        unless every class maps onto a class (of the same size).
+
+        A class goes to the class of its first member's image.  It maps
+        onto that class exactly when the sizes agree and every member lands
+        in it, since `perm` is injective."""
         if perm.degree != self.degree:
             raise ValueError("degree mismatch")
-        images = []
-        for c in self.classes:
-            image = tuple(sorted(perm.images[x] for x in c))
-            if image != self.class_of(image[0]):
+        index, images, classes = self._class_index, perm.images, self.classes
+        bar = []
+        for c in classes:
+            target = index[images[c[0]]]
+            if len(classes[target]) != len(c) or any(index[images[x]] != target for x in c):
                 return None
-            images.append(self._class_index[image[0]])
-        return Perm(images)
+            bar.append(target)
+        return Perm(bar)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -146,8 +147,8 @@ class PermGroup:
 
     Nothing here lists the elements.  The order is the caller's: the
     automorphism search multiplies its basic-orbit lengths and the
-    factorials of the twin-class sizes, and the constructors below give
-    their closed formulas.
+    factorials of the twin-class sizes, and a conjugated group keeps the
+    order of the group it came from.
     """
 
     def __init__(
@@ -183,36 +184,3 @@ def orbit(point: int, generators: Iterable[Perm]) -> set[int]:
                 seen.add(g[x])
                 frontier.append(g[x])
     return seen
-
-
-def trivial_group(degree: int) -> PermGroup:
-    return PermGroup((), order=1, degree=degree)
-
-
-def symmetric_group(n: int) -> PermGroup:
-    if n <= 1:
-        return trivial_group(max(n, 1))
-    gens = [Perm.from_cycles(n, (0, 1))]
-    if n > 2:
-        gens.append(Perm.from_cycles(n, range(n)))
-    return PermGroup(gens, order=factorial(n))
-
-
-def wreath_product(g: PermGroup, h: PermGroup) -> PermGroup:
-    """Wreath product acting on pairs, with (x, y) indexed as x*|Y| + y.
-
-    Generated by g moving the first coordinate and an independent copy of
-    h's generators on each fiber, of order |g| * |h|^deg(g).
-    """
-    nx, ny = g.degree, h.degree
-    degree = nx * ny
-    gens = []
-    for gamma in g.generators:
-        gens.append(Perm(gamma(x) * ny + y for x in range(nx) for y in range(ny)))
-    for x in range(nx):
-        for eta in h.generators:
-            images = list(range(degree))
-            for y in range(ny):
-                images[x * ny + y] = x * ny + eta(y)
-            gens.append(Perm(images))
-    return PermGroup(gens, order=g.order * h.order**nx, degree=degree)

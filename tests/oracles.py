@@ -28,24 +28,38 @@ library, holding only generators and an order, never builds) for group
 orders, blocks and invariant partitions, Atkinson's union-find with its
 join closure for the block systems of a transitive group (which the library
 no longer computes: its one block check reads twin classes), all uniform
-set partitions for wreath-structure questions, and the lift check that
+set partitions for wreath-structure questions, the lift check that
 searches the lifted digraph as well as the quotient digraph (the library
-lifts Aut(quotient) when the lifted twin classes are the cosets).  The
-small constructors and comparisons that only tests need live here too: composing and
-inverting image tuples, a digraph from its arc list, the cyclic
-permutation group, the pair-space fibers, a partition from class labels,
-partition refinement, a group with its elements renamed and a subgroup's
-own multiplication table.  They stay dumb on purpose -- the package is
+lifts Aut(quotient) when the lifted twin classes are the cosets), and the
+certificate that runs that check on both sides, searching both quotient
+digraphs (the library searches one and carries its group to the other).
+The wreath product of permutation groups puts a copy of the inner group's
+generators on every fiber (the library puts Sym(block) on one fiber per
+orbit), and the induced action on classes sorts each class's image (the
+library reads class indices).  The small constructors and comparisons that
+only tests need live here too: composing and inverting image tuples, a
+digraph from its arc list, the trivial, cyclic and symmetric permutation
+groups, the pair-space fibers, a point's class, a partition from class
+labels, partition refinement, a group with its elements renamed and a
+subgroup's own multiplication table.  They stay dumb on purpose -- the package is
 tested against them, never the other way around.
 """
 
 from collections import Counter
 from functools import cache, lru_cache
 from itertools import combinations, permutations
+from math import factorial
 from random import Random
 
-from cig.ci import CIGroupVerdict, _check_mode, _lift, _reverify_witness, ci_pair
-from cig import digraphs, perms
+from cig.ci import (
+    CIGroupVerdict,
+    QuotientCICertificate,
+    _check_mode,
+    _lift,
+    _reverify_witness,
+    ci_pair,
+)
+from cig import digraphs
 from cig.digraphs import Digraph, cayley
 from cig.groups import FiniteGroup
 from cig.iso import _check_cap, automorphism_group_of, find_isomorphism, rooted_key
@@ -625,15 +639,68 @@ def cyclic_group(n: int) -> PermGroup:
     return PermGroup([Perm.from_cycles(n, range(n))], order=n)
 
 
+def trivial_group(degree: int) -> PermGroup:
+    return PermGroup((), order=1, degree=degree)
+
+
+def symmetric_group(n: int) -> PermGroup:
+    """Sym(n) from a transposition and an n-cycle."""
+    if n <= 1:
+        return trivial_group(max(n, 1))
+    gens = [Perm.from_cycles(n, (0, 1))]
+    if n > 2:
+        gens.append(Perm.from_cycles(n, range(n)))
+    return PermGroup(gens, order=factorial(n))
+
+
+def wreath_product(g: PermGroup, h: PermGroup) -> PermGroup:
+    """Wreath product acting on pairs, with (x, y) indexed as x*|Y| + y.
+
+    Generated by g moving the first coordinate and an independent copy of
+    h's generators on each fiber, of order |g| * |h|^deg(g) (the library
+    puts Sym(block) on one fiber per orbit of g instead).
+    """
+    nx, ny = g.degree, h.degree
+    degree = nx * ny
+    gens = []
+    for gamma in g.generators:
+        gens.append(Perm(gamma(x) * ny + y for x in range(nx) for y in range(ny)))
+    for x in range(nx):
+        for eta in h.generators:
+            images = list(range(degree))
+            for y in range(ny):
+                images[x * ny + y] = x * ny + eta(y)
+            gens.append(Perm(images))
+    return PermGroup(gens, order=g.order * h.order**nx, degree=degree)
+
+
 def fiber_partition(nx: int, ny: int) -> PointPartition:
     """The partition of pair space into fibers {x} x Y, (x, y) as x*ny + y."""
     return PointPartition(nx * ny, ([x * ny + y for y in range(ny)] for x in range(nx)))
 
 
+def class_of(partition: PointPartition, x: int) -> tuple[int, ...]:
+    """The class of the partition that holds x."""
+    return partition.classes[partition.class_index(x)]
+
+
+def sorted_induced(partition: PointPartition, perm: Perm):
+    """`PointPartition.induced` by sorting each class's image and comparing
+    it with the class of its least point (the library reads class indices
+    instead)."""
+    images = []
+    for c in partition.classes:
+        image = tuple(sorted(perm.images[x] for x in c))
+        if image != class_of(partition, image[0]):
+            return None
+        images.append(partition.class_index(image[0]))
+    return Perm(images)
+
+
 def refines(a: PointPartition, b: PointPartition) -> bool:
     """Same points, and every class of a lies inside a class of b."""
     return a.degree == b.degree and all(
-        set(c) <= set(b.class_of(c[0])) for c in a.classes
+        set(c) <= set(class_of(b, c[0])) for c in a.classes
     )
 
 
@@ -886,7 +953,7 @@ def two_search_lift_structure(qmap, s_quotient, limits=DEFAULT_LIMITS):
     relabeled = lifted.relabel(cosets.fiber_images())
     aut_lifted = automorphism_group_of(lifted, limits)
     aut_q = automorphism_group_of(dq, limits)
-    wreath = perms.wreath_product(aut_q, perms.symmetric_group(size))
+    wreath = wreath_product(aut_q, symmetric_group(size))
     twins = PointPartition(lifted.order, lifted.twin_classes())
     checks = {
         "arc_identity": relabeled == digraphs.wreath_product(dq, inner),
@@ -901,3 +968,55 @@ def two_search_lift_structure(qmap, s_quotient, limits=DEFAULT_LIMITS):
         "unique_block_system": size == 1 or twins == cosets,
     }
     return checks, aut_lifted
+
+
+def two_search_certificate(group, subgroup, set1, set2, mode="digraph", limits=DEFAULT_LIMITS):
+    """`quotient_ci_certificate` on a proper non-trivial kernel whose two
+    quotient digraphs are isomorphic, with each side's lift checked by
+    `two_search_lift_structure`: each quotient digraph and each lifted
+    digraph searched on its own, and the wreath group with a copy of
+    Sym(block) on every fiber (the library searches dq1 alone, carries its
+    group to dq2 by the quotient isomorphism, and puts Sym(block) on one
+    fiber per orbit).  The set transporter is the scan of the whole
+    automorphism list."""
+    h, s1, s2 = frozenset(subgroup), frozenset(set1), frozenset(set2)
+    qmap = group.quotient(h)
+    if not 1 < len(h) < group.order:
+        raise ValueError("the kernel must be proper and non-trivial")
+    dq1, dq2 = cayley(qmap.target, s1), cayley(qmap.target, s2)
+    if find_isomorphism(dq1, dq2, limits) is None:
+        raise ValueError("the quotient digraphs must be isomorphic")
+    lift1, lift2 = _lift(qmap, s1, dq1), _lift(qmap, s2, dq2)
+    sides = [two_search_lift_structure(qmap, s, limits)[0] for s in (s1, s2)]
+    checks = {"quotient_isomorphic": True, "lift_cases_agree": lift1.case == lift2.case}
+    per_side = {
+        "lift_arc_identity": ("arc_identity",),
+        "aut_wreath_equality": (
+            "aut_order_equal", "wreath_generators_in_aut", "aut_inside_wreath",
+        ),
+        "unique_block_system": ("unique_block_system",),
+    }
+    for name, keys in per_side.items():
+        for side, side_checks in enumerate(sides, 1):
+            checks[f"{name}_side{side}"] = all(side_checks[k] for k in keys)
+    alpha = first_automorphic_image(group, lift1.connection, lift2.connection, limits)
+    checks["alpha_found"] = alpha is not None
+    alpha_bar = None
+    if alpha is not None:
+        checks["alpha_preserves_cosets"] = sorted_induced(qmap.cosets, alpha) is not None
+        checks["alpha_fixes_subgroup"] = alpha.image_of_set(h) == h
+        if checks["alpha_fixes_subgroup"]:
+            alpha_bar = qmap.induce(alpha)
+        checks["alpha_bar_well_defined"] = alpha_bar is not None
+        checks["alpha_bar_maps_sets"] = (
+            alpha_bar is not None and alpha_bar.image_of_set(s1) == s2
+        )
+    accepted = all(checks.values())
+    status = (
+        "accepted" if accepted else "hypothesis_not_ci" if alpha is None else "rejected"
+    )
+    return QuotientCICertificate(
+        group=group, subgroup=h, set1=s1, set2=s2, mode=mode, status=status,
+        accepted=accepted, degenerate=False, checks=checks, lift1=lift1,
+        lift2=lift2, alpha=alpha, alpha_bar=alpha_bar,
+    )

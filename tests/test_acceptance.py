@@ -40,8 +40,6 @@ from cig.groups import (
 )
 from cig.iso import automorphism_group_of, find_isomorphism
 from cig.limits import Limits
-from cig.perms import symmetric_group
-from cig.perms import wreath_product as wreath_perm_group
 
 SNAPSHOT_DIR = Path(__file__).parent / "snapshots"
 
@@ -154,14 +152,14 @@ class TestCriterion3WreathBlockSystems:
         outers = {
             "Z2": oracles.cyclic_group(2),
             "Z3": oracles.cyclic_group(3),
-            "S3": symmetric_group(3),
+            "S3": oracles.symmetric_group(3),
             "Z4": oracles.cyclic_group(4),
         }
-        inners = {"S2": symmetric_group(2), "Z3": oracles.cyclic_group(3)}
+        inners = {"S2": oracles.symmetric_group(2), "Z3": oracles.cyclic_group(3)}
         cases = 0
         for g in outers.values():
             for h in inners.values():
-                w = wreath_perm_group(g, h)
+                w = oracles.wreath_product(g, h)
                 fibers = oracles.fiber_partition(g.degree, h.degree)
                 for partition in oracles.invariant_partitions(w):
                     assert oracles.refines(partition, fibers) or oracles.refines(
@@ -342,7 +340,7 @@ class TestCriterion6QuotientCertificates:
                                 instance, cert.failing_checks(),
                             )
                             # The cited dichotomy explains the exact Aut order.
-                            rep = verify_lift_structure(qmap, s1)
+                            rep = verify_lift_structure(qmap, s1, q1, automorphism_group_of(q1))
                             lifted = cayley(group, rep.lift.connection)
                             predicted = (
                                 automorphism_group_of(dec.quotient).order

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import factorial
 
 import pytest
@@ -12,6 +13,7 @@ import cig.digraphs
 import cig.iso
 import oracles
 from cig.ci import (
+    MODES,
     ci_pair,
     is_ci_group,
     lift_connection_set,
@@ -23,7 +25,7 @@ from cig.digraphs import Digraph, cayley
 from cig.groups import FiniteGroup, catalog_specs, parse_group_spec
 from cig.iso import automorphism_group_of, find_isomorphism, neighbourhood_key
 from cig.limits import CapExceeded, Limits
-from cig.perms import Perm, PermGroup, PointPartition, symmetric_group, wreath_product
+from cig.perms import Perm, PermGroup, PointPartition
 from test_acceptance import C9_SPECS, group_sweep
 
 
@@ -607,6 +609,13 @@ class TestLift:
                     assert len(arcs) == 1
 
 
+def lift_report(qmap, s_quotient):
+    """`verify_lift_structure` with the quotient digraph and its automorphism
+    group found here, as a certificate finds them for its first side."""
+    dq = cayley(qmap.target, frozenset(s_quotient))
+    return verify_lift_structure(qmap, s_quotient, dq, automorphism_group_of(dq))
+
+
 def lifted_aut_order(group, report) -> int:
     return automorphism_group_of(cayley(group, report.lift.connection)).order
 
@@ -614,19 +623,19 @@ def lifted_aut_order(group, report) -> int:
 class TestLiftStructure:
     def test_z6_wreath_identity(self):
         z6 = FiniteGroup.cyclic(6)
-        report = verify_lift_structure(z6.quotient({0, 3}), {1})
+        report = lift_report(z6.quotient({0, 3}), {1})
         assert all(report.checks.values())
         assert lifted_aut_order(z6, report) == 24
 
     def test_z4_empty_set_structure(self):
         z4 = FiniteGroup.cyclic(4)
-        report = verify_lift_structure(z4.quotient({0, 2}), set())
+        report = lift_report(z4.quotient({0, 2}), set())
         assert all(report.checks.values())
         assert lifted_aut_order(z4, report) == 8
 
     def test_z4_full_coset_structure(self):
         z4 = FiniteGroup.cyclic(4)
-        report = verify_lift_structure(z4.quotient({0, 2}), {1})
+        report = lift_report(z4.quotient({0, 2}), {1})
         assert all(report.checks.values())
         assert lifted_aut_order(z4, report) == 8
 
@@ -642,21 +651,25 @@ class TestLiftStructure:
             lambda out, into: calls.append(out) or twin_labels(out, into),
         )
         z6 = FiniteGroup.cyclic(6)
-        report = verify_lift_structure(z6.quotient({0, 3}), {1})
+        report = lift_report(z6.quotient({0, 3}), {1})
         assert all(report.checks.values())
         assert len(calls) == len(set(calls)) == 2
 
 
 def lift_check(qmap, s_quotient):
-    """`verify_lift_structure`'s checks and the Aut(lifted) it built: the
-    last group returned by either call that builds one."""
+    """`verify_lift_structure`'s checks, given dq and Aut(dq) found here, and
+    the Aut(lifted) it built: the first group returned by either call that
+    builds one.  The second `_lift_over_classes` call builds the wreath
+    group."""
+    dq = cayley(qmap.target, frozenset(s_quotient))
+    aut_q = automorphism_group_of(dq)
     built = []
     with pytest.MonkeyPatch.context() as mp:
         for name in ("_lift_over_classes", "automorphism_group_of"):
             real = getattr(cig.ci, name)
             mp.setattr(cig.ci, name, lambda *a, real=real: built.append(real(*a)) or built[-1])
-        report = verify_lift_structure(qmap, s_quotient)
-    return report.checks, built[-1]
+        report = verify_lift_structure(qmap, s_quotient, dq, aut_q)
+    return report.checks, built[0]
 
 
 def lift_sample(spec):
@@ -772,7 +785,8 @@ class TestOneSearchOfTheQuotient:
             "_search_automorphisms",
             lambda d, initial: calls.append(d) or search(d, initial),
         )
-        verify_lift_structure(FiniteGroup.cyclic(n).quotient(kernel), s)
+        # The search of dq that gives Aut(dq), then any the lift check runs.
+        lift_report(FiniteGroup.cyclic(n).quotient(kernel), s)
         assert len(calls) == searches
 
     @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
@@ -804,7 +818,7 @@ def wreath_closure(report, dq) -> set[tuple[int, ...]]:
     whose fibers are the cosets in rank order."""
     aut_q = [Perm(p) for p in oracles.enumerated_automorphisms(dq)]
     outer = PermGroup(aut_q, order=len(aut_q), degree=dq.order)
-    pairs = wreath_product(outer, symmetric_group(report.lift.block_size))
+    pairs = oracles.wreath_product(outer, oracles.symmetric_group(report.lift.block_size))
     to_pair = report.lift.coset_partition.fiber_images()
     from_pair = oracles.inverse(to_pair)
     return {
@@ -821,7 +835,7 @@ class TestLiftStructureAgainstClosures:
     @staticmethod
     def assert_checks_are_set_relations(group, kernel, s_quotient):
         qmap = group.quotient(kernel)
-        report = verify_lift_structure(qmap, s_quotient)
+        report = lift_report(qmap, s_quotient)
         dq = cayley(qmap.target, s_quotient)
         lifted = cayley(group, report.lift.connection)
         aut = automorphism_set(lifted)
@@ -871,7 +885,7 @@ class TestUniqueBlockPartition:
         assert oracles.brute_block_systems(aut, 2) == [cosets]
 
     def test_primitive_group_fails(self):
-        assert oracles.brute_block_systems(symmetric_group(4), 2) != [
+        assert oracles.brute_block_systems(oracles.symmetric_group(4), 2) != [
             PointPartition(4, [[0, 1], [2, 3]])
         ]
 
@@ -936,7 +950,7 @@ class TestUniqueBlockSystemAgainstOracles:
                 s = {x for x in range(1, q) if rng.random() < 0.5}
                 sets.append(s | {0} if looped else s)
             for s in sets:
-                report = verify_lift_structure(qmap, s)
+                report = lift_report(qmap, s)
                 unique = oracle_says_unique(g, report)
                 assert report.checks["unique_block_system"] == unique, (
                     spec, sorted(h), sorted(s),
@@ -951,7 +965,7 @@ class TestUniqueBlockSystemAgainstOracles:
         # Z4 over {0, 2} with S = {0, 1}: the lift is K4 with every loop,
         # one twin class, and Sym(4) has three block systems of size 2.
         z4 = FiniteGroup.cyclic(4)
-        report = verify_lift_structure(z4.quotient({0, 2}), {0, 1})
+        report = lift_report(z4.quotient({0, 2}), {0, 1})
         assert not oracle_says_unique(z4, report)
         assert not report.checks["unique_block_system"]
 
@@ -960,7 +974,7 @@ class TestUniqueBlockSystemAgainstOracles:
         # exact: the discrete partition is the one block system of size 1,
         # although the empty Z4 digraph has a single twin class.
         z4 = FiniteGroup.cyclic(4)
-        report = verify_lift_structure(z4.quotient({0}), set())
+        report = lift_report(z4.quotient({0}), set())
         assert oracle_says_unique(z4, report)
         assert report.checks["unique_block_system"]
 
@@ -1101,6 +1115,131 @@ class TestQuotientCertificate:
         g = FiniteGroup.cyclic(8)
         cert = quotient_ci_certificate(g, {0, 4}, {1, 3}, {1, 3}, mode="graph")
         assert cert.accepted
+
+
+def isomorphic_quotient_pairs(spec, mode):
+    """(qmap, s1, s2) for each proper non-trivial normal subgroup of the
+    group and each pair of quotient sets, equal sets included, whose Cayley
+    digraphs are isomorphic; graph mode takes the inverse-closed sets."""
+    g = parse_group_spec(spec)
+    for h in g.normal_subgroups():
+        if not 1 < len(h) < g.order:
+            continue
+        qmap = g.quotient(h)
+        q = qmap.target.order
+        classes = []  # per isomorphism class, its (set, digraph) pairs
+        for code in range(1 << q):
+            s = frozenset(x for x in range(q) if code >> x & 1)
+            if mode == "graph" and not qmap.target.is_inverse_closed(s):
+                continue
+            d = cayley(qmap.target, s)
+            for members in classes:
+                if find_isomorphism(members[0][1], d) is not None:
+                    members.append((s, d))
+                    break
+            else:
+                classes.append([(s, d)])
+        for members in classes:
+            for (s1, _), (s2, _) in combinations_with_replacement(members, 2):
+                yield qmap, s1, s2
+
+
+class TestOneQuotientSearchPerCertificate:
+    """A certificate searches dq1 alone, takes Aut(dq2) as Aut(dq1)
+    conjugated by the quotient isomorphism phi, and builds the wreath group
+    with Sym(block) on one fiber per orbit of Aut(dq)."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_certificate_equals_the_two_search_oracle(self, spec, mode):
+        pairs = 0
+        for qmap, s1, s2 in isomorphic_quotient_pairs(spec, mode):
+            g, h = qmap.source, qmap.kernel
+            cert = quotient_ci_certificate(g, h, s1, s2, mode)
+            oracle = oracles.two_search_certificate(g, h, s1, s2, mode)
+            assert cert.to_json() == oracle.to_json(), (spec, sorted(h), sorted(s1), sorted(s2))
+            pairs += 1
+        assert pairs or spec in ("Z1", "Z2", "Z3", "Z5", "Z7", "Z11")
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_conjugated_group_is_aut_of_the_second_quotient(self, spec):
+        for qmap, s1, s2 in isomorphic_quotient_pairs(spec, "digraph"):
+            dq1, dq2 = cayley(qmap.target, s1), cayley(qmap.target, s2)
+            phi = find_isomorphism(dq1, dq2)
+            aut2 = cig.ci._conjugated(automorphism_group_of(dq1), phi)
+            instance = (spec, sorted(qmap.kernel), sorted(s1), sorted(s2))
+            assert aut2.order == len(automorphism_set(dq2)), instance
+            assert set(oracles.closure(aut2)) == automorphism_set(dq2), instance
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(8)])
+    def test_one_search_of_a_quotient_digraph(self, spec, monkeypatch):
+        searched = []
+        real = cig.ci.automorphism_group_of
+        monkeypatch.setattr(
+            cig.ci,
+            "automorphism_group_of",
+            lambda d, limits: searched.append(d) or real(d, limits),
+        )
+        for qmap, s1, s2 in isomorphic_quotient_pairs(spec, "digraph"):
+            searched.clear()
+            quotient_ci_certificate(qmap.source, qmap.kernel, s1, s2)
+            q = qmap.target.order
+            assert [d for d in searched if d.order == q] == [cayley(qmap.target, s1)]
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(8)])
+    def test_fiber_wreath_group_is_the_oracle_wreath_product(self, spec, monkeypatch):
+        # The group `wreath_generators_in_aut` tests is generated by the
+        # permutations of the |G| points handed to `is_automorphism` (those
+        # of `aut_inside_wreath` act on the |G/H| quotient points), and the
+        # order `aut_order_equal` compares is that of the last
+        # `_lift_over_classes` call, the one over the fibers.
+        built, tested = [], []
+        real_lift = cig.ci._lift_over_classes
+        monkeypatch.setattr(
+            cig.ci,
+            "_lift_over_classes",
+            lambda aut_q, classes, n: built.append((aut_q, classes, real_lift(aut_q, classes, n)))
+            or built[-1][2],
+        )
+        real_test = Digraph.is_automorphism
+        monkeypatch.setattr(
+            Digraph,
+            "is_automorphism",
+            lambda d, images: tested.append(tuple(images)) or real_test(d, images),
+        )
+        g = parse_group_spec(spec)
+        for h in g.normal_subgroups():
+            if not 1 < len(h) < g.order:
+                continue
+            qmap = g.quotient(h)
+            q, b = qmap.target.order, len(h)
+            for code in range(1 << q):
+                s = {x for x in range(q) if code >> x & 1}
+                built.clear()
+                tested.clear()
+                report = lift_report(qmap, s)
+                aut_q, fibers, wreath = built[-1]
+                assert [tuple(f) for f in fibers] == [
+                    tuple(range(i * b, i * b + b)) for i in range(q)
+                ]
+                generators = [Perm(t) for t in tested if len(t) == g.order]
+                expected = oracles.wreath_product(aut_q, oracles.symmetric_group(b))
+                instance = (spec, sorted(h), sorted(s))
+                assert report.checks["wreath_generators_in_aut"], instance
+                assert wreath.order == expected.order, instance
+                assert oracles.closure(
+                    PermGroup(generators, order=1, degree=g.order)
+                ) == oracles.closure(expected), instance
+
+    def test_lifted_order_is_checked_before_the_quotient_search(self, monkeypatch):
+        # Z64 over <32>: the quotient digraphs have 32 vertices, the lifted
+        # ones 64, past the default cap of 40.
+        def search(*args):
+            raise AssertionError("searched before the refusal")
+
+        monkeypatch.setattr(cig.ci, "automorphism_group_of", search)
+        with pytest.raises(CapExceeded, match="digraph order 64 exceeds search cap 40"):
+            quotient_ci_certificate(FiniteGroup.cyclic(64), {0, 32}, {1}, {3})
 
 
 class TestWreathAutDichotomy:

@@ -139,6 +139,10 @@ class TestExitCodes:
             ("--search-cap 3 quotient verify --group Z8 --normal 4 --set1 1 --set2 2",
              "exceeds search cap 3"),
             ("--aut-cap 5 ci group --group Z6", "exceeds automorphism cap 5"),
+            # The quotient digraphs (32 vertices) are within the default cap,
+            # the lifted ones are not.
+            ("quotient verify --group Z64 --normal 32 --set1 1 --set2 3",
+             "digraph order 64 exceeds search cap 40"),
         ],
     )
     def test_cap_takes_effect(self, capsys, argv, message):
@@ -174,9 +178,10 @@ class TestExitCodes:
         assert "inverse-closed" in err
 
     def test_certificate_builds_each_lift_and_quotient_group_once(self, capsys, monkeypatch):
-        # G/H once and one Cayley digraph per lifted set.  Each quotient set's
-        # digraph is built for the isomorphism check and again by
-        # `verify_lift_structure`, the one lift check, which takes only the set.
+        # G/H once and one Cayley digraph per set: each quotient set's digraph
+        # is built once, for the isomorphism check, and handed with its
+        # automorphism group to `verify_lift_structure`, which builds the
+        # lifted digraph.
         built, quotients = [], []
         cayley, quotient = cig.ci.cayley, FiniteGroup.quotient
         monkeypatch.setattr(
@@ -190,7 +195,7 @@ class TestExitCodes:
             "--normal", "3", "--set1", "1", "--set2", "2",
         )
         assert code == 0 and "status: accepted" in out
-        assert built == [3, 3, 3, 6, 3, 6]
+        assert built == [3, 3, 6, 6]
         assert quotients == [frozenset({0, 3})]
 
     def test_non_normal_kernel_exits_two(self, capsys):

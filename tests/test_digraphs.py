@@ -30,6 +30,17 @@ def digraphs(draw, max_order=6):
     return Digraph(n, masks)
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("masks", [[4, 0], [0, -1], [1 << 5, 3]])
+    def test_mask_out_of_range_is_refused(self, masks):
+        with pytest.raises(ValueError, match="adjacency mask out of range"):
+            Digraph(2, masks)
+
+    def test_masks_at_the_range_ends_are_kept(self):
+        assert Digraph(2, [0, 3]).arcs() == [(1, 0), (1, 1)]
+        assert Digraph(0, []).order == 0
+
+
 class TestCayley:
     def test_z3_generator(self):
         d = cayley(FiniteGroup.cyclic(3), {1})

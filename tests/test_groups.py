@@ -226,6 +226,24 @@ class TestSubgroups:
         transposition = next(x for x in range(6) if s3.element_order(x) == 2)
         assert not s3.is_normal(s3.subgroup_generated([transposition]))
 
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_is_normal_matches_conjugation_by_every_element(self, spec):
+        # `is_normal` conjugates by the generating set only.
+        g = parse_group_spec(spec)
+        for h in g.subgroups():
+            every = all(g.conjugate(x, y) in h for x in range(g.order) for y in h)
+            assert g.is_normal(h) == every, sorted(h)
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_generating_set_is_the_greedy_scan(self, spec):
+        g = parse_group_spec(spec)
+        gens = []
+        for x in range(g.order):
+            if x not in g.subgroup_generated(gens):
+                gens.append(x)
+        assert g.generating_set() == tuple(gens)
+        assert g.subgroup_generated(gens) == frozenset(range(g.order))
+
     def test_is_normal_rejects_non_subgroups(self):
         with pytest.raises(ValueError):
             FiniteGroup.cyclic(4).is_normal({0, 1})
@@ -363,6 +381,25 @@ class TestAutomorphisms:
         # 1 -> 2 would send 1 + 1 = 2 to 2 + 2 = 0, but 2 -> 1.
         with pytest.raises(ValueError, match="not multiplicative"):
             group_automorphism(FiniteGroup.cyclic(4), (0, 2, 1, 3))
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(8)])
+    def test_validation_names_the_first_failing_product(self, spec):
+        g = parse_group_spec(spec)
+        rng = random.Random(spec)
+        for _ in range(20):
+            images = [0] + rng.sample(range(1, g.order), g.order - 1)
+            failing = [
+                (a, b)
+                for a in range(g.order)
+                for b in range(g.order)
+                if images[g.mul(a, b)] != g.mul(images[a], images[b])
+            ]
+            if failing:
+                a, b = failing[0]
+                with pytest.raises(ValueError, match=re.escape(f"multiplicative at ({a},{b})")):
+                    group_automorphism(g, images)
+            else:
+                assert group_automorphism(g, images).images == tuple(images)
 
     def test_validation_rejects_the_wrong_degree(self):
         with pytest.raises(ValueError, match="order 4"):

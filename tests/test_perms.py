@@ -7,21 +7,21 @@ from math import comb, factorial
 import pytest
 
 import oracles
-from oracles import block_of, cyclic_group, fiber_partition, union_find_block_systems
+from oracles import (
+    block_of,
+    cyclic_group,
+    fiber_partition,
+    symmetric_group,
+    trivial_group,
+    union_find_block_systems,
+    wreath_product,
+)
 from cig import digraphs
 from cig.ci import lift_connection_set
 from cig.digraphs import Digraph, cayley
 from cig.groups import FiniteGroup, catalog_specs, parse_group_spec
 from cig.iso import automorphism_group_of
-from cig.perms import (
-    Perm,
-    PermGroup,
-    PointPartition,
-    orbit,
-    symmetric_group,
-    trivial_group,
-    wreath_product,
-)
+from cig.perms import Perm, PermGroup, PointPartition, orbit
 
 
 def singletons(degree):
@@ -100,6 +100,7 @@ class TestPointPartition:
                 else None
             )
             assert partition.induced(perm) == expected
+            assert oracles.sorted_induced(partition, perm) == expected
 
     def test_induced_needs_the_partition_degree(self):
         with pytest.raises(ValueError, match="degree mismatch"):
