@@ -15,7 +15,10 @@ automorphism search of a quotient digraph: Aut(dq2) is Aut(dq1) carried
 over by the quotient isomorphism.  It checks each side's lift in one
 `verify_lift_structure` pass: arcs, the wreath automorphism group, and the
 cosets as the only block system of their size, which holds exactly when
-they are the lifted digraph's twin classes.
+they are the lifted digraph's twin classes.  When they are and the arcs
+check out, both groups would be lifted from that side's Aut(quotient), so
+the wreath check tests only what can fail there: that each generator of
+Aut(quotient) preserves the quotient digraph.
 """
 
 from __future__ import annotations
@@ -408,14 +411,37 @@ def verify_lift_structure(
     (those of H or of H - {e} in the lifted set).  When the twin classes
     are the cosets, the twin quotient is therefore dq in a single colour,
     and Aut(lifted) is Aut(dq) lifted over the cosets (see
-    `automorphism_group_of`): it is built from `aut_q`, without a search.
+    `automorphism_group_of`): `aut_q` lifted, without a search.
     `automorphism_group_of(lifted)` rests on the same twin decomposition,
     so a search could only find Aut(dq) again.  Whether the twin quotient's
     route and the unreduced search agree is a property of the search, which
     tests/test_iso.py checks against the unreduced search and enumeration.
-    The arc identity, the two generator memberships (each tested against
-    arcs) and the block check stay.  When the twin classes are not the
-    cosets, the lifted digraph is searched as usual.
+    When the twin classes are not the cosets, the lifted digraph is
+    searched as usual.
+
+    When the twin classes are the cosets and the arc identity holds, the
+    three group checks reduce to one test per generator g of `aut_q`,
+    whether g is an automorphism of dq, on |G/H| points, and neither group
+    is built.  The relabelled lifted digraph is then W = wreath_product(dq,
+    inner), and both groups would be `aut_q` lifted by `_lift_over_classes`:
+    - Both orders are |aut_q| * (|H|!)^|G/H|, so `aut_order_equal` holds.
+    - The wreath group's generators lie in Sym(fiber) or lift a g fiber
+      onto fiber.  Sym(fiber) always preserves W: inside a fiber W has no
+      arc, every arc (loops included, where dq loops) or the loopless
+      complete inner digraph's arcs, and between two fibers every arc or
+      none.  The lift of g carries the arcs between fibers i and j onto
+      those between g(i) and g(j), and the inside of fiber i onto that of
+      fiber g(i); the inside of a fiber differs with and without a loop of
+      dq, since the inner digraph has no loop.  So the lift preserves W
+      exactly when g is in Aut(dq), and `wreath_generators_in_aut` holds
+      exactly when every g is.
+    - Aut(lifted)'s generators lie in Sym(coset), inducing the identity on
+      the cosets, or lift a g coset onto coset, inducing g itself.  So
+      `aut_inside_wreath` holds exactly when every g is in Aut(dq).
+    That test fails when `aut_q` is not inside Aut(dq), as for a wrongly
+    conjugated group on side 2 of a certificate.  Everywhere else, with
+    the twin classes not the cosets or with the arc identity failing, both
+    groups are built and the three checks run as described above.
 
     The block check reads the lifted digraph's twin classes.  The connection
     set is a union of H-cosets (plus H - {e} for the complete kind, which
@@ -448,19 +474,22 @@ def verify_lift_structure(
     arc_identity = relabeled == expected
 
     twins_are_cosets = lifted.twin_classes() == cosets.classes
-    if twins_are_cosets:
-        aut_lifted = _lift_over_classes(aut_q, cosets.classes, lifted.order)
+    if twins_are_cosets and arc_identity:
+        in_aut = all(dq.is_automorphism(g.images) for g in aut_q.generators)
+        order_equal, gens_in_aut, aut_in_wreath = True, in_aut, in_aut
     else:
-        aut_lifted = automorphism_group_of(lifted, limits)
-    fibers = [range(i * size, i * size + size) for i in range(dq.order)]
-    wreath = _lift_over_classes(aut_q, fibers, lifted.order)
-
-    order_equal = aut_lifted.order == wreath.order
-    gens_in_aut = all(relabeled.is_automorphism(g.images) for g in wreath.generators)
-    aut_in_wreath = all(
-        (bar := cosets.induced(g)) is not None and dq.is_automorphism(bar.images)
-        for g in aut_lifted.generators
-    )
+        if twins_are_cosets:
+            aut_lifted = _lift_over_classes(aut_q, cosets.classes, lifted.order)
+        else:
+            aut_lifted = automorphism_group_of(lifted, limits)
+        fibers = [range(i * size, i * size + size) for i in range(dq.order)]
+        wreath = _lift_over_classes(aut_q, fibers, lifted.order)
+        order_equal = aut_lifted.order == wreath.order
+        gens_in_aut = all(relabeled.is_automorphism(g.images) for g in wreath.generators)
+        aut_in_wreath = all(
+            (bar := cosets.induced(g)) is not None and dq.is_automorphism(bar.images)
+            for g in aut_lifted.generators
+        )
     checks = {
         "arc_identity": arc_identity,
         "aut_order_equal": order_equal,

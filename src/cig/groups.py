@@ -45,6 +45,30 @@ class FiniteGroup:
             raise ValueError("a group has at least the identity")
         _check_order(self.order)
         self._validate_table()
+        self._finish(labels, name)
+
+    @classmethod
+    def _image(
+        cls, table: Sequence[Sequence[int]], labels: Sequence[str], name: str
+    ) -> FiniteGroup:
+        """The group on `table`, which the caller has shown to be the image
+        of a validated group under an onto map p that respects products:
+        p(a*b) = table[p(a)][p(b)] for all a, b, with p(e) = 0.  So the table
+        holds the group axioms without `_validate_table`.  Identity:
+        table[0][p(b)] = p(e*b) = p(b), and so for columns.  Associativity:
+        (p(a) p(b)) p(c) = p((a*b)*c) = p(a*(b*c)) = p(a) (p(b) p(c)).
+        Inverses: p(a) p(a^-1) = p(e) = p(a^-1) p(a).  A group's table is
+        a Latin square, since x*y = z has the one solution y = x^-1 z.  The
+        greedy generating set is found as `_validate_table` finds it."""
+        image = cls.__new__(cls)
+        image.table = tuple(tuple(row) for row in table)
+        image.order = len(image.table)
+        image._generating_set = image._greedy_generating_set()
+        image._finish(labels, name)
+        return image
+
+    def _finish(self, labels: Sequence[str] | None, name: str | None) -> None:
+        """Labels, name and inverses of a table that holds the axioms."""
         if labels is None:
             labels = [str(i) for i in range(self.order)]
         if len(labels) != self.order:
@@ -78,15 +102,7 @@ class FiniteGroup:
                 raise ValueError(f"row {i} is not a permutation (not a Latin square)")
             if len(set(column)) != n:
                 raise ValueError(f"column {i} is not a permutation (not a Latin square)")
-        gens: list[int] = []
-        closure = frozenset({0})
-        for x in range(n):
-            if x not in closure:
-                gens.append(x)
-                closure = self.subgroup_generated(gens)
-                if len(closure) == n:
-                    break
-        self._generating_set = tuple(gens)
+        self._generating_set = gens = self._greedy_generating_set()
         for g in gens:
             for x, row in enumerate(table):
                 left, right = table[row[g]], tuple(map(row.__getitem__, table[g]))
@@ -96,6 +112,19 @@ class FiniteGroup:
                         f"table is not associative: ({x}*{g})*{y} = {left[y]} "
                         f"but {x}*({g}*{y}) = {right[y]}"
                     )
+
+    def _greedy_generating_set(self) -> tuple[int, ...]:
+        """Each element, in ascending order, that the ones taken so far do
+        not generate, until they generate the group."""
+        gens: list[int] = []
+        closure = frozenset({0})
+        for x in range(self.order):
+            if x not in closure:
+                gens.append(x)
+                closure = self.subgroup_generated(gens)
+                if len(closure) == self.order:
+                    break
+        return tuple(gens)
 
     # -- basic arithmetic ------------------------------------------------
 
@@ -194,7 +223,11 @@ class FiniteGroup:
         """Quotient by a normal subgroup, with a verified induced table.
 
         Coset i, the i-th class of `cosets`, is element i of the target,
-        represented by its minimum.
+        represented by its minimum; the identity's coset is element 0.  The
+        well-definedness scan checks that x -> the index of x's coset
+        respects every product of the group, so the target table is the
+        image of a group and holds the axioms (see `_image`): it is not
+        validated again.
         """
         h = frozenset(kernel)
         if not self.is_normal(h):
@@ -210,8 +243,7 @@ class FiniteGroup:
         for a, row in enumerate(self.table):
             if tuple(map(coset_of.__getitem__, row)) != expanded[coset_of[a]]:
                 raise RuntimeError("coset product is not well-defined")
-        labels = self.coset_labels(cosets)
-        target = FiniteGroup(table, labels=labels, name=f"{self.name}/H")
+        target = FiniteGroup._image(table, self.coset_labels(cosets), f"{self.name}/H")
         return QuotientMap(source=self, kernel=h, target=target, cosets=cosets)
 
     def coset_labels(self, cosets: PointPartition) -> list[str]:
@@ -222,7 +254,7 @@ class FiniteGroup:
 
     def generating_set(self) -> tuple[int, ...]:
         """Greedy small generating set (ascending element scan), found once
-        by `_validate_table`."""
+        by `_greedy_generating_set`."""
         return self._generating_set
 
     def automorphisms(self, limits: Limits = DEFAULT_LIMITS) -> tuple[Perm, ...]:
@@ -505,8 +537,11 @@ def automorphic_image_search(
 ) -> Perm | None:
     """First automorphism, in `automorphisms()` order, carrying one subset onto
     the other, or None: a set transporter.  It lists nothing, so no cap
-    applies; every library caller has searched the group's Cayley digraph
-    under ``limits.search`` first."""
+    applies; every library caller has checked the group's order against
+    ``limits.search`` first.  `ci_pair` and the CI sweep do so by searching
+    Cayley digraphs of the group; the quotient certificate checks |G| alone,
+    and where a lift's twin classes are its cosets no Cayley digraph of G
+    is searched."""
     s = frozenset(subset)
     t = frozenset(target_subset)
     if len(s) != len(t):

@@ -29,6 +29,9 @@ orders, blocks and invariant partitions, Atkinson's union-find with its
 join closure for the block systems of a transitive group (which the library
 no longer computes: its one block check reads twin classes), all uniform
 set partitions for wreath-structure questions, the lift check that
+builds Aut(lifted) and the wreath group on every lift and tests every
+generator of each (the library builds neither where the lifted twin
+classes are the cosets), the lift check that
 searches the lifted digraph as well as the quotient digraph (the library
 lifts Aut(quotient) when the lifted twin classes are the cosets), and the
 certificate that runs that check on both sides, searching both quotient
@@ -62,7 +65,13 @@ from cig.ci import (
 from cig import digraphs
 from cig.digraphs import Digraph, cayley
 from cig.groups import FiniteGroup
-from cig.iso import _check_cap, automorphism_group_of, find_isomorphism, rooted_key
+from cig.iso import (
+    _check_cap,
+    _lift_over_classes,
+    automorphism_group_of,
+    find_isomorphism,
+    rooted_key,
+)
 from cig.limits import DEFAULT_LIMITS, CapExceeded
 from cig.perms import Perm, PermGroup, PointPartition, orbit
 
@@ -937,6 +946,42 @@ def all_digraphs(n: int, loops: bool = True):
                     pos += 1
                 masks.append(row)
             yield Digraph(n, masks)
+
+
+def built_lift_structure(qmap, s_quotient, dq, aut_q, limits=DEFAULT_LIMITS):
+    """`verify_lift_structure` building both groups on every lift: Aut(lifted)
+    (`aut_q` lifted over the cosets when they are the lifted twin classes,
+    searched otherwise) and the wreath group (`aut_q` lifted over the
+    fibers), with the three group checks run on every generator of each
+    (the library builds neither where the twin classes are the cosets and
+    the arc identity holds, and tests only `aut_q` against dq).  Returns
+    the checks, Aut(lifted) and the wreath group."""
+    s_quotient = frozenset(s_quotient)
+    lift = _lift(qmap, s_quotient, dq)
+    cosets, size = lift.coset_partition, lift.block_size
+    lifted = cayley(qmap.source, lift.connection)
+    inner = Digraph.complete(size) if lift.case == "non_decomposable" else Digraph.empty(size)
+    relabeled = lifted.relabel(cosets.fiber_images())
+    twins_are_cosets = lifted.twin_classes() == cosets.classes
+    if twins_are_cosets:
+        aut_lifted = _lift_over_classes(aut_q, cosets.classes, lifted.order)
+    else:
+        aut_lifted = automorphism_group_of(lifted, limits)
+    fibers = [range(i * size, i * size + size) for i in range(dq.order)]
+    wreath = _lift_over_classes(aut_q, fibers, lifted.order)
+    checks = {
+        "arc_identity": relabeled == digraphs.wreath_product(dq, inner),
+        "aut_order_equal": aut_lifted.order == wreath.order,
+        "wreath_generators_in_aut": all(
+            relabeled.is_automorphism(g.images) for g in wreath.generators
+        ),
+        "aut_inside_wreath": all(
+            (bar := cosets.induced(g)) is not None and dq.is_automorphism(bar.images)
+            for g in aut_lifted.generators
+        ),
+        "unique_block_system": size == 1 or twins_are_cosets,
+    }
+    return checks, aut_lifted, wreath
 
 
 def two_search_lift_structure(qmap, s_quotient, limits=DEFAULT_LIMITS):

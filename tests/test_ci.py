@@ -1,10 +1,12 @@
 """CI pairs and groups, lifting, certificates, wreath-aut dichotomy."""
 
+import json
 import random
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -658,18 +660,16 @@ class TestLiftStructure:
 
 def lift_check(qmap, s_quotient):
     """`verify_lift_structure`'s checks, given dq and Aut(dq) found here, and
-    the Aut(lifted) it built: the first group returned by either call that
-    builds one.  The second `_lift_over_classes` call builds the wreath
-    group."""
+    the Aut(lifted) that `oracles.built_lift_structure` builds from the same
+    dq and Aut(dq): lifted over the cosets when they are the twin classes,
+    searched otherwise.  The library's checks must equal that oracle's,
+    which builds both groups and tests every generator of each."""
     dq = cayley(qmap.target, frozenset(s_quotient))
     aut_q = automorphism_group_of(dq)
-    built = []
-    with pytest.MonkeyPatch.context() as mp:
-        for name in ("_lift_over_classes", "automorphism_group_of"):
-            real = getattr(cig.ci, name)
-            mp.setattr(cig.ci, name, lambda *a, real=real: built.append(real(*a)) or built[-1])
-        report = verify_lift_structure(qmap, s_quotient, dq, aut_q)
-    return report.checks, built[0]
+    report = verify_lift_structure(qmap, s_quotient, dq, aut_q)
+    checks, aut_lifted, _ = oracles.built_lift_structure(qmap, s_quotient, dq, aut_q)
+    assert report.checks == checks, (sorted(qmap.kernel), sorted(s_quotient))
+    return report.checks, aut_lifted
 
 
 def lift_sample(spec):
@@ -1188,11 +1188,16 @@ class TestOneQuotientSearchPerCertificate:
 
     @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(8)])
     def test_fiber_wreath_group_is_the_oracle_wreath_product(self, spec, monkeypatch):
-        # The group `wreath_generators_in_aut` tests is generated by the
-        # permutations of the |G| points handed to `is_automorphism` (those
-        # of `aut_inside_wreath` act on the |G/H| quotient points), and the
+        # Where the library builds the wreath group, the group
+        # `wreath_generators_in_aut` tests is generated by the permutations
+        # of the |G| points handed to `is_automorphism` (those of
+        # `aut_inside_wreath` act on the |G/H| quotient points), and the
         # order `aut_order_equal` compares is that of the last
-        # `_lift_over_classes` call, the one over the fibers.
+        # `_lift_over_classes` call, the one over the fibers.  Where it
+        # builds no group (twin classes the cosets, arc identity holding),
+        # it tests no permutation of |G| points, and the wreath group its
+        # check stands for is `_lift_over_classes` over the fibers, called
+        # here.
         built, tested = [], []
         real_lift = cig.ci._lift_over_classes
         monkeypatch.setattr(
@@ -1218,13 +1223,21 @@ class TestOneQuotientSearchPerCertificate:
                 built.clear()
                 tested.clear()
                 report = lift_report(qmap, s)
-                aut_q, fibers, wreath = built[-1]
-                assert [tuple(f) for f in fibers] == [
-                    tuple(range(i * b, i * b + b)) for i in range(q)
-                ]
-                generators = [Perm(t) for t in tested if len(t) == g.order]
-                expected = oracles.wreath_product(aut_q, oracles.symmetric_group(b))
                 instance = (spec, sorted(h), sorted(s))
+                ranges = [range(i * b, i * b + b) for i in range(q)]
+                if built:
+                    aut_q, fibers, wreath = built[-1]
+                    assert [tuple(f) for f in fibers] == list(map(tuple, ranges))
+                    generators = [Perm(t) for t in tested if len(t) == g.order]
+                else:
+                    assert not [t for t in tested if len(t) == g.order], instance
+                    dq = cayley(qmap.target, s)
+                    aut_q = automorphism_group_of(dq)
+                    wreath = real_lift(aut_q, ranges, g.order)
+                    generators = wreath.generators
+                    built_checks = oracles.built_lift_structure(qmap, s, dq, aut_q)[0]
+                    assert report.checks == built_checks, instance
+                expected = oracles.wreath_product(aut_q, oracles.symmetric_group(b))
                 assert report.checks["wreath_generators_in_aut"], instance
                 assert wreath.order == expected.order, instance
                 assert oracles.closure(
@@ -1240,6 +1253,186 @@ class TestOneQuotientSearchPerCertificate:
         monkeypatch.setattr(cig.ci, "automorphism_group_of", search)
         with pytest.raises(CapExceeded, match="digraph order 64 exceeds search cap 40"):
             quotient_ci_certificate(FiniteGroup.cyclic(64), {0, 32}, {1}, {3})
+
+
+PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+
+
+def pinned_lifts():
+    """(qmap, s1, s2) for each pinned quotient_cert variant with a proper
+    non-trivial kernel; the pins are read, never written."""
+    pool = json.loads(PINNED.read_text())["quotient_cert"]["pool"]
+    for entry in pool:
+        g, h = parse_group_spec(entry["group"]), frozenset(entry["kernel"])
+        if not 1 < len(h) < g.order:
+            continue
+        qmap = g.quotient(h)
+        for s1, s2, _ in entry["variants"]:
+            yield qmap, frozenset(s1), frozenset(s2)
+
+
+def on_twin_branch(qmap, s) -> bool:
+    """Whether the lifted twin classes are the cosets and the arc identity
+    holds: the lifts on which `verify_lift_structure` builds no group."""
+    report = lift_report(qmap, s)
+    lifted = cayley(qmap.source, report.lift.connection)
+    return report.checks["arc_identity"] and lifted.twin_classes() == qmap.cosets.classes
+
+
+def conjugated_backwards(group, phi):
+    """phi^-1 group phi, where the certificate needs phi group phi^-1."""
+    back = sorted(range(group.degree), key=phi.images.__getitem__)
+    return PermGroup(
+        [Perm(back[g(phi(y))] for y in range(group.degree)) for g in group.generators],
+        order=group.order,
+        degree=group.degree,
+    )
+
+
+def with_a_stranger(dq, aut_q):
+    """`aut_q` with one more generator, last, that is no automorphism of dq
+    (the first transposition that is not), its order kept; None when every
+    transposition is an automorphism, as for complete and empty dq."""
+    for i, j in combinations(range(dq.order), 2):
+        stranger = Perm.from_cycles(dq.order, (i, j))
+        if not dq.is_automorphism(stranger.images):
+            gens = [*aut_q.generators, stranger]
+            return PermGroup(gens, order=aut_q.order, degree=aut_q.degree)
+    return None
+
+
+class TestLiftChecksThatCanFail:
+    """Where the lifted twin classes are the cosets and the arc identity
+    holds, the three group checks are one test of each generator of Aut(dq)
+    against dq; it must still fail on a group that is not inside Aut(dq),
+    and read as building both groups would everywhere."""
+
+    def test_a_generator_outside_aut_dq(self):
+        qmap = FiniteGroup.cyclic(6).quotient({0, 3})
+        dq = cayley(qmap.target, {1})  # the directed 3-cycle
+        aut_q = automorphism_group_of(dq)
+        stranger = PermGroup(
+            [*aut_q.generators, Perm.from_cycles(3, (1, 2))], order=aut_q.order, degree=3
+        )
+        assert on_twin_branch(qmap, {1})
+        checks = verify_lift_structure(qmap, {1}, dq, stranger).checks
+        assert checks == oracles.built_lift_structure(qmap, {1}, dq, stranger)[0]
+        assert checks["arc_identity"] and checks["unique_block_system"]
+        assert checks["aut_order_equal"]
+        assert not checks["wreath_generators_in_aut"]
+        assert not checks["aut_inside_wreath"]
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_a_stranger_in_aut_q_reads_as_building_both_groups(self, spec):
+        twin_branch = 0
+        for qmap, s, _ in lift_sample(spec):
+            dq = cayley(qmap.target, s)
+            aut_q = with_a_stranger(dq, automorphism_group_of(dq))
+            if aut_q is None:
+                continue
+            checks = verify_lift_structure(qmap, s, dq, aut_q).checks
+            built = oracles.built_lift_structure(qmap, s, dq, aut_q)[0]
+            instance = (spec, sorted(qmap.kernel), sorted(s))
+            assert checks == built, instance
+            if on_twin_branch(qmap, s):
+                twin_branch += 1
+                assert checks["aut_order_equal"], instance
+                assert not checks["wreath_generators_in_aut"], instance
+                assert not checks["aut_inside_wreath"], instance
+        # Groups of prime order have no proper non-trivial kernel; the other
+        # four have only quotients of order 2, where every permutation is
+        # an automorphism of a Cayley digraph.
+        no_stranger = ("Z1", "Z2", "Z3", "Z5", "Z7", "Z11", "Z4", "Z2xZ2", "S3", "D5")
+        assert twin_branch or spec in no_stranger
+
+    def test_a_backward_conjugation_fails_the_certificate(self, monkeypatch):
+        args = (FiniteGroup.quaternion(), {0, 1}, {0, 1, 2}, {0, 2, 3}, "graph")
+        assert quotient_ci_certificate(*args).accepted
+        monkeypatch.setattr(cig.ci, "_conjugated", conjugated_backwards)
+        cert = quotient_ci_certificate(*args)
+        assert cert.failing_checks() == ["aut_wreath_equality_side2"]
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_a_backward_conjugation_fails_wherever_it_leaves_aut_dq2(
+        self, spec, mode, monkeypatch
+    ):
+        monkeypatch.setattr(cig.ci, "_conjugated", conjugated_backwards)
+        for qmap, s1, s2 in isomorphic_quotient_pairs(spec, mode):
+            dq1, dq2 = cayley(qmap.target, s1), cayley(qmap.target, s2)
+            backwards = conjugated_backwards(
+                automorphism_group_of(dq1), find_isomorphism(dq1, dq2)
+            )
+            if all(dq2.is_automorphism(g.images) for g in backwards.generators):
+                continue
+            cert = quotient_ci_certificate(qmap.source, qmap.kernel, s1, s2, mode)
+            instance = (spec, sorted(qmap.kernel), sorted(s1), sorted(s2))
+            assert not cert.checks["aut_wreath_equality_side2"], instance
+            assert not cert.accepted, instance
+
+    def test_pinned_lift_checks_equal_the_two_search_oracle(self):
+        # Both sets of every pinned variant, each distinct side once.
+        seen = set()
+        for qmap, s1, s2 in pinned_lifts():
+            for s in (s1, s2):
+                if (qmap.source.name, qmap.kernel, s) in seen:
+                    continue
+                seen.add((qmap.source.name, qmap.kernel, s))
+                checks, aut = lift_check(qmap, s)
+                two_checks, two_aut = oracles.two_search_lift_structure(qmap, s)
+                instance = (qmap.source.name, sorted(qmap.kernel), sorted(s))
+                assert checks == two_checks, instance
+                assert aut.order == two_aut.order, instance
+        assert len(seen) == 272
+
+    def test_pinned_certificates_equal_the_two_search_oracle(self):
+        compared = 0
+        for qmap, s1, s2 in pinned_lifts():
+            g, h = qmap.source, qmap.kernel
+            cert = quotient_ci_certificate(g, h, s1, s2)
+            if cert.status == "quotient_not_isomorphic":
+                continue
+            oracle = oracles.two_search_certificate(g, h, s1, s2)
+            assert cert.to_json() == oracle.to_json(), (g.name, sorted(h), sorted(s1), sorted(s2))
+            compared += 1
+        assert compared > 0
+
+
+def schreier_sims_order(group: PermGroup) -> int:
+    """The order sympy's Schreier-Sims gives the group's generators."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    identity = combinatorics.Permutation(list(range(group.degree)))
+    gens = [combinatorics.Permutation(list(g.images)) for g in group.generators]
+    return combinatorics.PermutationGroup(gens or [identity]).order()
+
+
+class TestSearchedLiftOrdersAgainstSympy:
+    """Where the lifted twin classes are not the cosets, the lift check still
+    searches Aut(lifted): its order must be the Schreier-Sims order of its
+    generators, from a third-party implementation."""
+
+    def test_pinned_lifts(self):
+        sides = set()
+        for qmap, s1, s2 in pinned_lifts():
+            for s in (s1, s2):
+                lift = lift_connection_set(qmap.source, qmap.kernel, s)
+                lifted = cayley(qmap.source, lift.connection)
+                if lifted.twin_classes() != qmap.cosets.classes:
+                    sides.add((qmap.source.name, qmap.kernel, s, lifted))
+        for name, h, s, lifted in sides:
+            aut = automorphism_group_of(lifted)
+            assert aut.order == schreier_sims_order(aut), (name, sorted(h), sorted(s))
+        assert len(sides) == 28
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_catalog_lifts(self, spec):
+        for qmap, s, _ in lift_sample(spec):
+            lift = lift_connection_set(qmap.source, qmap.kernel, s)
+            lifted = cayley(qmap.source, lift.connection)
+            if lifted.twin_classes() != qmap.cosets.classes:
+                aut = automorphism_group_of(lifted)
+                instance = (spec, sorted(qmap.kernel), sorted(s))
+                assert aut.order == schreier_sims_order(aut), instance
 
 
 class TestWreathAutDichotomy:

@@ -311,6 +311,27 @@ class TestQuotients:
             assert len(calls) == 1
             assert q.cosets == g.cosets(h)
 
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_target_passes_full_validation(self, spec, monkeypatch):
+        # The target is built without `_validate_table`; the validating
+        # constructor accepts its table and finds the same generating set
+        # and inverses.
+        g = parse_group_spec(spec)
+        validated = []
+        validate = FiniteGroup._validate_table
+        monkeypatch.setattr(
+            FiniteGroup, "_validate_table", lambda self: validated.append(self) or validate(self)
+        )
+        for h in g.normal_subgroups():
+            target = g.quotient(h).target
+            assert not validated
+            rebuilt = FiniteGroup(target.table, labels=target.labels, name=target.name)
+            validated.clear()
+            assert rebuilt.table == target.table
+            assert rebuilt.generating_set() == target.generating_set()
+            assert rebuilt._inverse == target._inverse
+            assert (rebuilt.labels, rebuilt.name) == (target.labels, target.name)
+
     def test_projection_fibers_are_cosets(self):
         g = parse_group_spec("Z2xZ4")
         for h in g.normal_subgroups():

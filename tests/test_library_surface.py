@@ -8,7 +8,11 @@ an import somewhere in `src/cig/*.py` or `perfbench/*.py`.
 
 A bare name can be matched by a namesake, so a classmethod must be called
 through its own class: as `<Class>.<name>` in those files, or as
-`cls.<name>` inside the class.  Instance methods that share a name (the
+`cls.<name>` inside the class.  Likewise a top-level function or class of
+`cig.m` must be used through its own module: by `m` itself, or by another
+of those files importing it from `cig.m` (or through `cig`'s re-export of
+it) or reading `m.<name>`; `digraphs.wreath_product` then does not cover a
+namesake in another module.  Instance methods that share a name (the
 `to_json`s, the `induced`s) are still matched by name only.
 """
 
@@ -111,3 +115,43 @@ def test_every_classmethod_is_called_through_its_class():
         if (owner, name) not in calls
     ]
     assert not unused, "classmethods never called through their class: " + ", ".join(unused)
+
+
+def _module_uses(tree: ast.Module, reexported: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, name) for each `from cig.<module> import <name>`, each
+    `from cig import <name>` of a name `cig` re-exports from `<module>`, and
+    each `<module>.<name>`."""
+    uses = _attribute_pairs(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                if node.module.startswith("cig."):
+                    uses.add((node.module[len("cig."):], alias.name))
+                elif node.module == "cig" and alias.name in reexported:
+                    uses.add((reexported[alias.name], alias.name))
+    return uses
+
+
+def test_every_top_level_name_is_used_through_its_module():
+    init = ast.parse((REPO / "src" / "cig" / "__init__.py").read_text())
+    reexported = {
+        alias.name: node.module[len("cig."):]
+        for node in init.body
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("cig.")
+        for alias in node.names
+    }
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in CALLERS}
+    uses = {path: _module_uses(tree, reexported) for path, tree in trees.items()}
+    unused = []
+    for path in LIBRARY:
+        module, tree = path.stem, trees[path]
+        own = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        others = set().union(*(u for other, u in uses.items() if other != path))
+        unused += [
+            f"{path.name}:{node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in own
+            and (module, node.name) not in others
+        ]
+    assert not unused, "top-level names never used through their module: " + ", ".join(unused)
