@@ -15,9 +15,8 @@ automorphism search of a quotient digraph: Aut(dq2) is Aut(dq1) carried
 over by the quotient isomorphism.  It checks each side's lift in one
 `verify_lift_structure` pass: arcs, the wreath automorphism group, and the
 cosets as the only block system of their size, which holds exactly when
-they are the lifted digraph's twin classes.  When they are and the arcs
-check out, both groups would be lifted from that side's Aut(quotient), so
-the wreath check tests only what can fail there: that each generator of
+they are the lifted digraph's twin classes.  When they are, both groups
+would be lifted from that side's Aut(quotient), so the wreath check tests only what can fail there: that each generator of
 Aut(quotient) preserves the quotient digraph.
 """
 
@@ -396,8 +395,8 @@ def verify_lift_structure(
     lifted over the fibers by `_lift_over_classes`: fibers move whole, and
     Sym(block) on one fiber per orbit is conjugated onto the rest of the
     orbit, so it is Aut(quotient) wr S_block, of order |Aut(quotient)| *
-    (block size)!^|quotient|.  Aut(lifted) and its order come from the lift
-    described next or from `automorphism_group_of`.
+    (block size)!^|quotient|.  Where the cosets are not the twin classes,
+    Aut(lifted) and its order come from `automorphism_group_of`.
 
     Let r_i be the least element of coset i, which is element i of G/H, so
     the r_i ascend with i.  The arc r_i -> r_j is there when r_i^-1 r_j is
@@ -419,11 +418,13 @@ def verify_lift_structure(
     When the twin classes are not the cosets, the lifted digraph is
     searched as usual.
 
-    When the twin classes are the cosets and the arc identity holds, the
-    three group checks reduce to one test per generator g of `aut_q`,
-    whether g is an automorphism of dq, on |G/H| points, and neither group
-    is built.  The relabelled lifted digraph is then W = wreath_product(dq,
-    inner), and both groups would be `aut_q` lifted by `_lift_over_classes`:
+    When the twin classes are the cosets, the three group checks reduce to
+    one test per generator g of `aut_q`, whether g is an automorphism of
+    dq, on |G/H| points, and neither group is built.  Twin classes that are
+    the cosets make the lifted digraph the same between any two cosets,
+    which with the lemma above makes the relabelled lifted digraph W =
+    wreath_product(dq, inner): the arc identity holds, and both groups
+    would be `aut_q` lifted by `_lift_over_classes`:
     - Both orders are |aut_q| * (|H|!)^|G/H|, so `aut_order_equal` holds.
     - The wreath group's generators lie in Sym(fiber) or lift a g fiber
       onto fiber.  Sym(fiber) always preserves W: inside a fiber W has no
@@ -439,9 +440,11 @@ def verify_lift_structure(
       the cosets, or lift a g coset onto coset, inducing g itself.  So
       `aut_inside_wreath` holds exactly when every g is in Aut(dq).
     That test fails when `aut_q` is not inside Aut(dq), as for a wrongly
-    conjugated group on side 2 of a certificate.  Everywhere else, with
-    the twin classes not the cosets or with the arc identity failing, both
-    groups are built and the three checks run as described above.
+    conjugated group on side 2 of a certificate.  `wreath_generators_in_aut`
+    also reads the arc identity, so that a lift failing it, which the proof
+    rules out, fails this check too rather than vouching for the wreath
+    group.  When the twin classes are not the cosets, both groups are built
+    and the three checks run as described above.
 
     The block check reads the lifted digraph's twin classes.  The connection
     set is a union of H-cosets (plus H - {e} for the complete kind, which
@@ -474,14 +477,11 @@ def verify_lift_structure(
     arc_identity = relabeled == expected
 
     twins_are_cosets = lifted.twin_classes() == cosets.classes
-    if twins_are_cosets and arc_identity:
+    if twins_are_cosets:
         in_aut = all(dq.is_automorphism(g.images) for g in aut_q.generators)
-        order_equal, gens_in_aut, aut_in_wreath = True, in_aut, in_aut
+        order_equal, gens_in_aut, aut_in_wreath = True, arc_identity and in_aut, in_aut
     else:
-        if twins_are_cosets:
-            aut_lifted = _lift_over_classes(aut_q, cosets.classes, lifted.order)
-        else:
-            aut_lifted = automorphism_group_of(lifted, limits)
+        aut_lifted = automorphism_group_of(lifted, limits)
         fibers = [range(i * size, i * size + size) for i in range(dq.order)]
         wreath = _lift_over_classes(aut_q, fibers, lifted.order)
         order_equal = aut_lifted.order == wreath.order

@@ -31,9 +31,8 @@ no longer computes: its one block check reads twin classes), all uniform
 set partitions for wreath-structure questions, the lift check that
 builds Aut(lifted) and the wreath group on every lift and tests every
 generator of each (the library builds neither where the lifted twin
-classes are the cosets), the lift check that
-searches the lifted digraph as well as the quotient digraph (the library
-lifts Aut(quotient) when the lifted twin classes are the cosets), and the
+classes are the cosets), with Aut(lifted) lifted from Aut(quotient) there
+or searched on every lift along with the quotient digraph, and the
 certificate that runs that check on both sides, searching both quotient
 digraphs (the library searches one and carries its group to the other).
 The wreath product of permutation groups puts a copy of the inner group's
@@ -948,28 +947,17 @@ def all_digraphs(n: int, loops: bool = True):
             yield Digraph(n, masks)
 
 
-def built_lift_structure(qmap, s_quotient, dq, aut_q, limits=DEFAULT_LIMITS):
-    """`verify_lift_structure` building both groups on every lift: Aut(lifted)
-    (`aut_q` lifted over the cosets when they are the lifted twin classes,
-    searched otherwise) and the wreath group (`aut_q` lifted over the
-    fibers), with the three group checks run on every generator of each
-    (the library builds neither where the twin classes are the cosets and
-    the arc identity holds, and tests only `aut_q` against dq).  Returns
-    the checks, Aut(lifted) and the wreath group."""
-    s_quotient = frozenset(s_quotient)
-    lift = _lift(qmap, s_quotient, dq)
+def lift_structure_checks(qmap, s_quotient, dq, aut_q, aut_lifted):
+    """`verify_lift_structure`'s five checks with both groups built and every
+    generator of each tested: Aut(lifted) as given, and the wreath group
+    `aut_q` wr S_block with a copy of Sym(block) on every fiber."""
+    lift = _lift(qmap, frozenset(s_quotient), dq)
     cosets, size = lift.coset_partition, lift.block_size
     lifted = cayley(qmap.source, lift.connection)
     inner = Digraph.complete(size) if lift.case == "non_decomposable" else Digraph.empty(size)
     relabeled = lifted.relabel(cosets.fiber_images())
-    twins_are_cosets = lifted.twin_classes() == cosets.classes
-    if twins_are_cosets:
-        aut_lifted = _lift_over_classes(aut_q, cosets.classes, lifted.order)
-    else:
-        aut_lifted = automorphism_group_of(lifted, limits)
-    fibers = [range(i * size, i * size + size) for i in range(dq.order)]
-    wreath = _lift_over_classes(aut_q, fibers, lifted.order)
-    checks = {
+    wreath = wreath_product(aut_q, symmetric_group(size))
+    return {
         "arc_identity": relabeled == digraphs.wreath_product(dq, inner),
         "aut_order_equal": aut_lifted.order == wreath.order,
         "wreath_generators_in_aut": all(
@@ -979,40 +967,35 @@ def built_lift_structure(qmap, s_quotient, dq, aut_q, limits=DEFAULT_LIMITS):
             (bar := cosets.induced(g)) is not None and dq.is_automorphism(bar.images)
             for g in aut_lifted.generators
         ),
-        "unique_block_system": size == 1 or twins_are_cosets,
+        "unique_block_system": size == 1
+        or PointPartition(lifted.order, lifted.twin_classes()) == cosets,
     }
-    return checks, aut_lifted, wreath
+
+
+def built_lift_structure(qmap, s_quotient, dq, aut_q, limits=DEFAULT_LIMITS):
+    """`lift_structure_checks` with Aut(lifted) as the library had it before
+    the twin branch: `aut_q` lifted over the cosets when they are the lifted
+    twin classes, searched otherwise (the library builds no group on the
+    former and tests only `aut_q` against dq).  Returns the checks and
+    Aut(lifted)."""
+    lifted = cayley(qmap.source, _lift(qmap, frozenset(s_quotient), dq).connection)
+    if lifted.twin_classes() == qmap.cosets.classes:
+        aut_lifted = _lift_over_classes(aut_q, qmap.cosets.classes, lifted.order)
+    else:
+        aut_lifted = automorphism_group_of(lifted, limits)
+    return lift_structure_checks(qmap, s_quotient, dq, aut_q, aut_lifted), aut_lifted
 
 
 def two_search_lift_structure(qmap, s_quotient, limits=DEFAULT_LIMITS):
-    """`verify_lift_structure` with Aut(lifted) always from
-    `automorphism_group_of(lifted)`, never lifted from Aut(quotient) (the
-    check the library replaced by one search of the quotient digraph when
+    """`lift_structure_checks` with dq, Aut(dq) and Aut(lifted) each searched
+    on its own, Aut(lifted) never lifted from Aut(quotient) (the library
+    searches one quotient digraph per certificate and lifts its group when
     the twin classes are the cosets).  Returns the checks and Aut(lifted)."""
-    s_quotient = frozenset(s_quotient)
-    dq = cayley(qmap.target, s_quotient)
-    lift = _lift(qmap, s_quotient, dq)
-    cosets, size = lift.coset_partition, lift.block_size
-    lifted = cayley(qmap.source, lift.connection)
-    inner = Digraph.complete(size) if lift.case == "non_decomposable" else Digraph.empty(size)
-    relabeled = lifted.relabel(cosets.fiber_images())
+    dq = cayley(qmap.target, frozenset(s_quotient))
+    lifted = cayley(qmap.source, _lift(qmap, frozenset(s_quotient), dq).connection)
     aut_lifted = automorphism_group_of(lifted, limits)
     aut_q = automorphism_group_of(dq, limits)
-    wreath = wreath_product(aut_q, symmetric_group(size))
-    twins = PointPartition(lifted.order, lifted.twin_classes())
-    checks = {
-        "arc_identity": relabeled == digraphs.wreath_product(dq, inner),
-        "aut_order_equal": aut_lifted.order == wreath.order,
-        "wreath_generators_in_aut": all(
-            relabeled.is_automorphism(g.images) for g in wreath.generators
-        ),
-        "aut_inside_wreath": all(
-            (bar := cosets.induced(g)) is not None and dq.is_automorphism(bar.images)
-            for g in aut_lifted.generators
-        ),
-        "unique_block_system": size == 1 or twins == cosets,
-    }
-    return checks, aut_lifted
+    return lift_structure_checks(qmap, s_quotient, dq, aut_q, aut_lifted), aut_lifted
 
 
 def two_search_certificate(group, subgroup, set1, set2, mode="digraph", limits=DEFAULT_LIMITS):
