@@ -8,9 +8,10 @@ u -> v, and ``into[v] >> u & 1`` the same arc seen from its head (the
 have no fixed width, so these kernels take any number of vertices.
 
 There is one twin relation, the transpositions that are automorphisms, and
-one pass computes it (``twin_labels``).  Both wreath decompositions and the
-automorphism search read their classes from it, through
-``Digraph.twin_classes``.
+one pass computes it (``twin_labels``).  Both wreath decompositions, the
+automorphism search, and the lift check's case and twin test (on the
+quotient digraph, whose twin classes give the lifted digraph's) read their
+classes from it, through ``Digraph.twin_classes``.
 """
 
 BACKEND = "python"

@@ -12,12 +12,15 @@ automorphism verdicts from generating sets
 certificate records one named boolean per verification step.  A
 certificate builds G/H and the two quotient digraphs once and runs one
 automorphism search of a quotient digraph: Aut(dq2) is Aut(dq1) carried
-over by the quotient isomorphism.  It checks each side's lift in one
-`verify_lift_structure` pass: arcs, the wreath automorphism group, and the
+over by the quotient isomorphism.  It checks each side's lift in
+`verify_lift_structure`: arcs, the wreath automorphism group, and the
 cosets as the only block system of their size, which holds exactly when
-they are the lifted digraph's twin classes.  When they are, both groups
-would be lifted from that side's Aut(quotient), so the wreath check tests only what can fail there: that each generator of
-Aut(quotient) preserves the quotient digraph.
+they are the lifted digraph's twin classes.  One pass over G's table gives
+the lifted digraph's rows in fiber order for the arc identity; the twin
+classes and the lift's case are read from the quotient digraph's.  Where
+the twin classes are the cosets, both groups would be lifted from that
+side's Aut(quotient), so the wreath check tests only what can fail there:
+that each generator of Aut(quotient) preserves the quotient digraph.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ from typing import Iterable, Iterator
 
 from cig.digraphs import (
     Digraph,
+    _class_takes_kind,
+    _has_wreath_factor,
+    _wreath_masks,
     cayley,
     decompose_over_complete,
     decompose_over_empty,
@@ -336,7 +342,7 @@ class LiftResult:
 
 def _lift(qmap: QuotientMap, s_quotient: frozenset[int], dq: Digraph) -> LiftResult:
     union = qmap.lift_set(s_quotient)
-    if decompose_over_complete(dq) is None:
+    if not _has_wreath_factor(dq, "complete"):
         case = "non_decomposable"
         connection = union | (qmap.kernel - {0})
     else:
@@ -368,6 +374,35 @@ class LiftStructureReport:
     checks: dict[str, bool]
 
 
+def _fiber_masks(
+    group: FiniteGroup, connection: frozenset[int], cosets: PointPartition
+) -> list[int]:
+    """The out-masks of Cay(group, connection) relabelled by
+    `cosets.fiber_images()`, in one pass over the group table: row fib[x]
+    holds fib[x*t] for each t in the connection set."""
+    fib = cosets.fiber_images()
+    bits = [1 << y for y in fib]
+    masks = [0] * group.order
+    for x, row in enumerate(group.table):
+        out = 0
+        for t in connection:
+            out |= bits[row[t]]
+        masks[fib[x]] = out
+    return masks
+
+
+def _twins_are_cosets(dq: Digraph, lift: LiftResult) -> bool:
+    """Whether the twin classes of wreath_product(dq, inner), the lifted
+    digraph in fiber order, are the fibers, read from dq's twin classes by
+    the fiber-merge lemma of `verify_lift_structure`."""
+    kind = "complete" if lift.case == "non_decomposable" else "empty"
+    return all(
+        len(members) == 1
+        or (lift.block_size > 1 and not _class_takes_kind(dq, members, kind))
+        for members in dq.twin_classes()
+    )
+
+
 def verify_lift_structure(
     qmap: QuotientMap,
     s_quotient: Iterable[int],
@@ -384,15 +419,24 @@ def verify_lift_structure(
     its group onto the other's, which is exactly that side's Aut(dq) (see
     there), so each side checks the groups a search of its own would give.
 
+    The lift is read in one pass over G's table: the out-masks of the
+    lifted digraph already in fiber order (`_fiber_masks`), where fib =
+    `cosets.fiber_images()` sends coset i onto the fiber i*|H| ..
+    i*|H|+|H|-1.  Relabelling by fib is an isomorphism that carries the
+    cosets onto the fibers, so every check reads the same on these rows as
+    on Cay(G, T) itself.  The arc identity compares them with the rows of
+    W = wreath_product(dq, inner); everything else reads dq, on |G/H|
+    points.  A digraph on |G| points is built only where the twin classes
+    are not the cosets, to search Aut(lifted) and test the wreath group.
+
     Group equality is order equality plus two-way generator membership.
     Both groups are subgroups of Sym(n), so each lies inside the other
     exactly when its generators do: the generators of Aut(quotient) wr
-    S_block, acting on the lifted digraph relabelled so that the cosets are
-    its fibers, must preserve that digraph's arcs, and each generator of
-    Aut(lifted) must carry cosets onto cosets and induce an automorphism of
-    the quotient digraph.  Each of these is one `Digraph.is_automorphism`
-    test, with no relabelled digraph built.  The wreath group is `aut_q`
-    lifted over the fibers by `_lift_over_classes`: fibers move whole, and
+    S_block must preserve the lifted digraph's arcs in fiber order, and
+    each generator of Aut(lifted) must carry fibers onto fibers and induce
+    an automorphism of the quotient digraph.  Each of these is one
+    `Digraph.is_automorphism` test.  The wreath group is `aut_q` lifted
+    over the fibers by `_lift_over_classes`: fibers move whole, and
     Sym(block) on one fiber per orbit is conjugated onto the rest of the
     orbit, so it is Aut(quotient) wr S_block, of order |Aut(quotient)| *
     (block size)!^|quotient|.  Where the cosets are not the twin classes,
@@ -407,24 +451,52 @@ def verify_lift_structure(
     exactly when the quotient set names H (H - {e} never holds e), that is
     when dq loops at i.  So the lifted digraph induces dq on the coset
     minima, loops included, and inside every coset it has the same arcs
-    (those of H or of H - {e} in the lifted set).  When the twin classes
-    are the cosets, the twin quotient is therefore dq in a single colour,
-    and Aut(lifted) is Aut(dq) lifted over the cosets (see
-    `automorphism_group_of`): `aut_q` lifted, without a search.
-    `automorphism_group_of(lifted)` rests on the same twin decomposition,
-    so a search could only find Aut(dq) again.  Whether the twin quotient's
-    route and the unreduced search agree is a property of the search, which
-    tests/test_iso.py checks against the unreduced search and enumeration.
-    When the twin classes are not the cosets, the lifted digraph is
-    searched as usual.
+    (those of H or of H - {e} in the lifted set).  As any two points of
+    cosets i != j are joined as r_i and r_j are (x^-1 y lies in coset
+    i^-1 j), the lifted digraph in fiber order is W: the arc identity holds
+    whenever dq is Cay(G/H, s_quotient).
+
+    The block check.  The connection set is a union of H-cosets (plus
+    H - {e} for the complete kind, which joins each coset into a clique),
+    so two points of one coset have the same neighbours and the cosets lie
+    inside twin classes.  Each twin class C gives Sym(C) in Aut(lifted),
+    which is primitive on C: twin classes are the simplest modules (Gallai,
+    "Transitiv orientierbare Graphen", 1967).  So in the transitive group
+    Aut(lifted) a block B through 0 is {0}, the class C0 through 0, or a
+    union of whole classes: if B holds y in a class Cj other than C0, then
+    Sym(Cj) fixes 0 and Sym(C0) fixes y, so B contains both classes.  With
+    |H| >= 2 the one block of |H| points through 0 there can be is C0, so
+    the cosets are the unique block system of size |H| exactly when they
+    are the twin classes; with |H| = 1 the discrete partition always is.
+
+    Whether they are is read from dq's twin classes (`_twins_are_cosets`),
+    by the fiber-merge lemma.  With |H| >= 2, take u in fiber i and v in
+    fiber j != i of W, and let inside(i) be whether two points of fiber i
+    are joined: always for the complete inner digraph, when dq loops at i
+    for the empty one.  Then u and v are twins exactly when i and j are
+    twins of dq and dq has i -> j exactly when inside(i).  For take u' != u
+    in fiber i and v' != v in fiber j: the transposition (u v) must keep
+    v -> u' against u -> u' and u' -> v against u' -> u, so dq(j, i) =
+    dq(i, j) = inside(i), likewise both equal inside(j), the loops at u and
+    v (those of dq at i and j) agree, and every other fiber sees fibers i
+    and j alike: i and j are dq-twins with that arc.  Conversely these make
+    (u v) an automorphism of W.  So the fibers of a twin class of dq with
+    two or more members merge into one twin class of W exactly when that
+    class takes the kind of the inner digraph (`digraphs._class_takes_kind`,
+    the test the decompositions apply), and the twin classes of W are the
+    fibers exactly when no such class does.  With |H| = 1, W is dq, and
+    its twin classes are the points exactly when dq has no twins.  The
+    lemma describes the lifted digraph when the arc identity holds, so
+    `unique_block_system` and `wreath_generators_in_aut` also read the arc
+    identity: a lift that fails it, as on a dq that is not Cay(G/H,
+    s_quotient), fails them too.
 
     When the twin classes are the cosets, the three group checks reduce to
     one test per generator g of `aut_q`, whether g is an automorphism of
-    dq, on |G/H| points, and neither group is built.  Twin classes that are
-    the cosets make the lifted digraph the same between any two cosets,
-    which with the lemma above makes the relabelled lifted digraph W =
-    wreath_product(dq, inner): the arc identity holds, and both groups
-    would be `aut_q` lifted by `_lift_over_classes`:
+    dq, on |G/H| points, and neither group is built.  The twin quotient of
+    the lifted digraph is then dq in a single colour, and Aut(lifted) is
+    Aut(dq) lifted over the cosets (see `automorphism_group_of`): `aut_q`
+    lifted, as is the wreath group over the fibers.
     - Both orders are |aut_q| * (|H|!)^|G/H|, so `aut_order_equal` holds.
     - The wreath group's generators lie in Sym(fiber) or lift a g fiber
       onto fiber.  Sym(fiber) always preserves W: inside a fiber W has no
@@ -436,66 +508,49 @@ def verify_lift_structure(
       dq, since the inner digraph has no loop.  So the lift preserves W
       exactly when g is in Aut(dq), and `wreath_generators_in_aut` holds
       exactly when every g is.
-    - Aut(lifted)'s generators lie in Sym(coset), inducing the identity on
-      the cosets, or lift a g coset onto coset, inducing g itself.  So
+    - Aut(lifted)'s generators lie in Sym(fiber), inducing the identity on
+      the fibers, or lift a g fiber onto fiber, inducing g itself.  So
       `aut_inside_wreath` holds exactly when every g is in Aut(dq).
     That test fails when `aut_q` is not inside Aut(dq), as for a wrongly
-    conjugated group on side 2 of a certificate.  `wreath_generators_in_aut`
-    also reads the arc identity, so that a lift failing it, which the proof
-    rules out, fails this check too rather than vouching for the wreath
-    group.  When the twin classes are not the cosets, both groups are built
-    and the three checks run as described above.
-
-    The block check reads the lifted digraph's twin classes.  The connection
-    set is a union of H-cosets (plus H - {e} for the complete kind, which
-    joins each coset into a clique), so two points of one coset have the
-    same neighbours and the cosets lie inside twin classes.  Each twin class
-    C gives Sym(C) in Aut(lifted), which is primitive on C: twin classes are
-    the simplest modules (Gallai, "Transitiv orientierbare Graphen", 1967).
-    So in the transitive group Aut(lifted) a block B through 0 is {0}, the
-    class C0 through 0, or a union of whole classes: if B holds y in a class
-    Cj other than C0, then Sym(Cj) fixes 0 and Sym(C0) fixes y, so B
-    contains both classes.  With |H| >= 2 the one block of |H| points
-    through 0 there can be is C0, so the cosets are the unique block system
-    of size |H| exactly when they are the twin classes; with |H| = 1 the
-    discrete partition always is.
+    conjugated group on side 2 of a certificate.  `automorphism_group_of`
+    rests on the same twin decomposition, so a search could only find
+    Aut(dq) again; whether the twin quotient's route and the unreduced
+    search agree is a property of the search, which tests/test_iso.py
+    checks against the unreduced search and enumeration.  When the twin
+    classes are not the cosets, both groups are built and the three checks
+    run as described above.
     """
     s_quotient = frozenset(s_quotient)
     _check_subset(qmap.target, s_quotient, "quotient connection set")
     _check_cap(qmap.source.order, limits.search)
     lift = _lift(qmap, s_quotient, dq)
-    cosets, size = lift.coset_partition, lift.block_size
-    lifted = cayley(qmap.source, lift.connection)
+    size = lift.block_size
+    masks = _fiber_masks(qmap.source, lift.connection, lift.coset_partition)
+    inner = Digraph.complete(size) if lift.case == "non_decomposable" else Digraph.empty(size)
+    arc_identity = masks == _wreath_masks(dq, inner)
 
-    inner = (
-        Digraph.complete(size)
-        if lift.case == "non_decomposable"
-        else Digraph.empty(size)
-    )
-    expected = wreath_product(dq, inner)
-    relabeled = lifted.relabel(cosets.fiber_images())
-    arc_identity = relabeled == expected
-
-    twins_are_cosets = lifted.twin_classes() == cosets.classes
+    twins_are_cosets = _twins_are_cosets(dq, lift)
     if twins_are_cosets:
         in_aut = all(dq.is_automorphism(g.images) for g in aut_q.generators)
-        order_equal, gens_in_aut, aut_in_wreath = True, arc_identity and in_aut, in_aut
+        order_equal, gens_in_aut, aut_in_wreath = True, in_aut, in_aut
     else:
+        lifted = Digraph(len(masks), masks)
         aut_lifted = automorphism_group_of(lifted, limits)
         fibers = [range(i * size, i * size + size) for i in range(dq.order)]
         wreath = _lift_over_classes(aut_q, fibers, lifted.order)
         order_equal = aut_lifted.order == wreath.order
-        gens_in_aut = all(relabeled.is_automorphism(g.images) for g in wreath.generators)
+        gens_in_aut = all(lifted.is_automorphism(g.images) for g in wreath.generators)
+        fiber_partition = PointPartition(lifted.order, fibers)
         aut_in_wreath = all(
-            (bar := cosets.induced(g)) is not None and dq.is_automorphism(bar.images)
+            (bar := fiber_partition.induced(g)) is not None and dq.is_automorphism(bar.images)
             for g in aut_lifted.generators
         )
     checks = {
         "arc_identity": arc_identity,
         "aut_order_equal": order_equal,
-        "wreath_generators_in_aut": gens_in_aut,
+        "wreath_generators_in_aut": arc_identity and gens_in_aut,
         "aut_inside_wreath": aut_in_wreath,
-        "unique_block_system": size == 1 or twins_are_cosets,
+        "unique_block_system": arc_identity and (size == 1 or twins_are_cosets),
     }
     return LiftStructureReport(lift=lift, checks=checks)
 

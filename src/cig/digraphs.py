@@ -245,22 +245,22 @@ def wreath_product(outer: Digraph, inner: Digraph) -> Digraph:
     Vertex (u, v) is indexed u*|inner| + v.  An outer loop contributes all
     arcs inside its fiber, loops included.
     """
-    n1, n2 = outer.order, inner.order
-    n = n1 * n2
-    masks = [0] * n
+    return Digraph(outer.order * inner.order, _wreath_masks(outer, inner))
+
+
+def _wreath_masks(outer: Digraph, inner: Digraph) -> list[int]:
+    """The out-masks of `wreath_product(outer, inner)`, with no digraph built."""
+    n2 = inner.order
     fiber_full = (1 << n2) - 1
-    for u in range(n1):
-        base = u * n2
-        for v in range(n2):
-            masks[base + v] |= inner.out_masks[v] << base
-        row = outer.out_masks[u]
+    masks = []
+    for u, row in enumerate(outer.out_masks):
+        between = 0  # the fibers that u's out-neighbours fill
         while row:
-            w = (row & -row).bit_length() - 1
-            row &= row - 1
-            block = fiber_full << (w * n2)
-            for v in range(n2):
-                masks[base + v] |= block
-    return Digraph(n, masks)
+            low = row & -row
+            between |= fiber_full << ((low.bit_length() - 1) * n2)
+            row ^= low
+        masks.extend(between | m << (u * n2) for m in inner.out_masks)
+    return masks
 
 
 @dataclass(frozen=True)
@@ -272,20 +272,32 @@ class WreathDecomposition:
     inner_size: int
 
 
-def _decompose(d: Digraph, kind: str) -> WreathDecomposition | None:
-    """Factor d over the twin classes that `kind` takes, or None when some
-    vertex lies in no such class of two or more."""
+def _class_takes_kind(d: Digraph, members: Sequence[int], kind: str) -> bool:
+    """Whether a twin class of two or more can be a fiber of d over the inner
+    digraph `kind`: adjacent for "complete"; for "empty", adjacent exactly
+    when looped (the non-adjacent loopless classes, and the adjacent looped
+    ones, whose quotient loop fills the fiber)."""
+    adjacent = d.has_arc(members[0], members[1])
+    return adjacent if kind == "complete" else adjacent == d.has_loop(members[0])
+
+
+def _has_wreath_factor(d: Digraph, kind: str) -> bool:
+    """Whether d is some quotient wreath `kind`_r with r >= 2: every twin
+    class has two or more members and takes the kind, and the gcd r of their
+    sizes is at least 2 (which rules out a class of one)."""
     classes = d.twin_classes()
-    for members in classes:
-        if len(members) < 2:
-            return None
-        adjacent = d.has_arc(members[0], members[1])
-        looped = d.has_loop(members[0])
-        if not (adjacent if kind == "complete" else adjacent == looped):
-            return None
-    r = gcd(*map(len, classes))
-    if r < 2:
+    return gcd(*map(len, classes)) >= 2 and all(
+        _class_takes_kind(d, members, kind) for members in classes
+    )
+
+
+def _decompose(d: Digraph, kind: str) -> WreathDecomposition | None:
+    """Factor d over the twin classes that `kind` takes, or None when
+    `_has_wreath_factor` says there is no factor."""
+    if not _has_wreath_factor(d, kind):
         return None
+    classes = d.twin_classes()
+    r = gcd(*map(len, classes))
     # Split each twin class into consecutive runs of r (ascending indices).
     parts = [cls[i : i + r] for cls in classes for i in range(0, len(cls), r)]
     partition = PointPartition(d.order, parts)

@@ -642,9 +642,11 @@ class TestLiftStructure:
         assert lifted_aut_order(z4, report) == 8
 
     def test_one_twin_pass_per_digraph(self, monkeypatch):
-        # The quotient digraph's decomposition and automorphism group, and
-        # the lifted digraph's automorphism group and block check, read
-        # classes computed once per digraph.
+        # The quotient digraph's automorphism group, the lift's case and the
+        # block check read classes computed once, on dq.  Where the lifted
+        # twin classes are the cosets, no pass runs on the |G| points; where
+        # they are not, the lifted digraph gets its one pass inside the
+        # search of Aut(lifted).
         calls = []
         twin_labels = cig.digraphs._kernels.twin_labels
         monkeypatch.setattr(
@@ -655,7 +657,15 @@ class TestLiftStructure:
         z6 = FiniteGroup.cyclic(6)
         report = lift_report(z6.quotient({0, 3}), {1})
         assert all(report.checks.values())
+        assert len(calls) == len(set(calls)) == 1
+        assert [len(out) for out in calls] == [3]
+        # Z4 over {0, 2} with S = {0, 1}: the lift is K4 with every loop,
+        # one twin class.
+        calls.clear()
+        report = lift_report(FiniteGroup.cyclic(4).quotient({0, 2}), {0, 1})
+        assert not report.checks["unique_block_system"]
         assert len(calls) == len(set(calls)) == 2
+        assert [len(out) for out in calls] == [2, 4]
 
 
 def lift_check(qmap, s_quotient):
@@ -930,7 +940,7 @@ def oracle_says_unique(group, report) -> bool:
 
 
 class TestUniqueBlockSystemAgainstOracles:
-    """`unique_block_system` reads the lifted digraph's twin classes; it must
+    """`unique_block_system` reads the lifted twin classes (from dq's); it must
     say what the block systems of Aut(lifted) say."""
 
     @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
@@ -1395,6 +1405,170 @@ class TestLiftChecksThatCanFail:
             assert cert.to_json() == oracle.to_json(), (g.name, sorted(h), sorted(s1), sorted(s2))
             compared += 1
         assert compared > 0
+
+
+def trivial_kernel_sample(spec):
+    """The trivial kernel of the group with every quotient set, or the empty
+    set and 63 seeded ones where the group has more than 6 elements: lifts
+    with |H| = 1, which certificates short-circuit but
+    `verify_lift_structure` takes."""
+    g = parse_group_spec(spec)
+    qmap = g.quotient({0})
+    rng = random.Random(spec)
+    codes = (
+        range(1 << g.order)
+        if g.order <= 6
+        else [0, *(rng.getrandbits(g.order) for _ in range(63))]
+    )
+    for code in codes:
+        yield qmap, {x for x in range(g.order) if code >> x & 1}
+
+
+def cosets_are_brute_twin_classes(qmap, lift) -> bool:
+    """Whether the transposition twin classes of Cay(G, T) are the cosets."""
+    lifted = cayley(qmap.source, lift.connection)
+    labels = oracles.transposition_twin_labels(lifted)
+    return oracles.partition_from_labels(labels) == lift.coset_partition
+
+
+class TestLiftReadsTheQuotient:
+    """`verify_lift_structure` reads the lift in one pass over G's table, in
+    fiber order, and its twin classes and case from dq's: each read equals
+    the one made on the lifted digraph."""
+
+    @staticmethod
+    def assert_reads(qmap, s):
+        dq = cayley(qmap.target, frozenset(s))
+        lift = cig.ci._lift(qmap, frozenset(s), dq)
+        lifted = cayley(qmap.source, lift.connection)
+        instance = (qmap.source.name, sorted(qmap.kernel), sorted(s))
+        twins = cig.ci._twins_are_cosets(dq, lift)
+        assert twins == cosets_are_brute_twin_classes(qmap, lift), instance
+        masks = cig.ci._fiber_masks(qmap.source, lift.connection, lift.coset_partition)
+        fib = lift.coset_partition.fiber_images()
+        assert tuple(masks) == lifted.relabel(fib).out_masks, instance
+        complete = cig.digraphs.decompose_over_complete(dq)
+        assert (lift.case == "non_decomposable") == (complete is None), instance
+        return lift.case, twins
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_every_kernel_and_quotient_set(self, spec):
+        reads = {self.assert_reads(qmap, s) for qmap, s, _ in lift_sample(spec)}
+        kinds = {case for case, _ in reads}
+        assert kinds == {"decomposable", "non_decomposable"} or not reads
+        assert {twins for _, twins in reads} == {True, False} or not reads
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_trivial_kernel(self, spec):
+        outcomes = set()
+        for qmap, s in trivial_kernel_sample(spec):
+            _, twins = self.assert_reads(qmap, s)
+            outcomes.add(twins)
+            dq = cayley(qmap.target, s)
+            aut_q = automorphism_group_of(dq)
+            checks = verify_lift_structure(qmap, s, dq, aut_q).checks
+            built = oracles.built_lift_structure(qmap, s, dq, aut_q)[0]
+            assert checks == built, (spec, sorted(s))
+            assert checks["arc_identity"] and checks["unique_block_system"]
+        # The empty set's digraph is one twin class.  Z1 has one point, and
+        # every Cayley digraph of Z2 or Z2xZ2 has twins.
+        assert outcomes == {True, False} or spec in ("Z1", "Z2", "Z2xZ2")
+
+    def test_case_on_random_looped_digraphs(self):
+        # `_lift` reads dq only for its case; half of these digraphs are
+        # relabelled wreath products, so both cases come up.
+        rng = random.Random(3201)
+        qmap = FiniteGroup.cyclic(4).quotient({0, 2})
+        cases = Counter()
+        for i in range(500):
+            if i % 2:
+                d = oracles.random_digraph(rng, rng.randrange(0, 9))
+            else:
+                outer = oracles.random_digraph(rng, rng.randrange(1, 5))
+                r = rng.randrange(1, 4)
+                inner = Digraph.complete(r) if rng.random() < 0.5 else Digraph.empty(r)
+                d = cig.digraphs.wreath_product(outer, inner)
+                d = d.relabel(rng.sample(range(d.order), d.order))
+            case = cig.ci._lift(qmap, frozenset(), d).case
+            complete = cig.digraphs.decompose_over_complete(d)
+            assert (case == "non_decomposable") == (complete is None), d.out_masks
+            if d.order <= 6:
+                feasible = oracles.feasible_inner_sizes(d, "complete")
+                assert (case == "decomposable") == bool(feasible), d.out_masks
+            cases[case] += 1
+        assert min(cases.values()) >= 50, cases
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_a_twin_branch_lift_builds_nothing_on_the_group(self, spec, monkeypatch):
+        # Past dq and Aut(dq), which the caller hands over: no digraph on
+        # |G| points, no twin pass on |G| points, no wreath decomposition.
+        orders, passes, decompositions = [], [], []
+        init = Digraph.__init__
+        monkeypatch.setattr(
+            Digraph, "__init__", lambda d, n, masks: orders.append(n) or init(d, n, masks)
+        )
+        twin_labels = cig.digraphs._kernels.twin_labels
+        monkeypatch.setattr(
+            cig.digraphs._kernels,
+            "twin_labels",
+            lambda out, into: passes.append(len(out)) or twin_labels(out, into),
+        )
+        decompose = cig.digraphs._decompose
+        monkeypatch.setattr(
+            cig.digraphs,
+            "_decompose",
+            lambda d, kind: decompositions.append(d) or decompose(d, kind),
+        )
+        twin_branch = 0
+        for qmap, s, _ in lift_sample(spec):
+            if not on_twin_branch(qmap, s):
+                continue
+            twin_branch += 1
+            dq = cayley(qmap.target, s)
+            aut_q = automorphism_group_of(dq)
+            for spied in (orders, passes, decompositions):
+                spied.clear()
+            report = verify_lift_structure(qmap, s, dq, aut_q)
+            instance = (spec, sorted(qmap.kernel), sorted(s))
+            assert all(report.checks.values()), instance
+            assert qmap.source.order not in orders, instance
+            assert qmap.source.order not in passes, instance
+            assert not decompositions, instance
+        assert twin_branch or spec in ("Z1", "Z2", "Z3", "Z5", "Z7", "Z11")
+
+
+def assert_a_flipped_arc_fails(qmap, s, rng):
+    """Hand `verify_lift_structure` Cay(G/H, S) with one arc, a loop or not,
+    flipped, and its automorphism group."""
+    dq = cayley(qmap.target, s)
+    u, v = rng.randrange(dq.order), rng.randrange(dq.order)
+    masks = list(dq.out_masks)
+    masks[u] ^= 1 << v
+    wrong = Digraph(dq.order, masks)
+    checks = verify_lift_structure(qmap, s, wrong, automorphism_group_of(wrong)).checks
+    instance = (qmap.source.name, sorted(qmap.kernel), sorted(s), (u, v))
+    assert not checks["arc_identity"], instance
+    assert not checks["unique_block_system"], instance
+    assert not checks["wreath_generators_in_aut"], instance
+
+
+class TestAWrongQuotientDigraph:
+    """A dq that is not Cay(G/H, S) fails the arc identity, and with it the
+    checks that read it: the block check and the wreath generators."""
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_one_flipped_arc_fails_the_lift(self, spec):
+        rng = random.Random(spec)
+        sides = 0
+        for qmap, s, _ in lift_sample(spec):
+            assert_a_flipped_arc_fails(qmap, s, rng)
+            sides += 1
+        assert sides or spec in ("Z1", "Z2", "Z3", "Z5", "Z7", "Z11")
+
+    def test_trivial_kernel(self):
+        rng = random.Random(3202)
+        for qmap, s in trivial_kernel_sample("D4"):
+            assert_a_flipped_arc_fails(qmap, s, rng)
 
 
 def schreier_sims_order(group: PermGroup) -> int:
