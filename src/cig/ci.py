@@ -17,10 +17,11 @@ over by the quotient isomorphism.  It checks each side's lift in
 cosets as the only block system of their size, which holds exactly when
 they are the lifted digraph's twin classes.  One pass over G's table gives
 the lifted digraph's rows in fiber order for the arc identity; the twin
-classes and the lift's case are read from the quotient digraph's.  Where
-the twin classes are the cosets, both groups would be lifted from that
-side's Aut(quotient), so the wreath check tests only what can fail there:
-that each generator of Aut(quotient) preserves the quotient digraph.
+classes and the lift's case are read from the quotient digraph's.  No lift
+check builds a digraph on G's points or searches one: whether two cosets
+merge into one twin class decides both the block check and the group
+orders, and the wreath check tests only what else can fail, that each
+generator of Aut(quotient) preserves the quotient digraph.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from cig.digraphs import (
 from cig.groups import FiniteGroup, QuotientMap, automorphic_image_search
 from cig.iso import (
     _check_cap,
-    _lift_over_classes,
     automorphism_group_of,
     find_isomorphism,
     neighbourhood_key,
@@ -391,14 +391,13 @@ def _fiber_masks(
     return masks
 
 
-def _twins_are_cosets(dq: Digraph, lift: LiftResult) -> bool:
-    """Whether the twin classes of wreath_product(dq, inner), the lifted
-    digraph in fiber order, are the fibers, read from dq's twin classes by
-    the fiber-merge lemma of `verify_lift_structure`."""
+def _fibers_merge(dq: Digraph, lift: LiftResult) -> bool:
+    """Whether two fibers of wreath_product(dq, inner), the lifted digraph
+    in fiber order, share a twin class when |H| >= 2, read from dq's twin
+    classes by the fiber-merge lemma of `verify_lift_structure`."""
     kind = "complete" if lift.case == "non_decomposable" else "empty"
-    return all(
-        len(members) == 1
-        or (lift.block_size > 1 and not _class_takes_kind(dq, members, kind))
+    return any(
+        len(members) > 1 and _class_takes_kind(dq, members, kind)
         for members in dq.twin_classes()
     )
 
@@ -408,7 +407,6 @@ def verify_lift_structure(
     s_quotient: Iterable[int],
     dq: Digraph,
     aut_q: PermGroup,
-    limits: Limits = DEFAULT_LIMITS,
 ) -> LiftStructureReport:
     """Check that the lifted Cayley digraph is exactly the expected wreath
     product, that its automorphism group is the expected wreath group, and
@@ -426,21 +424,7 @@ def verify_lift_structure(
     cosets onto the fibers, so every check reads the same on these rows as
     on Cay(G, T) itself.  The arc identity compares them with the rows of
     W = wreath_product(dq, inner); everything else reads dq, on |G/H|
-    points.  A digraph on |G| points is built only where the twin classes
-    are not the cosets, to search Aut(lifted) and test the wreath group.
-
-    Group equality is order equality plus two-way generator membership.
-    Both groups are subgroups of Sym(n), so each lies inside the other
-    exactly when its generators do: the generators of Aut(quotient) wr
-    S_block must preserve the lifted digraph's arcs in fiber order, and
-    each generator of Aut(lifted) must carry fibers onto fibers and induce
-    an automorphism of the quotient digraph.  Each of these is one
-    `Digraph.is_automorphism` test.  The wreath group is `aut_q` lifted
-    over the fibers by `_lift_over_classes`: fibers move whole, and
-    Sym(block) on one fiber per orbit is conjugated onto the rest of the
-    orbit, so it is Aut(quotient) wr S_block, of order |Aut(quotient)| *
-    (block size)!^|quotient|.  Where the cosets are not the twin classes,
-    Aut(lifted) and its order come from `automorphism_group_of`.
+    points.  No digraph on |G| points is built and nothing is searched.
 
     Let r_i be the least element of coset i, which is element i of G/H, so
     the r_i ascend with i.  The arc r_i -> r_j is there when r_i^-1 r_j is
@@ -467,90 +451,83 @@ def verify_lift_structure(
     Sym(Cj) fixes 0 and Sym(C0) fixes y, so B contains both classes.  With
     |H| >= 2 the one block of |H| points through 0 there can be is C0, so
     the cosets are the unique block system of size |H| exactly when they
-    are the twin classes; with |H| = 1 the discrete partition always is.
+    are the twin classes, that is when no two fibers merge; with |H| = 1
+    the discrete partition always is.
 
-    Whether they are is read from dq's twin classes (`_twins_are_cosets`),
-    by the fiber-merge lemma.  With |H| >= 2, take u in fiber i and v in
-    fiber j != i of W, and let inside(i) be whether two points of fiber i
-    are joined: always for the complete inner digraph, when dq loops at i
-    for the empty one.  Then u and v are twins exactly when i and j are
-    twins of dq and dq has i -> j exactly when inside(i).  For take u' != u
-    in fiber i and v' != v in fiber j: the transposition (u v) must keep
-    v -> u' against u -> u' and u' -> v against u' -> u, so dq(j, i) =
-    dq(i, j) = inside(i), likewise both equal inside(j), the loops at u and
-    v (those of dq at i and j) agree, and every other fiber sees fibers i
-    and j alike: i and j are dq-twins with that arc.  Conversely these make
-    (u v) an automorphism of W.  So the fibers of a twin class of dq with
-    two or more members merge into one twin class of W exactly when that
-    class takes the kind of the inner digraph (`digraphs._class_takes_kind`,
-    the test the decompositions apply), and the twin classes of W are the
-    fibers exactly when no such class does.  With |H| = 1, W is dq, and
-    its twin classes are the points exactly when dq has no twins.  The
-    lemma describes the lifted digraph when the arc identity holds, so
+    Whether two fibers merge is read from dq's twin classes
+    (`_fibers_merge`), by the fiber-merge lemma.  With |H| >= 2, take u in
+    fiber i and v in fiber j != i of W, and let inside(i) be whether two
+    points of fiber i are joined: always for the complete inner digraph,
+    when dq loops at i for the empty one.  Then u and v are twins exactly
+    when i and j are twins of dq and dq has i -> j exactly when inside(i).
+    For take u' != u in fiber i and v' != v in fiber j: the transposition
+    (u v) must keep v -> u' against u -> u' and u' -> v against u' -> u,
+    so dq(j, i) = dq(i, j) = inside(i), likewise both equal inside(j), the
+    loops at u and v (those of dq at i and j) agree, and every other fiber
+    sees fibers i and j alike: i and j are dq-twins with that arc.
+    Conversely these make (u v) an automorphism of W.  So the fibers of a
+    twin class of dq with two or more members merge into one twin class of
+    W exactly when that class takes the kind of the inner digraph
+    (`digraphs._class_takes_kind`, the test the decompositions apply).
+    The lemma describes the lifted digraph when the arc identity holds, so
     `unique_block_system` and `wreath_generators_in_aut` also read the arc
     identity: a lift that fails it, as on a dq that is not Cay(G/H,
     s_quotient), fails them too.
 
-    When the twin classes are the cosets, the three group checks reduce to
+    The group checks.  Group equality is order equality plus two-way
+    generator membership: both groups are subgroups of Sym(n), so each lies
+    inside the other exactly when its generators do.  The three checks read
     one test per generator g of `aut_q`, whether g is an automorphism of
-    dq, on |G/H| points, and neither group is built.  The twin quotient of
-    the lifted digraph is then dq in a single colour, and Aut(lifted) is
-    Aut(dq) lifted over the cosets (see `automorphism_group_of`): `aut_q`
-    lifted, as is the wreath group over the fibers.
-    - Both orders are |aut_q| * (|H|!)^|G/H|, so `aut_order_equal` holds.
-    - The wreath group's generators lie in Sym(fiber) or lift a g fiber
-      onto fiber.  Sym(fiber) always preserves W: inside a fiber W has no
-      arc, every arc (loops included, where dq loops) or the loopless
-      complete inner digraph's arcs, and between two fibers every arc or
-      none.  The lift of g carries the arcs between fibers i and j onto
-      those between g(i) and g(j), and the inside of fiber i onto that of
-      fiber g(i); the inside of a fiber differs with and without a loop of
-      dq, since the inner digraph has no loop.  So the lift preserves W
-      exactly when g is in Aut(dq), and `wreath_generators_in_aut` holds
-      exactly when every g is.
-    - Aut(lifted)'s generators lie in Sym(fiber), inducing the identity on
-      the fibers, or lift a g fiber onto fiber, inducing g itself.  So
+    dq, on |G/H| points, and whether fibers merge.  The wreath group
+    Aut(dq) wr S_block is generated by Sym(fiber) and the lifts of the g,
+    which move fibers whole.
+    - Sym(fiber) always preserves W: inside a fiber W has no arc, every arc
+      (loops included, where dq loops) or the loopless complete inner
+      digraph's arcs, and between two fibers every arc or none.  The lift
+      of g carries the arcs between fibers i and j onto those between g(i)
+      and g(j), and the inside of fiber i onto that of fiber g(i); the
+      inside of a fiber differs with and without a loop of dq, since the
+      inner digraph has no loop.  So the lift preserves W exactly when g is
+      in Aut(dq), and `wreath_generators_in_aut` holds exactly when every g
+      is: then Aut(dq) wr S_block <= Aut(W) on every lift.
+    - When no fibers merge, the twin classes are the fibers, the twin
+      quotient of W is dq in a single colour, and Aut(W) is Aut(dq) lifted
+      over the fibers (see `automorphism_group_of`), the wreath group
+      itself.  Both orders are |aut_q| * (|H|!)^|G/H|, so `aut_order_equal`
+      holds, and Aut(W)'s generators lie in Sym(fiber), inducing the
+      identity on the fibers, or lift a g fiber onto fiber, inducing g: so
       `aut_inside_wreath` holds exactly when every g is in Aut(dq).
-    That test fails when `aut_q` is not inside Aut(dq), as for a wrongly
-    conjugated group on side 2 of a certificate.  `automorphism_group_of`
-    rests on the same twin decomposition, so a search could only find
-    Aut(dq) again; whether the twin quotient's route and the unreduced
-    search agree is a property of the search, which tests/test_iso.py
-    checks against the unreduced search and enumeration.  When the twin
-    classes are not the cosets, both groups are built and the three checks
-    run as described above.
+    - When two fibers merge (|H| >= 2), a twin class of W holds u and v in
+      different fibers, and the transposition (u v) lies in Aut(W) but
+      splits a fiber.  So Aut(W) properly contains the wreath group: the
+      orders differ, and some generator of Aut(W) leaves the fiber
+      partition, since otherwise Aut(W) would keep it and induce
+      automorphisms of dq, and lie inside the wreath group.
+    - With |H| = 1, W is dq and both groups are `aut_q`, so the checks
+      read as where no fibers merge, and `merged` is False.
+    The generator test fails when `aut_q` is not inside Aut(dq), as for a
+    wrongly conjugated group on side 2 of a certificate.  Where the fibers
+    do not merge, `automorphism_group_of` rests on the same twin
+    decomposition, so a search could only find Aut(dq) again; whether the
+    twin quotient's route and the unreduced search agree is a property of
+    the search, which tests/test_iso.py checks against the unreduced search
+    and enumeration.
     """
     s_quotient = frozenset(s_quotient)
     _check_subset(qmap.target, s_quotient, "quotient connection set")
-    _check_cap(qmap.source.order, limits.search)
     lift = _lift(qmap, s_quotient, dq)
     size = lift.block_size
     masks = _fiber_masks(qmap.source, lift.connection, lift.coset_partition)
     inner = Digraph.complete(size) if lift.case == "non_decomposable" else Digraph.empty(size)
     arc_identity = masks == _wreath_masks(dq, inner)
-
-    twins_are_cosets = _twins_are_cosets(dq, lift)
-    if twins_are_cosets:
-        in_aut = all(dq.is_automorphism(g.images) for g in aut_q.generators)
-        order_equal, gens_in_aut, aut_in_wreath = True, in_aut, in_aut
-    else:
-        lifted = Digraph(len(masks), masks)
-        aut_lifted = automorphism_group_of(lifted, limits)
-        fibers = [range(i * size, i * size + size) for i in range(dq.order)]
-        wreath = _lift_over_classes(aut_q, fibers, lifted.order)
-        order_equal = aut_lifted.order == wreath.order
-        gens_in_aut = all(lifted.is_automorphism(g.images) for g in wreath.generators)
-        fiber_partition = PointPartition(lifted.order, fibers)
-        aut_in_wreath = all(
-            (bar := fiber_partition.induced(g)) is not None and dq.is_automorphism(bar.images)
-            for g in aut_lifted.generators
-        )
+    merged = size > 1 and _fibers_merge(dq, lift)
+    in_aut = all(dq.is_automorphism(g.images) for g in aut_q.generators)
     checks = {
         "arc_identity": arc_identity,
-        "aut_order_equal": order_equal,
-        "wreath_generators_in_aut": arc_identity and gens_in_aut,
-        "aut_inside_wreath": aut_in_wreath,
-        "unique_block_system": arc_identity and (size == 1 or twins_are_cosets),
+        "aut_order_equal": not merged,
+        "wreath_generators_in_aut": arc_identity and in_aut,
+        "aut_inside_wreath": in_aut and not merged,
+        "unique_block_system": arc_identity and not merged,
     }
     return LiftStructureReport(lift=lift, checks=checks)
 
@@ -670,8 +647,8 @@ def quotient_ci_certificate(
 
     _check_cap(group.order, limits.search)
     aut_q1 = automorphism_group_of(dq1, limits)
-    report1 = verify_lift_structure(qmap, s1, dq1, aut_q1, limits)
-    report2 = verify_lift_structure(qmap, s2, dq2, _conjugated(aut_q1, iso_q), limits)
+    report1 = verify_lift_structure(qmap, s1, dq1, aut_q1)
+    report2 = verify_lift_structure(qmap, s2, dq2, _conjugated(aut_q1, iso_q))
     lift1, lift2 = report1.lift, report2.lift
     checks["lift_cases_agree"] = lift1.case == lift2.case
     per_side = {

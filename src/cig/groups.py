@@ -539,9 +539,8 @@ def automorphic_image_search(
     the other, or None: a set transporter.  It lists nothing, so no cap
     applies; every library caller has checked the group's order against
     ``limits.search`` first.  `ci_pair` and the CI sweep do so by searching
-    Cayley digraphs of the group; the quotient certificate checks |G| alone,
-    and where a lift's twin classes are its cosets no Cayley digraph of G
-    is searched."""
+    Cayley digraphs of the group; the quotient certificate checks |G| alone
+    and searches no Cayley digraph of G."""
     s = frozenset(subset)
     t = frozenset(target_subset)
     if len(s) != len(t):

@@ -973,11 +973,11 @@ def lift_structure_checks(qmap, s_quotient, dq, aut_q, aut_lifted):
 
 
 def built_lift_structure(qmap, s_quotient, dq, aut_q, limits=DEFAULT_LIMITS):
-    """`lift_structure_checks` with Aut(lifted) as the library had it before
-    the twin branch: `aut_q` lifted over the cosets when they are the lifted
-    twin classes, searched otherwise (the library builds no group on the
-    former and tests only `aut_q` against dq).  Returns the checks and
-    Aut(lifted)."""
+    """`lift_structure_checks` with Aut(lifted) built: `aut_q` lifted over
+    the cosets when they are the lifted twin classes, searched otherwise
+    (the library builds neither group on any lift: it tests `aut_q` against
+    dq and reads from dq's twin classes whether two fibers merge).  Returns
+    the checks and Aut(lifted)."""
     lifted = cayley(qmap.source, _lift(qmap, frozenset(s_quotient), dq).connection)
     if lifted.twin_classes() == qmap.cosets.classes:
         aut_lifted = _lift_over_classes(aut_q, qmap.cosets.classes, lifted.order)
@@ -989,8 +989,8 @@ def built_lift_structure(qmap, s_quotient, dq, aut_q, limits=DEFAULT_LIMITS):
 def two_search_lift_structure(qmap, s_quotient, limits=DEFAULT_LIMITS):
     """`lift_structure_checks` with dq, Aut(dq) and Aut(lifted) each searched
     on its own, Aut(lifted) never lifted from Aut(quotient) (the library
-    searches one quotient digraph per certificate and lifts its group when
-    the twin classes are the cosets).  Returns the checks and Aut(lifted)."""
+    searches one quotient digraph per certificate and no lifted digraph).
+    Returns the checks and Aut(lifted)."""
     dq = cayley(qmap.target, frozenset(s_quotient))
     lifted = cayley(qmap.source, _lift(qmap, frozenset(s_quotient), dq).connection)
     aut_lifted = automorphism_group_of(lifted, limits)
@@ -1004,9 +1004,8 @@ def two_search_certificate(group, subgroup, set1, set2, mode="digraph", limits=D
     `two_search_lift_structure`: each quotient digraph and each lifted
     digraph searched on its own, and the wreath group with a copy of
     Sym(block) on every fiber (the library searches dq1 alone, carries its
-    group to dq2 by the quotient isomorphism, and puts Sym(block) on one
-    fiber per orbit).  The set transporter is the scan of the whole
-    automorphism list."""
+    group to dq2 by the quotient isomorphism, and builds neither group).
+    The set transporter is the scan of the whole automorphism list."""
     h, s1, s2 = frozenset(subgroup), frozenset(set1), frozenset(set2)
     qmap = group.quotient(h)
     if not 1 < len(h) < group.order:

@@ -643,10 +643,9 @@ class TestLiftStructure:
 
     def test_one_twin_pass_per_digraph(self, monkeypatch):
         # The quotient digraph's automorphism group, the lift's case and the
-        # block check read classes computed once, on dq.  Where the lifted
-        # twin classes are the cosets, no pass runs on the |G| points; where
-        # they are not, the lifted digraph gets its one pass inside the
-        # search of Aut(lifted).
+        # block and group checks read classes computed once, on dq.  No pass
+        # runs on the |G| points, whether or not the lifted twin classes are
+        # the cosets.
         calls = []
         twin_labels = cig.digraphs._kernels.twin_labels
         monkeypatch.setattr(
@@ -660,20 +659,21 @@ class TestLiftStructure:
         assert len(calls) == len(set(calls)) == 1
         assert [len(out) for out in calls] == [3]
         # Z4 over {0, 2} with S = {0, 1}: the lift is K4 with every loop,
-        # one twin class.
+        # one twin class, read from dq's.
         calls.clear()
         report = lift_report(FiniteGroup.cyclic(4).quotient({0, 2}), {0, 1})
         assert not report.checks["unique_block_system"]
-        assert len(calls) == len(set(calls)) == 2
-        assert [len(out) for out in calls] == [2, 4]
+        assert len(calls) == len(set(calls)) == 1
+        assert [len(out) for out in calls] == [2]
 
 
 def lift_check(qmap, s_quotient):
     """`verify_lift_structure`'s checks, given dq and Aut(dq) found here, and
     the Aut(lifted) that `oracles.built_lift_structure` builds from the same
     dq and Aut(dq): lifted over the cosets when they are the twin classes,
-    searched otherwise.  The library's checks must equal that oracle's,
-    which builds both groups and tests every generator of each."""
+    searched otherwise.  The library's checks, which build and search
+    nothing on |G| points, must equal that oracle's, which builds both
+    groups and tests every generator of each."""
     dq = cayley(qmap.target, frozenset(s_quotient))
     aut_q = automorphism_group_of(dq)
     report = verify_lift_structure(qmap, s_quotient, dq, aut_q)
@@ -784,7 +784,7 @@ class TestOneSearchOfTheQuotient:
         [
             (6, {0, 3}, {1}, 1),  # twin classes are the cosets
             (4, {0, 2}, {1}, 1),  # the same, and dq = K2 has twins of its own
-            (4, {0, 2}, {0, 1}, 2),  # the looped K4: one twin class
+            (4, {0, 2}, {0, 1}, 1),  # the looped K4: one twin class, unsearched
         ],
     )
     def test_search_count(self, n, kernel, s, searches, monkeypatch):
@@ -795,7 +795,7 @@ class TestOneSearchOfTheQuotient:
             "_search_automorphisms",
             lambda d, initial: calls.append(d) or search(d, initial),
         )
-        # The search of dq that gives Aut(dq), then any the lift check runs.
+        # The search of dq that gives Aut(dq); the lift check runs none.
         lift_report(FiniteGroup.cyclic(n).quotient(kernel), s)
         assert len(calls) == searches
 
@@ -1156,8 +1156,8 @@ def isomorphic_quotient_pairs(spec, mode):
 
 class TestOneQuotientSearchPerCertificate:
     """A certificate searches dq1 alone, takes Aut(dq2) as Aut(dq1)
-    conjugated by the quotient isomorphism phi, and builds the wreath group
-    with Sym(block) on one fiber per orbit of Aut(dq)."""
+    conjugated by the quotient isomorphism phi, and its checks stand for
+    the wreath group with Sym(block) on one fiber per orbit of Aut(dq)."""
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
@@ -1198,23 +1198,17 @@ class TestOneQuotientSearchPerCertificate:
 
     @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(8)])
     def test_fiber_wreath_group_is_the_oracle_wreath_product(self, spec, monkeypatch):
-        # Where the library builds the wreath group, the group
-        # `wreath_generators_in_aut` tests is generated by the permutations
-        # of the |G| points handed to `is_automorphism` (those of
-        # `aut_inside_wreath` act on the |G/H| quotient points), and the
-        # order `aut_order_equal` compares is that of the last
-        # `_lift_over_classes` call, the one over the fibers.  Where it
-        # builds no group (twin classes the cosets),
-        # it tests no permutation of |G| points, and the wreath group its
-        # check stands for is `_lift_over_classes` over the fibers, called
-        # here.
+        # The library builds no wreath group and tests no permutation of
+        # |G| points; the wreath group its checks stand for is
+        # `_lift_over_classes` over the fibers, called here.  `cig.ci` has
+        # no name of its own for it, so the spy sees every call.
+        assert not hasattr(cig.ci, "_lift_over_classes")
         built, tested = [], []
-        real_lift = cig.ci._lift_over_classes
+        real_lift = cig.iso._lift_over_classes
         monkeypatch.setattr(
-            cig.ci,
+            cig.iso,
             "_lift_over_classes",
-            lambda aut_q, classes, n: built.append((aut_q, classes, real_lift(aut_q, classes, n)))
-            or built[-1][2],
+            lambda aut_q, classes, n: built.append(n) or real_lift(aut_q, classes, n),
         )
         real_test = Digraph.is_automorphism
         monkeypatch.setattr(
@@ -1230,28 +1224,23 @@ class TestOneQuotientSearchPerCertificate:
             q, b = qmap.target.order, len(h)
             for code in range(1 << q):
                 s = {x for x in range(q) if code >> x & 1}
+                dq = cayley(qmap.target, s)
+                aut_q = automorphism_group_of(dq)
                 built.clear()
                 tested.clear()
-                report = lift_report(qmap, s)
+                report = verify_lift_structure(qmap, s, dq, aut_q)
                 instance = (spec, sorted(h), sorted(s))
+                assert not built, instance
+                assert not [t for t in tested if len(t) == g.order], instance
                 ranges = [range(i * b, i * b + b) for i in range(q)]
-                if built:
-                    aut_q, fibers, wreath = built[-1]
-                    assert [tuple(f) for f in fibers] == list(map(tuple, ranges))
-                    generators = [Perm(t) for t in tested if len(t) == g.order]
-                else:
-                    assert not [t for t in tested if len(t) == g.order], instance
-                    dq = cayley(qmap.target, s)
-                    aut_q = automorphism_group_of(dq)
-                    wreath = real_lift(aut_q, ranges, g.order)
-                    generators = wreath.generators
-                    built_checks = oracles.built_lift_structure(qmap, s, dq, aut_q)[0]
-                    assert report.checks == built_checks, instance
+                wreath = real_lift(aut_q, ranges, g.order)
+                built_checks = oracles.built_lift_structure(qmap, s, dq, aut_q)[0]
+                assert report.checks == built_checks, instance
                 expected = oracles.wreath_product(aut_q, oracles.symmetric_group(b))
                 assert report.checks["wreath_generators_in_aut"], instance
                 assert wreath.order == expected.order, instance
                 assert oracles.closure(
-                    PermGroup(generators, order=1, degree=g.order)
+                    PermGroup(wreath.generators, order=1, degree=g.order)
                 ) == oracles.closure(expected), instance
 
     def test_lifted_order_is_checked_before_the_quotient_search(self, monkeypatch):
@@ -1282,8 +1271,8 @@ def pinned_lifts():
 
 
 def on_twin_branch(qmap, s) -> bool:
-    """Whether the lifted twin classes are the cosets: the lifts on which
-    `verify_lift_structure` builds no group."""
+    """Whether the lifted twin classes are the cosets: the lifts on which no
+    two fibers merge."""
     lifted = cayley(qmap.source, lift_connection_set(qmap.source, qmap.kernel, s).connection)
     return lifted.twin_classes() == qmap.cosets.classes
 
@@ -1433,8 +1422,8 @@ def cosets_are_brute_twin_classes(qmap, lift) -> bool:
 
 class TestLiftReadsTheQuotient:
     """`verify_lift_structure` reads the lift in one pass over G's table, in
-    fiber order, and its twin classes and case from dq's: each read equals
-    the one made on the lifted digraph."""
+    fiber order, and whether its fibers merge and its case from dq's: each
+    read equals the one made on the lifted digraph."""
 
     @staticmethod
     def assert_reads(qmap, s):
@@ -1442,8 +1431,9 @@ class TestLiftReadsTheQuotient:
         lift = cig.ci._lift(qmap, frozenset(s), dq)
         lifted = cayley(qmap.source, lift.connection)
         instance = (qmap.source.name, sorted(qmap.kernel), sorted(s))
-        twins = cig.ci._twins_are_cosets(dq, lift)
-        assert twins == cosets_are_brute_twin_classes(qmap, lift), instance
+        twins = cosets_are_brute_twin_classes(qmap, lift)
+        if lift.block_size > 1:
+            assert cig.ci._fibers_merge(dq, lift) != twins, instance
         masks = cig.ci._fiber_masks(qmap.source, lift.connection, lift.coset_partition)
         fib = lift.coset_partition.fiber_images()
         assert tuple(masks) == lifted.relabel(fib).out_masks, instance
@@ -1535,6 +1525,62 @@ class TestLiftReadsTheQuotient:
             assert qmap.source.order not in passes, instance
             assert not decompositions, instance
         assert twin_branch or spec in ("Z1", "Z2", "Z3", "Z5", "Z7", "Z11")
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_no_lift_searches_or_builds_on_the_group(self, spec, monkeypatch):
+        # Every lift, its fibers merged or not: past dq and Aut(dq), which
+        # the caller hands over, no automorphism search, no digraph on |G|
+        # points and no twin pass on |G| points.
+        orders, passes, searched = [], [], []
+        init = Digraph.__init__
+        monkeypatch.setattr(
+            Digraph, "__init__", lambda d, n, masks: orders.append(n) or init(d, n, masks)
+        )
+        twin_labels = cig.digraphs._kernels.twin_labels
+        monkeypatch.setattr(
+            cig.digraphs._kernels,
+            "twin_labels",
+            lambda out, into: passes.append(len(out)) or twin_labels(out, into),
+        )
+        for module, name in ((cig.ci, "automorphism_group_of"), (cig.iso, "_search_automorphisms")):
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda d, *rest, real=real: searched.append(d) or real(d, *rest)
+            )
+        merged = 0
+        for qmap, s, _ in lift_sample(spec):
+            dq = cayley(qmap.target, s)
+            aut_q = automorphism_group_of(dq)
+            for spied in (orders, passes, searched):
+                spied.clear()
+            report = verify_lift_structure(qmap, s, dq, aut_q)
+            instance = (spec, sorted(qmap.kernel), sorted(s))
+            assert not searched, instance
+            assert qmap.source.order not in orders, instance
+            assert qmap.source.order not in passes, instance
+            merged += not report.checks["unique_block_system"]
+        # The whole quotient set lifts to the looped complete digraph, one
+        # twin class, wherever there is a proper non-trivial kernel.
+        assert merged or spec in ("Z1", "Z2", "Z3", "Z5", "Z7", "Z11")
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_merged_fibers_outgrow_the_wreath_group(self, spec):
+        # Wherever the library reads two fibers as merged, the two facts its
+        # group checks rest on, checked by search: Aut(lifted) is larger
+        # than Aut(dq) wr S_block, and one of its generators splits a coset.
+        merged = 0
+        for qmap, s, _ in lift_sample(spec):
+            dq = cayley(qmap.target, s)
+            lift = cig.ci._lift(qmap, frozenset(s), dq)
+            if not cig.ci._fibers_merge(dq, lift):
+                continue
+            merged += 1
+            instance = (spec, sorted(qmap.kernel), sorted(s))
+            aut = automorphism_group_of(cayley(qmap.source, lift.connection))
+            wreath_order = automorphism_group_of(dq).order * factorial(lift.block_size) ** dq.order
+            assert aut.order > wreath_order, instance
+            assert any(qmap.cosets.induced(g) is None for g in aut.generators), instance
+        assert merged or spec in ("Z1", "Z2", "Z3", "Z5", "Z7", "Z11")
 
 
 def assert_a_flipped_arc_fails(qmap, s, rng):
