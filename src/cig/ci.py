@@ -42,7 +42,7 @@ from cig.digraphs import (
     decompose_over_empty,
     wreath_product,
 )
-from cig.groups import FiniteGroup, QuotientMap, automorphic_image_search
+from cig.groups import FiniteGroup, QuotientMap, _check_subset, automorphic_image_search
 from cig.iso import (
     _check_cap,
     automorphism_group_of,
@@ -59,12 +59,6 @@ MODES = ("digraph", "graph")
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def _check_subset(group: FiniteGroup, subset: frozenset[int], what: str) -> None:
-    for x in subset:
-        if not 0 <= x < group.order:
-            raise ValueError(f"{what} element {x} out of range for order {group.order}")
 
 
 def _check_sets(

@@ -11,7 +11,6 @@ from math import gcd
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from cig import _kernels
-from cig.perms import PointPartition
 
 if TYPE_CHECKING:
     from cig.groups import FiniteGroup
@@ -293,22 +292,18 @@ def _has_wreath_factor(d: Digraph, kind: str) -> bool:
 
 def _decompose(d: Digraph, kind: str) -> WreathDecomposition | None:
     """Factor d over the twin classes that `kind` takes, or None when
-    `_has_wreath_factor` says there is no factor."""
+    `_has_wreath_factor` says there is no factor.  It is read from the twin
+    classes, with no rebuild: the fibers are each class cut into runs of r
+    consecutive members, twins have the same arcs to every other vertex, and
+    a class that takes the kind holds the arcs that its quotient loop and
+    the inner digraph put there.  The quotient is d induced on the least
+    member of each run, loops included."""
     if not _has_wreath_factor(d, kind):
         return None
     classes = d.twin_classes()
     r = gcd(*map(len, classes))
-    # Split each twin class into consecutive runs of r (ascending indices).
-    parts = [cls[i : i + r] for cls in classes for i in range(0, len(cls), r)]
-    partition = PointPartition(d.order, parts)
-    # Class minima ascend with the class index, so the induced subdigraph on
-    # them is the quotient, loops included.
-    quotient = d.induced(c[0] for c in partition.classes)
-    inner = Digraph.complete(r) if kind == "complete" else Digraph.empty(r)
-    rebuilt = wreath_product(quotient, inner)
-    if d.relabel(partition.fiber_images()) != rebuilt:
-        raise RuntimeError("twin decomposition failed to reassemble")  # unreachable
-    return WreathDecomposition(quotient, r)
+    run_minima = (c[i] for c in classes for i in range(0, len(c), r))
+    return WreathDecomposition(d.induced(run_minima), r)
 
 
 def decompose_over_complete(d: Digraph) -> WreathDecomposition | None:

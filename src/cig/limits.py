@@ -16,9 +16,10 @@ class Limits:
     """The user-settable caps, passed as one value to every search.
 
     search: maximum digraph order accepted by the isomorphism/automorphism
-    search; it also bounds the set transporter, which runs only after a
-    search on the group's Cayley digraph.  aut: maximum group order whose
-    automorphisms (the CI sweep) or subgroups are listed.
+    search; it also bounds the set transporter, whose callers check the
+    group's order against it first (the quotient certificate checks |G|
+    alone and searches no Cayley digraph of G).  aut: maximum group order
+    whose automorphisms (the CI sweep) or subgroups are listed.
     """
 
     search: int = 40

@@ -340,14 +340,20 @@ class TestQuotients:
                 fiber = {x for x in range(g.order) if q.cosets.class_index(x) == i}
                 assert fiber == {g.mul(coset[0], y) for y in h}
 
-    def test_projection_is_homomorphism(self):
-        g = FiniteGroup.quaternion()
-        q = g.quotient(g.subgroup_generated([1]))  # center {1,-1}
-        for a in range(8):
-            for b in range(8):
-                assert q.cosets.class_index(g.mul(a, b)) == q.target.mul(
-                    q.cosets.class_index(a), q.cosets.class_index(b)
-                )
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_projection_is_homomorphism(self, spec):
+        # `quotient` builds the target table from coset minima alone, on the
+        # premise that the kernel is normal; every product of every pair of
+        # members must land in the coset the table names.  The catalog up to
+        # order 12 has 108 quotients (Q8 over its centre among them), and
+        # some are non-abelian.
+        g = parse_group_spec(spec)
+        for h in g.normal_subgroups():
+            q = g.quotient(h)
+            index = [q.cosets.class_index(x) for x in range(g.order)]
+            for a in range(g.order):
+                for b in range(g.order):
+                    assert index[g.mul(a, b)] == q.target.mul(index[a], index[b]), (h, a, b)
 
 
 class TestAutomorphisms:
@@ -451,6 +457,19 @@ class TestAutomorphisms:
 
     def test_automorphic_image_search_respects_element_order(self):
         assert automorphic_image_search(FiniteGroup.cyclic(4), {1}, {2}) is None
+
+    @pytest.mark.parametrize(
+        "s,t,message",
+        [
+            ({5}, {6}, "subset element 5 out of range for order 4"),
+            ({1, 7}, {1, 9}, "subset element 7 out of range for order 4"),
+            ({-1}, {1}, "subset element -1 out of range for order 4"),
+            ({1}, {-1}, "target_subset element -1 out of range for order 4"),
+        ],
+    )
+    def test_automorphic_image_search_refuses_non_elements(self, s, t, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            automorphic_image_search(FiniteGroup.cyclic(4), s, t)
 
 
 def _transporter_pairs(group, rng):
