@@ -10,18 +10,21 @@ and run `find_isomorphism` on the rest),
 automorphism verdicts from generating sets
 (exact group orders, membership checked on generators), and the quotient
 certificate records one named boolean per verification step.  A
-certificate builds G/H and the two quotient digraphs once and runs one
-automorphism search of a quotient digraph: Aut(dq2) is Aut(dq1) carried
-over by the quotient isomorphism.  It checks each side's lift in
-`verify_lift_structure`: arcs, the wreath automorphism group, and the
-cosets as the only block system of their size, which holds exactly when
-they are the lifted digraph's twin classes.  One pass over G's table gives
-the lifted digraph's rows in fiber order for the arc identity; the twin
-classes and the lift's case are read from the quotient digraph's.  No lift
-check builds a digraph on G's points or searches one: whether two cosets
-merge into one twin class decides both the block check and the group
-orders, and the wreath check tests only what else can fail, that each
-generator of Aut(quotient) preserves the quotient digraph.
+certificate builds G/H and the two quotient digraphs once.  It finds the
+quotient isomorphism as an automorphism of G/H carrying one quotient set
+onto the other (the set transporter), after their neighbourhood keys tie;
+`find_isomorphism` runs only on key-tied pairs that no automorphism
+relates.  It runs one automorphism search of a quotient digraph: Aut(dq2)
+is Aut(dq1) carried over by the quotient isomorphism.  It checks each
+side's lift in `verify_lift_structure`: arcs, the wreath automorphism
+group, and the cosets as the only block system of their size, which holds
+exactly when they are the lifted digraph's twin classes.  One pass over
+G's table gives the lifted digraph's rows in fiber order for the arc
+identity; the twin classes and the lift's case are read from the quotient
+digraph's.  No lift check builds a digraph on G's points or searches one:
+whether two cosets merge into one twin class decides both the block check
+and the group orders, and the wreath check tests only what else can fail,
+that each generator of Aut(quotient) preserves the quotient digraph.
 """
 
 from __future__ import annotations
@@ -597,11 +600,30 @@ def quotient_ci_certificate(
     kernels (size 1 or the whole group) short-circuit to a direct
     quotient-level verification.
 
-    Only dq1 is searched, once |G| has passed ``limits.search``.  With phi:
-    dq1 -> dq2 from `find_isomorphism` (checked arc by arc), g preserves
+    |G/H|, the order of every digraph the certificate may search, is
+    checked against ``limits.search`` before keys, transporter or search
+    run, with the message `find_isomorphism` would give.  Whether the
+    quotient digraphs are isomorphic is then decided in three steps:
+    - Both are Cayley digraphs, hence vertex-transitive, so isomorphic ones
+      have equal `neighbourhood_key`s.  Keys that differ decide "not
+      isomorphic", and nothing is searched.
+    - Otherwise `automorphic_image_search` looks for beta in Aut(G/H) with
+      beta(S1) = S2.  Such a beta is an isomorphism: x -> y is an arc of
+      dq1 when x^-1 y is in S1, exactly when beta(x)^-1 beta(y) =
+      beta(x^-1 y) is in S2.  It is checked arc by arc, as
+      `find_isomorphism` checks its own result, and becomes phi.  On a
+      degenerate kernel it is also alpha_bar.
+    - Otherwise `find_isomorphism` decides: the quotient digraphs may still
+      be isomorphic, with G/H not CI at this pair.  By the paper's theorem
+      G/H is CI when G is, so on a CI group this runs only for key-tied
+      quotient digraphs that are not isomorphic.
+
+    Only dq1 is searched for automorphisms, once |G| has passed
+    ``limits.search``.  For any isomorphism phi: dq1 -> dq2, g preserves
     dq1's arcs exactly when phi g phi^-1 preserves dq2's, and conjugation
     by phi is a bijection of Sym(G/H), so phi Aut(dq1) phi^-1 = Aut(dq2),
-    of the same order, generated by the conjugated generators.
+    of the same order, generated by the conjugated generators.  Which
+    isomorphism phi is changes those generators but no check.
     """
     h = frozenset(subgroup)
     qmap = group.quotient(h)  # validates normality
@@ -620,9 +642,16 @@ def quotient_ci_certificate(
             alpha=alpha, alpha_bar=alpha_bar,
         )
 
+    _check_cap(qmap.target.order, limits.search)
     dq1 = cayley(qmap.target, s1)
     dq2 = cayley(qmap.target, s2)
-    iso_q = find_isomorphism(dq1, dq2, limits)
+    iso_q = beta = None
+    if neighbourhood_key(dq1) == neighbourhood_key(dq2):
+        beta = automorphic_image_search(qmap.target, s1, s2)
+        if beta is not None and dq1.relabel(beta.images) == dq2:
+            iso_q = beta
+        else:
+            iso_q = find_isomorphism(dq1, dq2, limits)
     checks["quotient_isomorphic"] = iso_q is not None
     if iso_q is None:
         return certificate("quotient_not_isomorphic", False)
@@ -630,7 +659,6 @@ def quotient_ci_certificate(
     if size in (1, group.order):
         # Degenerate kernel: the quotient is the group itself (or trivial);
         # verify the conclusion directly at quotient level.
-        beta = automorphic_image_search(qmap.target, s1, s2)
         checks["alpha_bar_found"] = beta is not None
         checks["alpha_bar_maps_sets"] = (
             beta is not None and beta.image_of_set(s1) == s2

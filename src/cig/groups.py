@@ -217,8 +217,14 @@ class FiniteGroup:
         return self._cosets(h)
 
     def _cosets(self, h: frozenset[int]) -> PointPartition:
-        """`cosets` of a subgroup the caller has already checked."""
-        cosets = {frozenset(self.table[x][b] for b in h) for x in range(self.order)}
+        """`cosets` of a subgroup the caller has already checked: xH is read
+        off x's table row for each x that no earlier coset covers."""
+        cosets, covered = [], set()
+        for x, row in enumerate(self.table):
+            if x not in covered:
+                coset = [row[b] for b in h]
+                covered.update(coset)
+                cosets.append(coset)
         return PointPartition(self.order, cosets)
 
     def quotient(self, kernel: Iterable[int]) -> QuotientMap:
@@ -543,8 +549,9 @@ def automorphic_image_search(
     the other, or None: a set transporter.  It lists nothing, so no cap
     applies; every library caller has checked the group's order against
     ``limits.search`` first.  `ci_pair` and the CI sweep do so by searching
-    Cayley digraphs of the group; the quotient certificate checks |G| alone
-    and searches no Cayley digraph of G."""
+    Cayley digraphs of the group.  The quotient certificate checks |G/H|
+    before it transports the quotient sets in G/H, and |G| before it
+    transports the lifted sets in G; it searches no Cayley digraph of G."""
     s = frozenset(subset)
     t = frozenset(target_subset)
     _check_subset(group, s, "subset")

@@ -106,7 +106,10 @@ def neighbourhood_key(d: Digraph) -> tuple:
     M', and the out- and in-neighbours of each s onto those of phi(s), so s
     and phi(s) have equal entries and isomorphic digraphs get equal keys
     (the argument behind `rooted_key`).  Equal keys do not prove
-    isomorphism.
+    isomorphism.  Every Cayley digraph is vertex-transitive (left
+    multiplication), so the CI sweep groups its representatives by this key,
+    and the quotient certificate decides "not isomorphic" on two quotient
+    digraphs whose keys differ, before any set transporter or search.
     """
     out, into = d.out_masks, d.in_masks
     n_mask, m_mask = out[0], into[0]
@@ -228,11 +231,16 @@ def automorphism_group_of(d: Digraph, limits: Limits = DEFAULT_LIMITS) -> PermGr
     (Gallai, "Transitiv orientierbare Graphen", 1967).  `_search_automorphisms`
     finds Aut(Q) and `_lift_over_classes` lifts it: its order is |Aut(Q)|
     times the product of the class sizes' factorials.  A digraph without
-    twins is searched as it is, from the uniform colouring.
+    twins is searched as it is, from the uniform colouring.  A digraph that
+    is one twin class (complete or empty, looped or not) is searched not at
+    all: Q has one vertex and Aut(Q) is trivial, so `_lift_over_classes`
+    gives Sym(n), of order n!, from the trivial group directly.
     """
     _check_cap(d.order, limits.search)
     n = d.order
     classes = d.twin_classes()
+    if len(classes) == 1:
+        return _lift_over_classes(PermGroup([], degree=1, order=1), classes, n)
     if len(classes) == n:
         return _search_automorphisms(d, [0] * n)
     quotient = d.induced(members[0] for members in classes)

@@ -61,7 +61,7 @@ def test_first_jobs_run_and_check_under_the_tracer(perfbench):
     finally:
         tracer.uninstall()
     assert set(tracer.absent) <= DELETED_TARGETS, tracer.absent
-    assert counts["quotient_cert"].get("kernels.iso_first.calls", 0) > 0
+    assert counts["ci_sweep"].get("kernels.iso_first.calls", 0) > 0
     assert counts["quotient_cert"].get("kernels.twin_labels.calls", 0) > 0
     assert counts["quotient_cert"].get("ci.verify_lift_structure.calls", 0) > 0
 

@@ -783,8 +783,8 @@ class TestOneSearchOfTheQuotient:
         "n, kernel, s, searches",
         [
             (6, {0, 3}, {1}, 1),  # twin classes are the cosets
-            (4, {0, 2}, {1}, 1),  # the same, and dq = K2 has twins of its own
-            (4, {0, 2}, {0, 1}, 1),  # the looped K4: one twin class, unsearched
+            (4, {0, 2}, {1}, 0),  # the same, and dq = K2 is one twin class
+            (4, {0, 2}, {0, 1}, 0),  # the looped K4 over the looped K2: one class each
         ],
     )
     def test_search_count(self, n, kernel, s, searches, monkeypatch):
@@ -795,7 +795,8 @@ class TestOneSearchOfTheQuotient:
             "_search_automorphisms",
             lambda d, initial: calls.append(d) or search(d, initial),
         )
-        # The search of dq that gives Aut(dq); the lift check runs none.
+        # The search of dq that gives Aut(dq), none where dq is one twin
+        # class; the lift check runs none.
         lift_report(FiniteGroup.cyclic(n).quotient(kernel), s)
         assert len(calls) == searches
 
@@ -1252,6 +1253,126 @@ class TestOneQuotientSearchPerCertificate:
         monkeypatch.setattr(cig.ci, "automorphism_group_of", search)
         with pytest.raises(CapExceeded, match="digraph order 64 exceeds search cap 40"):
             quotient_ci_certificate(FiniteGroup.cyclic(64), {0, 32}, {1}, {3})
+
+
+def routing_pairs(spec, mode):
+    """(qmap, s1, s2) over every normal subgroup of the group, graph mode
+    taking inverse-closed sets.  A kernel other than the trivial one takes
+    every pair of quotient sets, equal sets included.  The trivial kernel
+    takes each set of `trivial_kernel_sample` (closed under inverses in
+    graph mode) with its image under a seeded automorphism and with the
+    sample's next set of its size, and the sweep's witness where the group
+    is not CI."""
+    g = parse_group_spec(spec)
+    rng = random.Random(f"{spec} {mode}")
+    for h in g.normal_subgroups():
+        qmap = g.quotient(h)
+        q = qmap.target
+        if len(h) > 1:
+            sets = [
+                frozenset(x for x in range(q.order) if code >> x & 1)
+                for code in range(1 << q.order)
+            ]
+            sets = [s for s in sets if mode == "digraph" or q.is_inverse_closed(s)]
+            for s1, s2 in combinations_with_replacement(sets, 2):
+                yield qmap, s1, s2
+            continue
+        automorphisms = q.automorphisms()
+        last_of_size = {}
+        for _, s in trivial_kernel_sample(spec):
+            if mode == "graph":
+                s |= {q.inv(x) for x in s}
+            s = frozenset(s)
+            yield qmap, s, rng.choice(automorphisms).image_of_set(s)
+            if len(s) in last_of_size:
+                yield qmap, last_of_size[len(s)], s
+            last_of_size[len(s)] = s
+        witness = group_sweep(spec, mode).witness
+        if witness is not None:
+            yield qmap, witness[0], witness[1]
+
+
+class TestQuotientIsomorphismRouting:
+    """A certificate decides whether its quotient digraphs are isomorphic by
+    their neighbourhood keys, then by the set transporter on G/H, then by
+    `find_isomorphism`, each step only where the earlier ones leave the
+    answer open; a quotient past the search cap is refused before any."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_each_step_runs_only_where_the_earlier_ones_leave_it_open(
+        self, spec, mode, monkeypatch
+    ):
+        transported, searched = [], []
+        transport, search = cig.ci.automorphic_image_search, cig.ci.find_isomorphism
+        monkeypatch.setattr(
+            cig.ci,
+            "automorphic_image_search",
+            lambda g, s, t: transported.append(g) or transport(g, s, t),
+        )
+        monkeypatch.setattr(
+            cig.ci,
+            "find_isomorphism",
+            lambda a, b, limits: searched.append(a) or search(a, b, limits),
+        )
+        routes = Counter()
+        for qmap, s1, s2 in routing_pairs(spec, mode):
+            g, h, q = qmap.source, qmap.kernel, qmap.target
+            dq1, dq2 = cayley(q, s1), cayley(q, s2)
+            tied = neighbourhood_key(dq1) == neighbourhood_key(dq2)
+            related = oracles.first_automorphic_image(q, s1, s2) is not None
+            isomorphic = search(dq1, dq2) is not None
+            transported.clear()
+            searched.clear()
+            cert = quotient_ci_certificate(g, h, s1, s2, mode)
+            instance = (spec, sorted(h), sorted(s1), sorted(s2))
+            assert (cert.status == "quotient_not_isomorphic") == (not isomorphic), instance
+            # Keys that differ run neither the transporter nor the search.
+            assert len([t for t in transported if t.table == q.table]) == tied, instance
+            assert len(searched) == (tied and not related), instance
+            if not 1 < len(h) < g.order:
+                # A degenerate kernel transports once, its alpha_bar.
+                assert len(transported) == tied, instance
+                assert cert.alpha_bar == oracles.first_automorphic_image(q, s1, s2), instance
+            elif isomorphic:
+                oracle = oracles.two_search_certificate(g, h, s1, s2, mode)
+                assert cert.to_json() == oracle.to_json(), instance
+            routes[tied, related, isomorphic] += 1
+        assert routes[True, True, True] > 0
+        assert routes[False, False, False] > 0 or spec == "Z1"
+
+    @pytest.mark.parametrize(
+        "group, kernel, s1, s2, status",
+        [
+            # Z8 over <8>: an 8-cycle against two 4-cycles, keys tied.
+            (FiniteGroup.cyclic(16), {0, 8}, {1}, {2}, "quotient_not_isomorphic"),
+            # The order-8 circulant witness: isomorphic, no automorphism.
+            (FiniteGroup.cyclic(8), {0}, {1, 2, 5}, {1, 5, 6}, "hypothesis_not_ci"),
+        ],
+    )
+    def test_the_search_decides_what_no_automorphism_relates(
+        self, group, kernel, s1, s2, status, monkeypatch
+    ):
+        searched = []
+        search = cig.ci.find_isomorphism
+        monkeypatch.setattr(
+            cig.ci,
+            "find_isomorphism",
+            lambda a, b, limits: searched.append(a) or search(a, b, limits),
+        )
+        q = group.quotient(kernel).target
+        assert neighbourhood_key(cayley(q, s1)) == neighbourhood_key(cayley(q, s2))
+        assert quotient_ci_certificate(group, kernel, s1, s2).status == status
+        assert len(searched) == 1
+
+    def test_a_quotient_past_the_cap_is_refused_before_any_step(self, monkeypatch):
+        def step(*args):
+            raise AssertionError("ran before the refusal")
+
+        for name in ("neighbourhood_key", "automorphic_image_search", "find_isomorphism"):
+            monkeypatch.setattr(cig.ci, name, step)
+        with pytest.raises(CapExceeded, match="digraph order 48 exceeds search cap 40"):
+            quotient_ci_certificate(FiniteGroup.cyclic(48), {0}, {1}, {5})
 
 
 PINNED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"

@@ -177,6 +177,21 @@ class TestExitCodes:
         assert code == 2
         assert "inverse-closed" in err
 
+    def test_quotient_past_the_cap_exits_two_before_any_step(self, capsys, monkeypatch):
+        # The trivial kernel: the quotient is Z48 itself, past the cap of 40.
+        def step(*args):
+            raise AssertionError("ran before the refusal")
+
+        for name in ("neighbourhood_key", "automorphic_image_search", "find_isomorphism"):
+            monkeypatch.setattr(cig.ci, name, step)
+        code, out, err = run_cli(
+            capsys, "quotient", "verify", "--group", "Z48",
+            "--normal", "0", "--set1", "1", "--set2", "5",
+        )
+        assert code == 2
+        assert out == ""
+        assert "digraph order 48 exceeds search cap 40" in err
+
     def test_certificate_builds_each_lift_and_quotient_group_once(self, capsys, monkeypatch):
         # G/H once and one Cayley digraph per set: each quotient set's digraph
         # is built once, for the isomorphism check, and handed with its

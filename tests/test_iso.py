@@ -6,6 +6,7 @@ from math import factorial, gcd
 
 import pytest
 
+import cig.iso
 import oracles
 from cig.ci import lift_connection_set
 from cig.digraphs import Digraph, cayley
@@ -20,7 +21,7 @@ from cig.iso import (
     rooted_key,
 )
 from cig.limits import CapExceeded, Limits
-from cig.perms import PointPartition
+from cig.perms import Perm, PointPartition
 
 
 def directed_path(n):
@@ -377,6 +378,31 @@ class TestTwinQuotient:
         d = Digraph(2 * m, list(Digraph.complete(m).out_masks) + [0] * m)
         for digraph in (d, d.complement()):
             assert automorphism_group_of(digraph).order == factorial(m) ** 2
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_one_twin_class_is_not_searched(self, n, monkeypatch):
+        # Complete and empty, loopless and looped: Sym(n), generated by a
+        # transposition and an n-cycle, as `_lift_over_classes` lifts the
+        # trivial group of a one-vertex quotient over the one class.
+        def search(*args):
+            raise AssertionError("searched a digraph of one twin class")
+
+        monkeypatch.setattr(cig.iso, "_search_automorphisms", search)
+        full = (1 << n) - 1
+        generators = [Perm.from_cycles(n, (0, 1))] if n > 1 else []
+        generators += [Perm.from_cycles(n, range(n))] if n > 2 else []
+        for d in (
+            Digraph.complete(n),
+            Digraph.empty(n),
+            Digraph(n, [full] * n),
+            Digraph(n, [1 << u for u in range(n)]),
+        ):
+            assert d.twin_classes() == (tuple(range(n)),)
+            aut = automorphism_group_of(d)
+            assert (aut.degree, aut.order) == (n, factorial(n)), d.out_masks
+            assert list(aut.generators) == generators, d.out_masks
+            if n <= 5:
+                assert len(set(oracles.closure(aut))) == factorial(n), d.out_masks
 
     def test_against_the_unreduced_search_and_enumeration(self):
         rng = random.Random(101)
