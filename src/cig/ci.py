@@ -624,6 +624,15 @@ def quotient_ci_certificate(
     by phi is a bijection of Sym(G/H), so phi Aut(dq1) phi^-1 = Aut(dq2),
     of the same order, generated by the conjugated generators.  Which
     isomorphism phi is changes those generators but no check.
+
+    The lifted sets' alpha comes from the set transporter, so it is an
+    automorphism of G, and alpha(xH) = alpha(x)alpha(H).  That is a coset
+    of H for every x exactly when alpha(H) = H: if it is, alpha(H) is the
+    coset holding alpha(e) = e, which is H.  So `alpha_preserves_cosets`,
+    `alpha_fixes_subgroup` and `alpha_bar_well_defined` are one fact, read
+    from one `cosets.induced(alpha)`, which is None exactly when it fails.
+    Then alpha_bar(xH) = alpha(x)H is an automorphism of G/H with no scan
+    of its table: alpha_bar(xH yH) = alpha(xy)H = alpha(x)H alpha(y)H.
     """
     h = frozenset(subgroup)
     qmap = group.quotient(h)  # validates normality
@@ -689,21 +698,10 @@ def quotient_ci_certificate(
     if alpha is None:
         return certificate("hypothesis_not_ci", False, lift1=lift1, lift2=lift2)
 
-    checks["alpha_preserves_cosets"] = qmap.cosets.induced(alpha) is not None
-    checks["alpha_fixes_subgroup"] = alpha.image_of_set(h) == h
-
-    alpha_bar = None
-    if checks["alpha_fixes_subgroup"]:
-        try:
-            alpha_bar = qmap.induce(alpha)
-            checks["alpha_bar_well_defined"] = True
-        except (ValueError, RuntimeError):
-            checks["alpha_bar_well_defined"] = False
-    else:
-        checks["alpha_bar_well_defined"] = False
-    checks["alpha_bar_maps_sets"] = (
-        alpha_bar is not None and alpha_bar.image_of_set(s1) == s2
-    )
+    alpha_bar = qmap.cosets.induced(alpha)
+    for name in ("alpha_preserves_cosets", "alpha_fixes_subgroup", "alpha_bar_well_defined"):
+        checks[name] = alpha_bar is not None
+    checks["alpha_bar_maps_sets"] = alpha_bar is not None and alpha_bar.image_of_set(s1) == s2
 
     accepted = all(checks.values())
     return certificate(
@@ -765,16 +763,6 @@ class WreathAutReport:
         }
 
 
-def _iso_pieces(d: Digraph, components: list[list[int]], limits: Limits) -> Digraph | None:
-    """Induced subgraph of the first component if all are isomorphic."""
-    pieces = [d.induced(c) for c in components]
-    first = pieces[0]
-    for other in pieces[1:]:
-        if find_isomorphism(first, other, limits) is None:
-            return None
-    return first
-
-
 def verify_wreath_aut_dichotomy(
     d1: Digraph, d2: Digraph, limits: Limits = DEFAULT_LIMITS
 ) -> WreathAutReport:
@@ -787,6 +775,15 @@ def verify_wreath_aut_dichotomy(
 
     The product is built only to be searched, so its order is checked
     against ``limits.search`` before any search runs.
+
+    No piece is induced or searched.  An automorphism of d2 maps the weak
+    components of d2, and those of its complement, onto weak components,
+    and Aut(d2) is transitive (checked), so all s pieces are isomorphic.
+    Aut of s disjoint isomorphic connected pieces is Aut(piece) wr S_s, and
+    complementing, which keeps loop flags, changes no automorphism group.
+    So |Aut(piece)|^s = |Aut(d2)| / s!, and the searches are those of d1,
+    d2, the product (the side the formula is compared with) and each
+    decomposition quotient tried.
     """
     n = d1.order * d2.order
     if n > limits.search:
@@ -810,15 +807,11 @@ def verify_wreath_aut_dichotomy(
             comps = (d2.complement() if kind == "complete" else d2).weak_components()
             if dec is None or len(comps) < 2:
                 continue
-            piece = _iso_pieces(d2, comps, limits)
-            if piece is None:
-                continue
             r, s = dec.inner_size, len(comps)
-            inner_aut = automorphism_group_of(piece, limits)
             outer_aut = automorphism_group_of(dec.quotient, limits)
             predicted = (
                 outer_aut.order
-                * (factorial(r * s) * inner_aut.order ** (r * s)) ** dec.quotient.order
+                * (factorial(r * s) * (a2.order // factorial(s)) ** r) ** dec.quotient.order
             )
             if predicted == aut_product.order:
                 dichotomy = DichotomyWitness(r, s, kind, predicted)

@@ -387,8 +387,11 @@ def _check_order(order: int) -> None:
 
 
 def _check_factorial_order(n: int, divisor: int, name: str) -> None:
-    """`_check_order(n! // divisor)`, without computing n! for a large n: the
-    partial products only grow, so the first one past the cap decides."""
+    """ValueError for a negative degree n, then `_check_order(n! // divisor)`
+    without computing n! for a large n: the partial products only grow, so
+    the first one past the cap decides."""
+    if n < 0:
+        raise ValueError("degree must be non-negative")
     order = 1
     for k in range(2, n + 1):
         order *= k

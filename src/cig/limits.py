@@ -17,8 +17,9 @@ class Limits:
 
     search: maximum digraph order accepted by the isomorphism/automorphism
     search; it also bounds the set transporter, whose callers check the
-    group's order against it first (the quotient certificate checks |G|
-    alone and searches no Cayley digraph of G).  aut: maximum group order
+    group's order against it first (the quotient certificate checks |G/H|
+    before its quotient steps and |G| before Aut(dq1) and the lifted sets'
+    transporter; it searches no Cayley digraph of G).  aut: maximum group order
     whose automorphisms (the CI sweep) or subgroups are listed.
     """
 

@@ -34,7 +34,11 @@ generator of each (the library builds neither where the lifted twin
 classes are the cosets), with Aut(lifted) lifted from Aut(quotient) there
 or searched on every lift along with the quotient digraph, and the
 certificate that runs that check on both sides, searching both quotient
-digraphs (the library searches one and carries its group to the other).
+digraphs (the library searches one and carries its group to the other),
+with alpha's three coset checks each computed on its own (the library reads
+them from one induced action), and the wreath dichotomy with every piece
+induced, compared and searched (the library reads the pieces' order from
+Aut of the inner factor).
 The wreath product of permutation groups puts a copy of the inner group's
 generators on every fiber (the library puts Sym(block) on one fiber per
 orbit), and the induced action on classes sorts each class's image (the
@@ -55,6 +59,7 @@ from random import Random
 
 from cig.ci import (
     CIGroupVerdict,
+    DichotomyWitness,
     QuotientCICertificate,
     _check_mode,
     _lift,
@@ -998,6 +1003,26 @@ def two_search_lift_structure(qmap, s_quotient, limits=DEFAULT_LIMITS):
     return lift_structure_checks(qmap, s_quotient, dq, aut_q, aut_lifted), aut_lifted
 
 
+def alpha_coset_checks(qmap, alpha):
+    """The certificate's three coset checks on a group automorphism alpha,
+    each computed on its own (the library reads all three from one
+    `cosets.induced`): every class's sorted image is a class, alpha(H) = H,
+    and `QuotientMap.induce` succeeds, with its kernel test and its scan of
+    the quotient table.  Returns the checks and alpha_bar, None where
+    `induce` refuses."""
+    h = qmap.kernel
+    try:
+        alpha_bar = qmap.induce(alpha)
+    except (ValueError, RuntimeError):
+        alpha_bar = None
+    checks = {
+        "alpha_preserves_cosets": sorted_induced(qmap.cosets, alpha) is not None,
+        "alpha_fixes_subgroup": alpha.image_of_set(h) == h,
+        "alpha_bar_well_defined": alpha_bar is not None,
+    }
+    return checks, alpha_bar
+
+
 def two_search_certificate(group, subgroup, set1, set2, mode="digraph", limits=DEFAULT_LIMITS):
     """`quotient_ci_certificate` on a proper non-trivial kernel whose two
     quotient digraphs are isomorphic, with each side's lift checked by
@@ -1030,11 +1055,8 @@ def two_search_certificate(group, subgroup, set1, set2, mode="digraph", limits=D
     checks["alpha_found"] = alpha is not None
     alpha_bar = None
     if alpha is not None:
-        checks["alpha_preserves_cosets"] = sorted_induced(qmap.cosets, alpha) is not None
-        checks["alpha_fixes_subgroup"] = alpha.image_of_set(h) == h
-        if checks["alpha_fixes_subgroup"]:
-            alpha_bar = qmap.induce(alpha)
-        checks["alpha_bar_well_defined"] = alpha_bar is not None
+        alpha_facts, alpha_bar = alpha_coset_checks(qmap, alpha)
+        checks.update(alpha_facts)
         checks["alpha_bar_maps_sets"] = (
             alpha_bar is not None and alpha_bar.image_of_set(s1) == s2
         )
@@ -1047,3 +1069,35 @@ def two_search_certificate(group, subgroup, set1, set2, mode="digraph", limits=D
         accepted=accepted, degenerate=False, checks=checks, lift1=lift1,
         lift2=lift2, alpha=alpha, alpha_bar=alpha_bar,
     )
+
+
+def searched_dichotomy(d1: Digraph, d2: Digraph, limits=DEFAULT_LIMITS):
+    """`verify_wreath_aut_dichotomy`'s dichotomy with every piece induced and
+    searched: for each decomposition kind the weak components of d2 (of its
+    complement for the complete kind) are induced, checked isomorphic by
+    `find_isomorphism`, and Aut(piece) is searched (the library reads
+    |Aut(piece)|^s as |Aut(d2)| / s!).  None where Aut(d1 wreath d2) is
+    Aut(d1) wreath Aut(d2) or no decomposition explains its order."""
+    a1 = automorphism_group_of(d1, limits).order
+    a2 = automorphism_group_of(d2, limits).order
+    product = automorphism_group_of(digraphs.wreath_product(d1, d2), limits).order
+    if product == a1 * a2**d1.order:
+        return None
+    for kind, decompose in (
+        ("complete", digraphs.decompose_over_complete),
+        ("empty", digraphs.decompose_over_empty),
+    ):
+        dec = decompose(d1)
+        comps = (d2.complement() if kind == "complete" else d2).weak_components()
+        if dec is None or len(comps) < 2:
+            continue
+        pieces = [d2.induced(c) for c in comps]
+        if any(find_isomorphism(pieces[0], p, limits) is None for p in pieces[1:]):
+            continue
+        r, s = dec.inner_size, len(comps)
+        inner = automorphism_group_of(pieces[0], limits).order
+        outer = automorphism_group_of(dec.quotient, limits).order
+        predicted = outer * (factorial(r * s) * inner ** (r * s)) ** dec.quotient.order
+        if predicted == product:
+            return DichotomyWitness(r, s, kind, predicted)
+    return None

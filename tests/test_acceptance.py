@@ -170,36 +170,40 @@ class TestCriterion3WreathBlockSystems:
         report("C3 wreath-block-systems", f"{cases} group pairs", started)
 
 
+def c4_factor_pairs():
+    """(name1, d1, name2, d2) for each ordered pair of the vertex-transitive
+    factor family of criterion 4 with a product of at most 12 vertices."""
+    family = {
+        "K1": Digraph.complete(1),
+        "K2": Digraph.complete(2),
+        "K2bar": Digraph.empty(2),
+        "C3": cayley(FiniteGroup.cyclic(3), {1}),
+        "K3": Digraph.complete(3),
+        "C4": cayley(FiniteGroup.cyclic(4), {1, 3}),
+        "K3bar": Digraph.empty(3),
+    }
+    for name1, d1 in family.items():
+        for name2, d2 in family.items():
+            if d1.order * d2.order <= 12:
+                yield name1, d1, name2, d2
+
+
 class TestCriterion4WreathAutDichotomy:
     def test_equality_or_explained_blowup(self):
         started = time.time()
-        z3 = FiniteGroup.cyclic(3)
-        z4 = FiniteGroup.cyclic(4)
-        family = {
-            "K1": Digraph.complete(1),
-            "K2": Digraph.complete(2),
-            "K2bar": Digraph.empty(2),
-            "C3": cayley(z3, {1}),
-            "K3": Digraph.complete(3),
-            "C4": cayley(z4, {1, 3}),
-            "K3bar": Digraph.empty(3),
-        }
         checked = equal_count = blowups = 0
-        for name1, d1 in family.items():
-            for name2, d2 in family.items():
-                if d1.order * d2.order > 12:
-                    continue
-                reportee = verify_wreath_aut_dichotomy(d1, d2)
-                if reportee.equal:
-                    equal_count += 1
-                else:
-                    assert reportee.dichotomy is not None, (name1, name2)
-                    assert (
-                        reportee.dichotomy.predicted_order
-                        == reportee.product_aut_order
-                    ), (name1, name2)
-                    blowups += 1
-                checked += 1
+        for name1, d1, name2, d2 in c4_factor_pairs():
+            reportee = verify_wreath_aut_dichotomy(d1, d2)
+            if reportee.equal:
+                equal_count += 1
+            else:
+                assert reportee.dichotomy is not None, (name1, name2)
+                assert (
+                    reportee.dichotomy.predicted_order
+                    == reportee.product_aut_order
+                ), (name1, name2)
+                blowups += 1
+            checked += 1
         report(
             "C4 wreath-aut-dichotomy",
             f"{checked} pairs, {equal_count} equal, {blowups} explained blowups",

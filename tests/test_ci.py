@@ -28,7 +28,7 @@ from cig.groups import FiniteGroup, catalog_specs, parse_group_spec
 from cig.iso import automorphism_group_of, find_isomorphism, neighbourhood_key
 from cig.limits import CapExceeded, Limits
 from cig.perms import Perm, PermGroup, PointPartition
-from test_acceptance import C9_SPECS, group_sweep
+from test_acceptance import C9_SPECS, c4_factor_pairs, group_sweep
 
 
 def directed_cycle(n):
@@ -1160,18 +1160,6 @@ class TestOneQuotientSearchPerCertificate:
     conjugated by the quotient isomorphism phi, and its checks stand for
     the wreath group with Sym(block) on one fiber per orbit of Aut(dq)."""
 
-    @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
-    def test_certificate_equals_the_two_search_oracle(self, spec, mode):
-        pairs = 0
-        for qmap, s1, s2 in isomorphic_quotient_pairs(spec, mode):
-            g, h = qmap.source, qmap.kernel
-            cert = quotient_ci_certificate(g, h, s1, s2, mode)
-            oracle = oracles.two_search_certificate(g, h, s1, s2, mode)
-            assert cert.to_json() == oracle.to_json(), (spec, sorted(h), sorted(s1), sorted(s2))
-            pairs += 1
-        assert pairs or spec in ("Z1", "Z2", "Z3", "Z5", "Z7", "Z11")
-
     @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
     def test_conjugated_group_is_aut_of_the_second_quotient(self, spec):
         for qmap, s1, s2 in isomorphic_quotient_pairs(spec, "digraph"):
@@ -1517,6 +1505,35 @@ class TestLiftChecksThatCanFail:
         assert compared > 0
 
 
+class TestOneAlphaFact:
+    """alpha, from the set transporter, is an automorphism of G, so it maps
+    the cosets onto cosets exactly when alpha(H) = H: the certificate reads
+    `alpha_preserves_cosets`, `alpha_fixes_subgroup` and
+    `alpha_bar_well_defined` from one induced action, and each must equal
+    the oracle's own computation of it."""
+
+    def test_the_three_coset_checks_are_one_fact(self):
+        instances = [(qmap, s1, s2, "digraph") for qmap, s1, s2 in pinned_lifts()]
+        instances += [
+            (qmap, s1, s2, mode)
+            for spec, _ in catalog_specs(12)
+            for mode in MODES
+            for qmap, s1, s2 in isomorphic_quotient_pairs(spec, mode)
+        ]
+        outcomes = Counter()
+        for qmap, s1, s2, mode in instances:
+            cert = quotient_ci_certificate(qmap.source, qmap.kernel, s1, s2, mode)
+            if cert.alpha is None:
+                continue
+            checks, alpha_bar = oracles.alpha_coset_checks(qmap, cert.alpha)
+            instance = (qmap.source.name, sorted(qmap.kernel), sorted(s1), sorted(s2), mode)
+            assert {name: cert.checks[name] for name in checks} == checks, instance
+            assert len(set(checks.values())) == 1, instance
+            assert cert.alpha_bar == alpha_bar, instance
+            outcomes[cert.checks["alpha_fixes_subgroup"]] += 1
+        assert outcomes[True] > 0 and outcomes[False] > 0, outcomes
+
+
 def trivial_kernel_sample(spec):
     """The trivial kernel of the group with every quotient set, or the empty
     set and 63 seeded ones where the group has more than 6 elements: lifts
@@ -1775,7 +1792,97 @@ class TestSearchedLiftOrdersAgainstSympy:
                 assert aut.order == schreier_sims_order(aut), instance
 
 
+@lru_cache(maxsize=None)
+def dichotomy_pairs():
+    """The criterion-4 factor pairs, then 300 seeded pairs of Cayley digraphs
+    of the order <= 12 catalog groups, loops allowed, with products of at
+    most 40 vertices."""
+    pairs = [(d1, d2) for _, d1, _, d2 in c4_factor_pairs()]
+    rng = random.Random("searched dichotomy")
+    groups = [parse_group_spec(spec) for spec, _ in catalog_specs(12)]
+    for _ in range(300):
+        g1 = rng.choice(groups)
+        g2 = rng.choice([g for g in groups if g1.order * g.order <= 40])
+        pairs.append(
+            tuple(
+                cayley(g, rng.sample(range(g.order), rng.randrange(g.order + 1)))
+                for g in (g1, g2)
+            )
+        )
+    return tuple(pairs)
+
+
+DECOMPOSITIONS = (
+    ("complete", cig.digraphs.decompose_over_complete),
+    ("empty", cig.digraphs.decompose_over_empty),
+)
+
+
+def pieces(d2, kind):
+    """The weak components of d2 (of its complement for the complete kind)."""
+    return (d2.complement() if kind == "complete" else d2).weak_components()
+
+
 class TestWreathAutDichotomy:
+    def test_dichotomy_equals_the_searched_dichotomy(self):
+        blowups = Counter()
+        for d1, d2 in dichotomy_pairs():
+            report = verify_wreath_aut_dichotomy(d1, d2)
+            instance = (d1.out_masks, d2.out_masks)
+            assert report.dichotomy == oracles.searched_dichotomy(d1, d2), instance
+            if report.dichotomy is not None:
+                blowups[report.dichotomy.inner_kind] += 1
+        assert blowups["complete"] > 0 and blowups["empty"] > 0, blowups
+
+    def test_pieces_of_a_vertex_transitive_digraph_share_its_group(self):
+        # |Aut(piece)|^s * s! = |Aut(d2)|: the order the report reads in
+        # place of searching a piece, on every inner factor and kind.
+        cases = 0
+        for d2 in {d2 for _, d2 in dichotomy_pairs()}:
+            for kind, _ in DECOMPOSITIONS:
+                comps = pieces(d2, kind)
+                if len(comps) < 2:
+                    continue
+                induced = [d2.induced(c) for c in comps]
+                assert all(find_isomorphism(induced[0], p) is not None for p in induced[1:])
+                piece_order = automorphism_group_of(induced[0]).order
+                s = len(comps)
+                assert piece_order**s * factorial(s) == automorphism_group_of(d2).order
+                cases += 1
+        assert cases == 43
+
+    def test_a_report_searches_the_factors_the_product_and_each_tried_quotient(
+        self, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("find_isomorphism ran")
+
+        monkeypatch.setattr(cig.ci, "find_isomorphism", refuse)
+        monkeypatch.setattr(cig.iso, "find_isomorphism", refuse)
+        searched = []
+        real = cig.ci.automorphism_group_of
+        monkeypatch.setattr(
+            cig.ci,
+            "automorphism_group_of",
+            lambda d, limits: searched.append(d) or real(d, limits),
+        )
+        tried_any = 0
+        for d1, d2 in dichotomy_pairs():
+            searched.clear()
+            report = verify_wreath_aut_dichotomy(d1, d2)
+            tried = []
+            for kind, decompose in DECOMPOSITIONS if not report.equal else ():
+                dec = decompose(d1)
+                if dec is None or len(pieces(d2, kind)) < 2:
+                    continue
+                tried.append(dec.quotient)
+                if report.dichotomy is not None and report.dichotomy.inner_kind == kind:
+                    break
+            product = cig.digraphs.wreath_product(d1, d2)
+            assert searched == [d1, d2, product, *tried], (d1.out_masks, d2.out_masks)
+            tried_any += bool(tried)
+        assert tried_any > 0
+
     def test_equal_case(self):
         report = verify_wreath_aut_dichotomy(directed_cycle(3), Digraph.complete(2))
         assert report.equal

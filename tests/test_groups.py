@@ -88,6 +88,24 @@ class TestConstruction:
         assert a4.order == 12
         assert sorted(len(h) for h in a4.normal_subgroups()) == [1, 4, 12]
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            FiniteGroup.cyclic,
+            FiniteGroup.dihedral,
+            FiniteGroup.symmetric,
+            FiniteGroup.alternating,
+        ],
+    )
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_negative_parameters_are_refused(self, build, n):
+        with pytest.raises(ValueError):
+            build(n)
+
+    def test_degree_zero_gives_the_trivial_group(self):
+        for group, name in ((FiniteGroup.symmetric(0), "S0"), (FiniteGroup.alternating(0), "A0")):
+            assert (group.order, group.table, group.name) == (1, ((0,),), name)
+
     def test_order_cap(self):
         with pytest.raises(CapExceeded):
             FiniteGroup.symmetric(6)
