@@ -1160,6 +1160,18 @@ class TestOneQuotientSearchPerCertificate:
     conjugated by the quotient isomorphism phi, and its checks stand for
     the wreath group with Sym(block) on one fiber per orbit of Aut(dq)."""
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_certificate_equals_the_two_search_oracle(self, spec, mode):
+        pairs = 0
+        for qmap, s1, s2 in isomorphic_quotient_pairs(spec, mode):
+            g, h = qmap.source, qmap.kernel
+            cert = quotient_ci_certificate(g, h, s1, s2, mode)
+            oracle = oracles.two_search_certificate(g, h, s1, s2, mode)
+            assert cert.to_json() == oracle.to_json(), (spec, sorted(h), sorted(s1), sorted(s2))
+            pairs += 1
+        assert pairs or spec in ("Z1", "Z2", "Z3", "Z5", "Z7", "Z11")
+
     @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
     def test_conjugated_group_is_aut_of_the_second_quotient(self, spec):
         for qmap, s1, s2 in isomorphic_quotient_pairs(spec, "digraph"):
