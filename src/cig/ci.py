@@ -784,6 +784,18 @@ def verify_wreath_aut_dichotomy(
     So |Aut(piece)|^s = |Aut(d2)| / s!, and the searches are those of d1,
     d2, the product (the side the formula is compared with) and each
     decomposition quotient tried.
+
+    When both kinds fail and d1 is looped, it is looped at every vertex
+    (it is vertex-transitive), so each fiber is filled, loops included,
+    and d1 wreath d2 = d1 wreath K°_m for m = |d2| and K°_m the looped
+    complete digraph: the complete kind, s = m looped points.  Take (Q, r)
+    from `decompose_over_complete(d1)`, or (d1, 1) when it is None.  The
+    product's twin classes are the fibers merged over d1's adjacent twin
+    classes (fibers over non-adjacent twins differ in a fiber's own arcs,
+    as m >= 2), so |Aut| = |Aut(Q)| ((r m)!)^|Q|.  Aut(d1) permutes its
+    adjacent twin classes, each of size r, as Aut(Q) permutes Q's vertices,
+    and the part fixing each class is Sym(r)^|Q|, so |Aut(Q)| is
+    |Aut(d1)| / (r!)^|Q| and the rule adds no search.
     """
     n = d1.order * d2.order
     if n > limits.search:
@@ -816,6 +828,12 @@ def verify_wreath_aut_dichotomy(
             if predicted == aut_product.order:
                 dichotomy = DichotomyWitness(r, s, kind, predicted)
                 break
+        if dichotomy is None and d1.loop_count:
+            dec = decompose_over_complete(d1)
+            q, r = (dec.quotient.order, dec.inner_size) if dec else (d1.order, 1)
+            predicted = a1.order // factorial(r) ** q * factorial(r * d2.order) ** q
+            if predicted == aut_product.order:
+                dichotomy = DichotomyWitness(r, d2.order, "complete", predicted)
     return WreathAutReport(
         factor1=d1,
         factor2=d2,

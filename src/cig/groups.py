@@ -2,11 +2,12 @@
 
 Covers the constructor catalog (cyclic, direct products, dihedral,
 quaternion, symmetric, alternating, table files), subgroups, cosets,
-quotients, and automorphisms, listed or found by a set transporter.  The
-cosets of a subgroup are a `PointPartition` of the elements, and a
-`QuotientMap` numbers the target's elements by those classes.  An
-automorphism is a `Perm` of the element indices; `group_automorphism`
-checks that a map is one.
+quotients, and automorphisms, listed or found by a set transporter on the
+generating set and edge schedule of one walk per group.  The cosets of a
+subgroup are a `PointPartition` of the elements, and a `QuotientMap`
+numbers the target's elements by those classes.  An automorphism is a
+`Perm` of the element indices; `group_automorphism` checks that a map is
+one.
 """
 
 from __future__ import annotations
@@ -60,12 +61,12 @@ class FiniteGroup:
         p(e*b) = p(b), and so for columns.  Associativity:
         (p(a) p(b)) p(c) = p((a*b)*c) = p(a*(b*c)) = p(a) (p(b) p(c)).
         Inverses: p(a) p(a^-1) = p(e) = p(a^-1) p(a).  A group's table is
-        a Latin square, since x*y = z has the one solution y = x^-1 z.  The
-        greedy generating set is found as `_validate_table` finds it."""
+        a Latin square, since x*y = z has the one solution y = x^-1 z, so
+        `_generating_walk` runs on it as in `_validate_table`."""
         image = cls.__new__(cls)
         image.table = tuple(tuple(row) for row in table)
         image.order = len(image.table)
-        image._generating_set = image._greedy_generating_set()
+        image._generating_set, image._schedule = _generating_walk(image.table)
         image._finish(labels, name)
         return image
 
@@ -87,8 +88,9 @@ class FiniteGroup:
         products, so passing on generators covers the whole table in
         O(n^2 * |gens|), one row at a time: the row of x*g against x's row
         read through g's row.  A failure is reported at the first failing
-        (x, g, y) of that scan.  The generating set is kept for
-        `generating_set`.
+        (x, g, y) of that scan.  The generating set and the edge schedule
+        of `_generating_walk`, whose scan needs only a Latin square, are
+        kept for `generating_set` and `_automorphism_images`.
         """
         table, n = self.table, self.order
         for row in table:
@@ -104,8 +106,8 @@ class FiniteGroup:
                 raise ValueError(f"row {i} is not a permutation (not a Latin square)")
             if len(set(column)) != n:
                 raise ValueError(f"column {i} is not a permutation (not a Latin square)")
-        self._generating_set = gens = self._greedy_generating_set()
-        for g in gens:
+        self._generating_set, self._schedule = _generating_walk(table)
+        for g in self._generating_set:
             for x, row in enumerate(table):
                 left, right = table[row[g]], tuple(map(row.__getitem__, table[g]))
                 if left != right:
@@ -114,19 +116,6 @@ class FiniteGroup:
                         f"table is not associative: ({x}*{g})*{y} = {left[y]} "
                         f"but {x}*({g}*{y}) = {right[y]}"
                     )
-
-    def _greedy_generating_set(self) -> tuple[int, ...]:
-        """Each element, in ascending order, that the ones taken so far do
-        not generate, until they generate the group."""
-        gens: list[int] = []
-        closure = frozenset({0})
-        for x in range(self.order):
-            if x not in closure:
-                gens.append(x)
-                closure = self.subgroup_generated(gens)
-                if len(closure) == self.order:
-                    break
-        return tuple(gens)
 
     # -- basic arithmetic ------------------------------------------------
 
@@ -255,8 +244,9 @@ class FiniteGroup:
     # -- automorphisms -----------------------------------------------------
 
     def generating_set(self) -> tuple[int, ...]:
-        """Greedy small generating set (ascending element scan), found once
-        by `_greedy_generating_set`."""
+        """Greedy small generating set: each element, in ascending order,
+        that the ones taken before it do not generate, until they generate
+        the group.  Found once, by `_generating_walk`."""
         return self._generating_set
 
     def automorphisms(self, limits: Limits = DEFAULT_LIMITS) -> tuple[Perm, ...]:
@@ -465,14 +455,15 @@ def _automorphism_images(
     backtracking over generator images: Leon's set transporter.
 
     Level k chooses the image c_k of g_k, the k-th element of the greedy
-    generating set, among the elements of g_k's order.  The search runs on
-    a schedule built once: for each level the Cayley-graph edges
-    (x, i, y = x*g_i) that <g_1..g_k> adds to <g_1..g_{k-1}>, old members
-    against g_k and new members against g_1..g_k, in breadth-first order.
-    Each candidate copies its parent's images and walks only its level's
-    edges: the first edge into a new y assigns f(y) = f(x)*c_i, which must
-    be unused (injectivity) and transport (y in s exactly when f(y) in t);
-    every other edge must agree with f(y) already assigned (relations).
+    generating set, among the elements of g_k's order.  The search reads
+    the schedule that `_generating_walk` stored with the group: for each
+    level the Cayley-graph edges (x, i, y = x*g_i) that <g_1..g_k> adds to
+    <g_1..g_{k-1}>, old members against g_k and new members against
+    g_1..g_k, in breadth-first order.  Each candidate copies its parent's
+    images and walks only its level's edges: the first edge into a new y
+    assigns f(y) = f(x)*c_i, which must be unused (injectivity) and
+    transport (y in s exactly when f(y) in t); every other edge must agree
+    with f(y) already assigned (relations).
     Together the levels check every edge of <g_1..g_k>, so a partial map
     survives exactly when a homomorphism-compatible injective transporting
     map on <g_1..g_k> extends it; pruning on that drops no solution.  The
@@ -493,7 +484,7 @@ def _automorphism_images(
     columns = list(zip(*table))  # columns[c][z] = z*c
     s_mask = sum(1 << x for x in s)
     t_mask = sum(1 << x for x in t)
-    schedule = _edge_schedule(table, gens)
+    schedule = group._schedule
     cols = [columns[0]] * len(gens)  # cols[i]: right multiplication by c_i
     last = len(gens) - 1
 
@@ -521,28 +512,33 @@ def _automorphism_images(
     yield from descend(0, [0] + [-1] * (n - 1), 1)
 
 
-def _edge_schedule(
-    table: Sequence[Sequence[int]], gens: Sequence[int]
-) -> list[list[tuple[int, int, int, bool]]]:
-    """Per level k, the edges (x, i, y = x*g_i, y first reached) that
-    <g_1..g_k> adds to <g_1..g_{k-1}>: old members against g_k, then, in
-    breadth-first order, each new member against g_1..g_k."""
-    members = [0]
-    reached = {0}
-    schedule = []
-    for k in range(len(gens)):
-        edges = []
-        queue = [(x, k) for x in members]  # (member, its first generator)
+def _generating_walk(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], list[list]]:
+    """The greedy generating set of a Latin square with identity 0 and the
+    transporter's edge schedule, from one breadth-first walk.  Each element,
+    in ascending order, that the walk has not reached becomes g_k; level k
+    logs (x, i, y = x*g_i, y first reached) for the old members against g_k,
+    then for each new member against g_1..g_k.  Every member has then met
+    g_1..g_k, so the walk has reached the closure of 0 under right products
+    by them, <g_1..g_k> in a finite group: each g_k is the greedy scan's,
+    associative table or not, and level k logs the edges <g_1..g_k> adds."""
+    gens: list[int] = []
+    members, reached, schedule = [0], [True] + [False] * (len(table) - 1), []
+    for g in range(len(table)):
+        if reached[g]:
+            continue
+        k = len(gens)
+        gens.append(g)
+        edges, queue = [], [(x, k) for x in members]  # (member, its first generator)
         for x, first in queue:
             for i in range(first, k + 1):
                 y = table[x][gens[i]]
-                edges.append((x, i, y, y not in reached))
-                if y not in reached:
-                    reached.add(y)
+                edges.append((x, i, y, not reached[y]))
+                if not reached[y]:
+                    reached[y] = True
                     members.append(y)
                     queue.append((y, 0))
         schedule.append(edges)
-    return schedule
+    return tuple(gens), schedule
 
 
 def automorphic_image_search(

@@ -5,9 +5,11 @@ for group automorphisms, the whole automorphism list for the first
 automorphism carrying one set onto another (the scan the library replaced
 by a set transporter), the generator-image backtrack that rebuilds each
 node's partial map from the identity (the walk the library replaced by a
-precomputed edge schedule), every automorphism of a digraph by placing its
-vertices in index order within their stable colours (the element listing
-the library itself no longer builds), refinement rounds with tuple
+precomputed edge schedule), the greedy generating set with one closure per
+generator taken and the edge schedule walked apart from it (the two the
+library reads from one walk per group), every automorphism of a digraph
+by placing its vertices in index order within their stable colours (the
+element listing the library itself no longer builds), refinement rounds with tuple
 signatures and a confirming round at a discrete colouring (the rounds the
 library replaced by packed counts and an early exit), one isomorphism
 search per pair of connection sets for the CI sweep (the pair loop the
@@ -38,7 +40,10 @@ digraphs (the library searches one and carries its group to the other),
 with alpha's three coset checks each computed on its own (the library reads
 them from one induced action), and the wreath dichotomy with every piece
 induced, compared and searched (the library reads the pieces' order from
-Aut of the inner factor).
+Aut of the inner factor), with its looped-outer rule on Aut of d1's twin
+quotient searched (the library reads it from Aut(d1)).  networkx's VF2
+(optional; tests that use it skip without it) answers isomorphism questions
+with a third-party implementation.
 The wreath product of permutation groups puts a copy of the inner group's
 generators on every fiber (the library puts Sym(block) on one fiber per
 orbit), and the induced action on classes sorts each class's image (the
@@ -93,6 +98,32 @@ def brute_isomorphism(a: Digraph, b: Digraph):
         ):
             return images
     return None
+
+
+def networkx_digraph(d: Digraph):
+    """d as a `networkx.DiGraph` on vertices 0..n-1, loops included."""
+    import networkx
+
+    graph = networkx.DiGraph()
+    graph.add_nodes_from(range(d.order))
+    graph.add_edges_from(d.arcs())
+    return graph
+
+
+def networkx_is_isomorphic(a: Digraph, b: Digraph) -> bool:
+    """networkx's VF2 verdict on whether a and b are isomorphic."""
+    import networkx
+
+    return networkx.is_isomorphic(networkx_digraph(a), networkx_digraph(b))
+
+
+def networkx_maps_onto(a: Digraph, b: Digraph, images) -> bool:
+    """Whether a with vertex u renamed images[u] is b, by networkx's own
+    graph comparison."""
+    import networkx
+
+    renamed = networkx.relabel_nodes(networkx_digraph(a), dict(enumerate(images)))
+    return networkx.utils.graphs_equal(renamed, networkx_digraph(b))
 
 
 def brute_group_automorphisms(table) -> list[tuple[int, ...]]:
@@ -167,6 +198,43 @@ def rebuilt_automorphism_images(group, s=frozenset(), t=frozenset()):
             chosen.pop()
 
     yield from descend()
+
+
+def greedy_generating_set(group) -> tuple[int, ...]:
+    """Each element, in ascending order, not in the closure of the ones
+    taken so far (a fresh `subgroup_generated` per generator), until they
+    generate the group."""
+    gens: list[int] = []
+    closure = frozenset({0})
+    for x in range(group.order):
+        if x not in closure:
+            gens.append(x)
+            closure = group.subgroup_generated(gens)
+            if len(closure) == group.order:
+                break
+    return tuple(gens)
+
+
+def edge_schedule(table, gens) -> list[list[tuple[int, int, int, bool]]]:
+    """Per level k, the edges (x, i, y = x*g_i, y first reached) that
+    <g_1..g_k> adds to <g_1..g_{k-1}>: old members against g_k, then, in
+    breadth-first order, each new member against g_1..g_k."""
+    members = [0]
+    reached = {0}
+    schedule = []
+    for k in range(len(gens)):
+        edges = []
+        queue = [(x, k) for x in members]  # (member, its first generator)
+        for x, first in queue:
+            for i in range(first, k + 1):
+                y = table[x][gens[i]]
+                edges.append((x, i, y, y not in reached))
+                if y not in reached:
+                    reached.add(y)
+                    members.append(y)
+                    queue.append((y, 0))
+        schedule.append(edges)
+    return schedule
 
 
 @cache
@@ -1076,11 +1144,15 @@ def searched_dichotomy(d1: Digraph, d2: Digraph, limits=DEFAULT_LIMITS):
     searched: for each decomposition kind the weak components of d2 (of its
     complement for the complete kind) are induced, checked isomorphic by
     `find_isomorphism`, and Aut(piece) is searched (the library reads
-    |Aut(piece)|^s as |Aut(d2)| / s!).  None where Aut(d1 wreath d2) is
-    Aut(d1) wreath Aut(d2) or no decomposition explains its order."""
+    |Aut(piece)|^s as |Aut(d2)| / s!).  Then, for a looped d1, the
+    looped-outer rule with Aut of d1's twin quotient searched (the library
+    reads it from Aut(d1)), once d1 wr d2 is checked to be d1 wr K°_m for
+    m = |d2| and K°_m looped and complete.  None where Aut(d1 wreath d2) is
+    Aut(d1) wreath Aut(d2) or nothing explains its order."""
     a1 = automorphism_group_of(d1, limits).order
     a2 = automorphism_group_of(d2, limits).order
-    product = automorphism_group_of(digraphs.wreath_product(d1, d2), limits).order
+    wreath = digraphs.wreath_product(d1, d2)
+    product = automorphism_group_of(wreath, limits).order
     if product == a1 * a2**d1.order:
         return None
     for kind, decompose in (
@@ -1100,4 +1172,13 @@ def searched_dichotomy(d1: Digraph, d2: Digraph, limits=DEFAULT_LIMITS):
         predicted = outer * (factorial(r * s) * inner ** (r * s)) ** dec.quotient.order
         if predicted == product:
             return DichotomyWitness(r, s, kind, predicted)
+    m = d2.order
+    looped_complete = Digraph(m, [(1 << m) - 1] * m)
+    if d1.loop_count and wreath == digraphs.wreath_product(d1, looped_complete):
+        dec = digraphs.decompose_over_complete(d1)
+        quotient, r = (dec.quotient, dec.inner_size) if dec else (d1, 1)
+        outer = automorphism_group_of(quotient, limits).order
+        predicted = outer * factorial(r * m) ** quotient.order
+        if predicted == product:
+            return DichotomyWitness(r, m, "complete", predicted)
     return None

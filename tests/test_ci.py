@@ -1846,6 +1846,16 @@ class TestWreathAutDichotomy:
                 blowups[report.dichotomy.inner_kind] += 1
         assert blowups["complete"] > 0 and blowups["empty"] > 0, blowups
 
+    def test_every_report_is_equal_or_explained(self):
+        # 68 reports with a looped outer factor are unequal: 21 explained by
+        # a decomposition kind, and 47 by the looped-outer rule alone.
+        looped_unequal = 0
+        for d1, d2 in dichotomy_pairs():
+            report = verify_wreath_aut_dichotomy(d1, d2)
+            assert report.equal or report.dichotomy is not None, (d1.out_masks, d2.out_masks)
+            looped_unequal += bool(d1.loop_count) and not report.equal
+        assert looped_unequal == 68
+
     def test_pieces_of_a_vertex_transitive_digraph_share_its_group(self):
         # |Aut(piece)|^s * s! = |Aut(d2)|: the order the report reads in
         # place of searching a piece, on every inner factor and kind.

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -321,6 +322,22 @@ class TestStructuredOutput:
         blob = json.loads(out)
         assert blob["result"]["equal"] is False
         assert blob["result"]["dichotomy"]["predicted_order"] == 24
+
+    def test_wreath_aut_looped_outer_factor(self, capsys):
+        # Cay(Z4, {0,1,3}) is looped at every vertex, so the product is
+        # Cay(Z4, {0,1,3}) wr K°_7, whatever the inner factor's arcs.
+        code, out, _ = run_cli(
+            capsys, "--format", "json", "wreath", "aut",
+            "--g1-group", "Z4", "--g1-set", "0,1,3",
+            "--g2-group", "Z7", "--g2-set", "3",
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        order = 8 * factorial(7) ** 4
+        assert (result["product_aut_order"], result["wreath_order"]) == (order, 19208)
+        assert result["dichotomy"] == {
+            "r": 1, "s": 7, "inner_kind": "complete", "predicted_order": order,
+        }
 
     def test_empty_set_allowed(self, capsys):
         code, out, _ = run_cli(

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import cig.groups
 import oracles
 from cig.groups import (
     FiniteGroup,
@@ -571,6 +572,56 @@ class TestScheduleAgainstRebuiltSearch:
             for target in (frozenset(t), frozenset(t) ^ {rng.randrange(g.order)}):
                 expected = list(oracles.rebuilt_automorphism_images(g, s, target))
                 assert list(_automorphism_images(g, s, target)) == expected, (s, target)
+
+
+_WALK_SPECS = [s for s, _ in catalog_specs(12)] + [
+    "Z16", "Z2xZ8", "Z4xZ4", "D8", "Z2xZ2xZ4", "Q8xZ2", "Z2xD4", "Z2xZ2xZ2xZ2", "S4",
+]
+
+
+class TestGeneratingWalk:
+    """The one walk per group gives what the two walks it replaced give: the
+    greedy scan with a fresh closure per generator
+    (`oracles.greedy_generating_set`) and the edge schedule walked on its
+    own (`oracles.edge_schedule`), on validated groups and on quotient
+    targets, which `_image` builds without validation."""
+
+    def assert_walk(self, g):
+        gens = oracles.greedy_generating_set(g)
+        assert g.generating_set() == gens
+        assert g._schedule == oracles.edge_schedule(g.table, gens)
+
+    @pytest.mark.parametrize("spec", _WALK_SPECS)
+    def test_validated_group(self, spec):
+        self.assert_walk(parse_group_spec(spec))
+
+    @pytest.mark.parametrize("spec", [s for s, _ in catalog_specs(12)])
+    def test_quotient_targets(self, spec):
+        g = parse_group_spec(spec)
+        for h in g.normal_subgroups():
+            if len(h) < g.order:
+                self.assert_walk(g.quotient(h).target)
+
+    def test_each_group_walks_once_and_takes_no_closure(self, monkeypatch):
+        walks = []
+        walk = cig.groups._generating_walk
+        monkeypatch.setattr(
+            cig.groups, "_generating_walk", lambda table: walks.append(table) or walk(table)
+        )
+
+        def refuse(self, gens):
+            raise AssertionError("subgroup_generated ran")
+
+        monkeypatch.setattr(FiniteGroup, "subgroup_generated", refuse)
+        g = FiniteGroup.dihedral(6)
+        assert len(g.automorphisms()) == 12
+        assert automorphic_image_search(g, {1, 6}, {5, 7}) is not None
+        assert automorphic_image_search(g, {1, 6}, {2, 7}) is None
+        assert walks == [g.table]
+        target = g.quotient({0, 3}).target  # by the centre {e, r3}
+        assert len(target.automorphisms()) == 6  # the quotient is S3
+        assert automorphic_image_search(target, {1}, {2}) is not None
+        assert walks == [g.table, target.table]
 
 
 class TestLeftRegularRepresentation:

@@ -1,6 +1,7 @@
 """Isomorphism engine: refinement, search, automorphism groups."""
 
 import random
+from collections import Counter
 from itertools import combinations
 from math import factorial, gcd
 
@@ -245,6 +246,57 @@ def _cycle_cases():
             yield pytest.param(d.complement(), order, id=f"Z{n}-{s}-complement")
     d = cayley(FiniteGroup.cyclic(24), {5}).complement()
     yield pytest.param(d, 24, id="Z24-5-complement")
+
+
+class TestFindIsomorphismAgainstNetworkx:
+    """`find_isomorphism` gives the verdict of networkx's VF2, a third-party
+    implementation, and every bijection it returns carries one digraph onto
+    the other by networkx's own graph comparison.  Skipped without
+    networkx."""
+
+    def agrees(self, a, b):
+        pytest.importorskip("networkx")
+        mapping = find_isomorphism(a, b)
+        assert (mapping is not None) == oracles.networkx_is_isomorphic(a, b), (
+            a.out_masks, b.out_masks,
+        )
+        if mapping is not None:
+            assert oracles.networkx_maps_onto(a, b, mapping.images)
+        return mapping is not None
+
+    def test_cayley_pairs_of_the_catalog(self):
+        # Same-size connection sets in groups of one order up to 12, in the
+        # same group or in two; loops allowed.
+        rng = random.Random("networkx cayley pairs")
+        groups = [parse_group_spec(spec) for spec, _ in catalog_specs(12)]
+        verdicts = Counter()
+        for _ in range(300):
+            g1 = rng.choice(groups)
+            g2 = rng.choice([g for g in groups if g.order == g1.order])
+            k = rng.randrange(g1.order + 1)
+            a = cayley(g1, rng.sample(range(g1.order), k))
+            verdicts[self.agrees(a, cayley(g2, rng.sample(range(g2.order), k)))] += 1
+        assert verdicts[True] > 20 and verdicts[False] > 20, verdicts
+
+    def test_random_digraphs_with_loops(self):
+        # An independent digraph, a relabelled copy, and a relabelled copy
+        # with one non-loop arc moved (same arc and loop counts).
+        rng = random.Random("networkx random digraphs")
+        verdicts = Counter()
+        for _ in range(200):
+            n = rng.randrange(1, 9)
+            a = oracles.random_digraph(rng, n)
+            copy = a.relabel(rng.sample(range(n), n))
+            masks = list(copy.out_masks)
+            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            arcs = [(u, v) for u, v in pairs if masks[u] >> v & 1]
+            gaps = [(u, v) for u, v in pairs if not masks[u] >> v & 1]
+            if arcs and gaps:
+                for u, v in (rng.choice(arcs), rng.choice(gaps)):
+                    masks[u] ^= 1 << v
+            for b in (oracles.random_digraph(rng, n), copy, Digraph(n, masks)):
+                verdicts[self.agrees(a, b)] += 1
+        assert verdicts[True] > 200 and verdicts[False] > 200, verdicts
 
 
 class TestAutomorphismGroup:
