@@ -41,8 +41,6 @@ from cig.digraphs import (
     _has_wreath_factor,
     _wreath_masks,
     cayley,
-    decompose_over_complete,
-    decompose_over_empty,
     wreath_product,
 )
 from cig.groups import FiniteGroup, QuotientMap, _check_subset, automorphic_image_search
@@ -763,39 +761,49 @@ class WreathAutReport:
         }
 
 
+def _blowup_witness(
+    d1: Digraph, outer_aut: int, kind: str, s: int, inner_aut: int
+) -> DichotomyWitness:
+    """The witness one try predicts for an inner factor d2 with s pieces and
+    a group of order A, with no piece or quotient searched.
+
+    An automorphism of d2 maps the weak components of d2, and those of its
+    complement, onto weak components, and Aut(d2) is transitive, so the s
+    pieces are isomorphic; Aut of s disjoint isomorphic connected pieces is
+    Aut(piece) wr S_s, and complementing changes no automorphism group, so
+    |Aut(piece)|^s = A / s!.  Aut(d1) is transitive and conjugates (u v) to
+    (a(u) a(v)), so it permutes d1's twin classes: they share one size and
+    one kind.  So `decompose_over_<kind>(d1)` is (Q, r), r the class size,
+    exactly when the classes have two or more members and take the kind,
+    and r = 1 otherwise.  Q, induced on the class minima, is the twin
+    quotient `automorphism_group_of` searches, in one colour, so |Aut(Q)| is
+    |Aut(d1)| / (r!)^q for q = |d1| / r.  The order is
+    |Aut(Q)| ((r s)! (A / s!)^r)^q; with r = 1 or s = 1 it is the wreath
+    order |Aut(d1)| A^|d1|, so no try needs a guard."""
+    twins = d1.twin_classes()[0]
+    r = len(twins) if len(twins) >= 2 and _class_takes_kind(d1, twins, kind) else 1
+    q = d1.order // r
+    inner = factorial(r * s) * (inner_aut // factorial(s)) ** r
+    return DichotomyWitness(r, s, kind, outer_aut // factorial(r) ** q * inner**q)
+
+
 def verify_wreath_aut_dichotomy(
     d1: Digraph, d2: Digraph, limits: Limits = DEFAULT_LIMITS
 ) -> WreathAutReport:
     """Compare Aut(d1 wreath d2) with Aut(d1) wreath Aut(d2).
 
-    When unequal, find the blowup parameters: the outer factor must split
-    over a complete (or empty) inner factor of size r, the inner factor must
-    be a join (or disjoint union) of s isomorphic pieces, and the composite
-    wreath formula must reproduce the computed order exactly.
+    When unequal, find the blowup parameters: d1 must split over a complete
+    (or empty) inner factor of size r, d2 must be a join (or disjoint union)
+    of s isomorphic pieces, and `_blowup_witness`'s composite wreath formula
+    must reproduce the computed order exactly.  The tries, in order, are the
+    complete kind with s the weak components of d2's complement, the empty
+    kind with s those of d2, and, for a looped d1, which fills each fiber so
+    that d1 wreath d2 = d1 wreath K°_m for m = |d2| and K°_m the looped
+    complete digraph, the complete kind with s = m looped points, A = m!.
 
     The product is built only to be searched, so its order is checked
-    against ``limits.search`` before any search runs.
-
-    No piece is induced or searched.  An automorphism of d2 maps the weak
-    components of d2, and those of its complement, onto weak components,
-    and Aut(d2) is transitive (checked), so all s pieces are isomorphic.
-    Aut of s disjoint isomorphic connected pieces is Aut(piece) wr S_s, and
-    complementing, which keeps loop flags, changes no automorphism group.
-    So |Aut(piece)|^s = |Aut(d2)| / s!, and the searches are those of d1,
-    d2, the product (the side the formula is compared with) and each
-    decomposition quotient tried.
-
-    When both kinds fail and d1 is looped, it is looped at every vertex
-    (it is vertex-transitive), so each fiber is filled, loops included,
-    and d1 wreath d2 = d1 wreath K°_m for m = |d2| and K°_m the looped
-    complete digraph: the complete kind, s = m looped points.  Take (Q, r)
-    from `decompose_over_complete(d1)`, or (d1, 1) when it is None.  The
-    product's twin classes are the fibers merged over d1's adjacent twin
-    classes (fibers over non-adjacent twins differ in a fiber's own arcs,
-    as m >= 2), so |Aut| = |Aut(Q)| ((r m)!)^|Q|.  Aut(d1) permutes its
-    adjacent twin classes, each of size r, as Aut(Q) permutes Q's vertices,
-    and the part fixing each class is Sym(r)^|Q|, so |Aut(Q)| is
-    |Aut(d1)| / (r!)^|Q| and the rule adds no search.
+    against ``limits.search`` before any search runs.  The searches are
+    those of d1, d2 and the product, the side the formula is compared with.
     """
     n = d1.order * d2.order
     if n > limits.search:
@@ -811,29 +819,17 @@ def verify_wreath_aut_dichotomy(
 
     dichotomy = None
     if not equal:
-        for kind, decompose in (
-            ("complete", decompose_over_complete),
-            ("empty", decompose_over_empty),
-        ):
-            dec = decompose(d1)
-            comps = (d2.complement() if kind == "complete" else d2).weak_components()
-            if dec is None or len(comps) < 2:
-                continue
-            r, s = dec.inner_size, len(comps)
-            outer_aut = automorphism_group_of(dec.quotient, limits)
-            predicted = (
-                outer_aut.order
-                * (factorial(r * s) * (a2.order // factorial(s)) ** r) ** dec.quotient.order
-            )
-            if predicted == aut_product.order:
-                dichotomy = DichotomyWitness(r, s, kind, predicted)
+        tries = [
+            ("complete", len(d2.complement().weak_components()), a2.order),
+            ("empty", len(d2.weak_components()), a2.order),
+        ]
+        if d1.has_loop(0):
+            tries.append(("complete", d2.order, factorial(d2.order)))
+        for kind, s, inner_aut in tries:
+            witness = _blowup_witness(d1, a1.order, kind, s, inner_aut)
+            if witness.predicted_order == aut_product.order:
+                dichotomy = witness
                 break
-        if dichotomy is None and d1.loop_count:
-            dec = decompose_over_complete(d1)
-            q, r = (dec.quotient.order, dec.inner_size) if dec else (d1.order, 1)
-            predicted = a1.order // factorial(r) ** q * factorial(r * d2.order) ** q
-            if predicted == aut_product.order:
-                dichotomy = DichotomyWitness(r, d2.order, "complete", predicted)
     return WreathAutReport(
         factor1=d1,
         factor2=d2,

@@ -2,7 +2,9 @@
 
 One subcommand per library capability, deterministic output, and exit codes
 that scripts can branch on: 0 for accepted verifications and completed
-queries, 1 for rejected certificates or non-CI witnesses, 2 for usage and
+queries (a `ci group` sweep cut short by `--budget` among them, with
+`exhaustive` false), 1 for rejected certificates, non-CI witnesses and
+wreath reports whose blow-up no dichotomy rule explains, 2 for usage and
 validation errors.
 """
 
@@ -128,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     group_cmd = ci_sub.add_parser("group", help="exhaustive CI sweep of one group")
     group_cmd.add_argument("--group", required=True)
     group_cmd.add_argument("--mode", choices=("digraph", "graph"), default="digraph")
-    group_cmd.add_argument("--budget", type=int, default=None)
+    group_cmd.add_argument("--budget", type=_positive_int, default=None)
 
     quotient = sub.add_parser("quotient", help="quotient-construction verification")
     quotient_sub = quotient.add_subparsers(dest="subcommand", required=True)

@@ -1873,9 +1873,53 @@ class TestWreathAutDichotomy:
                 cases += 1
         assert cases == 43
 
-    def test_a_report_searches_the_factors_the_product_and_each_tried_quotient(
-        self, monkeypatch
-    ):
+    def test_twin_classes_of_an_outer_factor_share_one_size_and_one_kind(self):
+        # The rule reads r from d1's twin classes in place of building and
+        # searching each decomposition: on every kind that d1 decomposes
+        # over, r and q are the decomposition's, and |Aut(Q)| (r!)^q is
+        # |Aut(d1)|.
+        outers = {d1 for d1, _ in dichotomy_pairs()}
+        cases = 0
+        for d1 in outers:
+            classes = d1.twin_classes()
+            r = len(classes[0])
+            aut_order = automorphism_group_of(d1).order
+            assert {len(c) for c in classes} == {r}, d1.out_masks
+            assert d1.loop_count in (0, d1.order), d1.out_masks
+            for kind, decompose in DECOMPOSITIONS:
+                takes = {
+                    r >= 2 and cig.digraphs._class_takes_kind(d1, c, kind) for c in classes
+                }
+                assert len(takes) == 1, (d1.out_masks, kind)
+                dec = decompose(d1)
+                assert (dec is not None) == takes.pop(), (d1.out_masks, kind)
+                witness = cig.ci._blowup_witness(d1, aut_order, kind, 1, 1)
+                assert witness.r == (dec.inner_size if dec else 1), (d1.out_masks, kind)
+                if dec is None:
+                    continue
+                q = d1.order // r
+                assert (dec.inner_size, dec.quotient.order) == (r, q)
+                quotient_order = automorphism_group_of(dec.quotient).order
+                assert quotient_order * factorial(r) ** q == aut_order, (d1.out_masks, kind)
+                cases += 1
+        assert (len(outers), cases) == (203, 68)
+
+    def test_a_try_with_one_class_member_or_one_piece_gives_the_wreath_order(self):
+        # Why the rule needs no guard: such a try cannot explain an unequal
+        # report.
+        tries = trivial = 0
+        for d1, d2 in dichotomy_pairs():
+            a1 = automorphism_group_of(d1).order
+            a2 = automorphism_group_of(d2).order
+            for kind, _ in DECOMPOSITIONS:
+                witness = cig.ci._blowup_witness(d1, a1, kind, len(pieces(d2, kind)), a2)
+                tries += 1
+                if witness.r == 1 or witness.s == 1:
+                    assert witness.predicted_order == a1 * a2**d1.order, (d1.out_masks, kind)
+                    trivial += 1
+        assert (tries, trivial) == (696, 644)
+
+    def test_a_report_searches_the_factors_and_the_product_only(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("find_isomorphism ran")
 
@@ -1888,22 +1932,14 @@ class TestWreathAutDichotomy:
             "automorphism_group_of",
             lambda d, limits: searched.append(d) or real(d, limits),
         )
-        tried_any = 0
+        unequal = 0
         for d1, d2 in dichotomy_pairs():
             searched.clear()
             report = verify_wreath_aut_dichotomy(d1, d2)
-            tried = []
-            for kind, decompose in DECOMPOSITIONS if not report.equal else ():
-                dec = decompose(d1)
-                if dec is None or len(pieces(d2, kind)) < 2:
-                    continue
-                tried.append(dec.quotient)
-                if report.dichotomy is not None and report.dichotomy.inner_kind == kind:
-                    break
             product = cig.digraphs.wreath_product(d1, d2)
-            assert searched == [d1, d2, product, *tried], (d1.out_masks, d2.out_masks)
-            tried_any += bool(tried)
-        assert tried_any > 0
+            assert searched == [d1, d2, product], (d1.out_masks, d2.out_masks)
+            unequal += not report.equal
+        assert unequal == 98
 
     def test_equal_case(self):
         report = verify_wreath_aut_dichotomy(directed_cycle(3), Digraph.complete(2))

@@ -160,8 +160,9 @@ class TestExitCodes:
             ("--closure-cap 5 ci group --group Z8", "usage:"),
             ("catalog list --max-order -4", "--max-order"),
             ("catalog list --max-order 0", "--max-order"),
-            ("ci group --group Z8 --budget 0", "budget"),
-            ("ci group --group Z8 --budget -1", "budget"),
+            ("ci group --group Z8 --budget 0", "--budget"),
+            ("ci group --group Z8 --budget -1", "--budget"),
+            ("ci group --group Z8 --budget abc", "--budget"),
         ],
     )
     def test_invalid_knob_exits_two(self, capsys, argv, message):

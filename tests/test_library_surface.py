@@ -155,3 +155,23 @@ def test_every_top_level_name_is_used_through_its_module():
             and (module, node.name) not in others
         ]
     assert not unused, "top-level names never used through their module: " + ", ".join(unused)
+
+
+def test_every_name_imported_from_cig_is_used_where_it_is_imported():
+    # An import counts as a use in the scans above, so a dead import would
+    # keep its name covered there.  `cig/__init__.py` imports to re-export.
+    unused = []
+    for path in LIBRARY:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{alias.asname or alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module == "cig" or (node.module or "").startswith("cig."))
+            for alias in node.names
+            if (alias.asname or alias.name) not in used
+        ]
+    assert not unused, "imported from cig but never used: " + ", ".join(unused)
